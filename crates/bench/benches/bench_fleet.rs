@@ -75,10 +75,8 @@ fn bench_unsw_streaming(c: &mut Criterion) {
 /// Serving under training pressure: each iteration schedules a full
 /// raw-sharing round and a 32-batch flow-scoring burst as two settled
 /// tasks on the shared worker pool, so `score_rows` is measured while a
-/// round contends for the same workers. An observability session wraps
-/// the whole run; the closing summary reports rows/s (wall clock — this
-/// crate is the sanctioned timing module) and the p99 batch latency from
-/// the deterministic `serving.batch_ticks` histogram.
+/// round contends for the same workers. The closing summary reports
+/// rows/s (wall clock — this crate is the sanctioned timing module).
 fn bench_serving_under_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet");
     group.sample_size(5);
@@ -99,7 +97,6 @@ fn bench_serving_under_training(c: &mut Criterion) {
         })
         .collect();
 
-    let session = kinet_obs::start(kinet_obs::ObsConfig::default());
     let t0 = Instant::now();
     let mut rows_scored = 0u64;
     group.bench_function("serve_under_train/4x500+32x96", |b| {
@@ -124,17 +121,9 @@ fn bench_serving_under_training(c: &mut Criterion) {
         });
     });
     let wall_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let capture = session.finish();
-    let p99 = capture
-        .metrics
-        .histograms
-        .iter()
-        .find(|h| h.name == "serving.batch_ticks")
-        .map(|h| h.p99)
-        .unwrap_or(0);
     println!(
         "serve_under_train: {rows_scored} rows scored in {wall_secs:.3}s — \
-         {:.0} rows/s under a concurrent round, batch p99 = {p99} ticks",
+         {:.0} rows/s under a concurrent round",
         rows_scored as f64 / wall_secs
     );
     group.finish();

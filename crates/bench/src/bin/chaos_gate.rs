@@ -19,7 +19,9 @@
 //!
 //! The full per-scenario reports are persisted as
 //! `target/experiments/chaos_report.json` **before** the pass/fail
-//! verdict, so a red gate still uploads evidence.
+//! verdict, so a red gate still uploads evidence; the journal of every
+//! scenario's 1-thread run is recorded and its tail written to
+//! `target/experiments/chaos_gate_obs_dump.json`.
 //!
 //! ```text
 //! chaos_gate [--quick] [--seed N]
@@ -35,6 +37,7 @@ use kinet_fleet::{
     DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetError, FleetReport, FleetSim,
     ModelKind, ResilienceConfig, SharingPolicy, UnionConfig, EXIT_QUORUM_LOST,
 };
+use kinet_obs::Recorder;
 use kinet_tensor::pool::with_threads;
 use serde::Serialize;
 
@@ -205,7 +208,9 @@ struct ChaosReport {
     quorum_probe: QuorumProbeRecord,
 }
 
-fn run_scenario(args: &Args, sc: &Scenario) -> ScenarioRecord {
+/// Runs one scenario at every thread count; the 1-thread run is the one
+/// recorded into `journal`.
+fn run_scenario(args: &Args, sc: &Scenario, journal: &mut Recorder) -> ScenarioRecord {
     let mut cfg = base_config(args);
     cfg.fault = sc.fault.clone();
     cfg.resilience = sc.resilience.clone();
@@ -221,7 +226,15 @@ fn run_scenario(args: &Args, sc: &Scenario) -> ScenarioRecord {
     // workers must fingerprint bit-identically, fault plan and all.
     let mut runs: Vec<(usize, FleetReport)> = Vec::new();
     for &threads in &THREAD_COUNTS {
-        match with_threads(threads, || FleetSim::new(cfg.clone()).run()) {
+        let sim = FleetSim::new(cfg.clone());
+        let outcome = with_threads(threads, || {
+            if threads == 1 {
+                sim.run_recorded(journal).map(|(report, _)| report)
+            } else {
+                sim.run()
+            }
+        });
+        match outcome {
             Ok(report) => runs.push((threads, report)),
             Err(e) => failures.push(format!("run failed at {threads} thread(s): {e}")),
         }
@@ -373,11 +386,11 @@ fn main() {
         if args.quick { " (quick mode)" } else { "" }
     );
 
-    let session = kinet_obs::start(kinet_obs::ObsConfig::default());
+    let mut journal = Recorder::new();
     let mut records = Vec::new();
     for sc in scenarios() {
         println!("[{}] {}", sc.name, sc.description);
-        let record = run_scenario(&args, &sc);
+        let record = run_scenario(&args, &sc, &mut journal);
         if let Some(report) = &record.report {
             println!(
                 "      recall {:.3}, {}/{} reported, {} retries, {} quarantined, {} degraded, \
@@ -407,7 +420,7 @@ fn main() {
     );
 
     let failed = records.iter().any(|r| !r.failures.is_empty()) || !probe.pass;
-    kinet_bench::obs_wrapup(&session.finish(), failed);
+    kinet_bench::obs_wrapup("chaos_gate", &journal);
     let chaos = ChaosReport {
         quick: args.quick,
         seed: args.seed,

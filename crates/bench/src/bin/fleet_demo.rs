@@ -14,8 +14,13 @@
 //! asserted), and when a previous snapshot exists a delta is printed.
 //!
 //! ```text
-//! fleet_demo [--quick] [--serve] [--devices N] [--rows N] [--chunk N] [--window N] [--seed N]
+//! fleet_demo [--quick] [--serve] [--trace] [--devices N] [--rows N] [--chunk N] [--window N] [--seed N]
 //! ```
+//!
+//! Every act is recorded into one journal: its per-phase summary is
+//! printed and its tail written as
+//! `target/experiments/fleet_demo_obs_dump.json`; `--trace` also prints
+//! the whole journal.
 //!
 //! `--serve` appends a third act: a resident [`FleetService`] trains
 //! three rounds, the middle round is killed (every device crashes under a
@@ -34,6 +39,7 @@ use kinet_fleet::{
     MemStorage, ModelKind, RoundVerdict, ServiceConfig, ServingConfig, SharingPolicy,
     SnapshotStore, UnionConfig,
 };
+use kinet_obs::Recorder;
 
 /// Collected assertion failures plus the process exit code to use: floor
 /// breaks keep 1, a typed fleet-run error escalates to its own code.
@@ -120,7 +126,7 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 }
 
 /// Act 1: the streaming scale run.
-fn scale_run(args: &Args, failures: &mut Failures) -> Option<FleetReport> {
+fn scale_run(args: &Args, failures: &mut Failures, journal: &mut Recorder) -> Option<FleetReport> {
     println!(
         "[1/2] streaming scale run: {} devices x {} rows (chunk {}, window {})",
         args.devices, args.rows, args.chunk, args.window
@@ -135,8 +141,8 @@ fn scale_run(args: &Args, failures: &mut Failures) -> Option<FleetReport> {
         device_window: Some(args.window),
         ..FleetConfig::default()
     };
-    let report = match FleetSim::new(cfg).run() {
-        Ok(r) => r,
+    let report = match FleetSim::new(cfg).run_recorded(journal) {
+        Ok((r, _)) => r,
         Err(e) => {
             failures.push_run_error("scale run failed", &e);
             return None;
@@ -175,7 +181,7 @@ fn scale_run(args: &Args, failures: &mut Failures) -> Option<FleetReport> {
 }
 
 /// Act 2: the condition-union A/B on a class-skewed split.
-fn union_ab(args: &Args, failures: &mut Failures) -> Vec<FleetReport> {
+fn union_ab(args: &Args, failures: &mut Failures, journal: &mut Recorder) -> Vec<FleetReport> {
     let (devices, rows, epochs) = if args.quick {
         (3, 220, 2)
     } else {
@@ -199,8 +205,8 @@ fn union_ab(args: &Args, failures: &mut Failures) -> Vec<FleetReport> {
     with_union.union = UnionConfig::enabled();
     let mut out = Vec::new();
     for (label, cfg) in [("union off", base), ("union on ", with_union)] {
-        match FleetSim::new(cfg).run() {
-            Ok(r) => {
+        match FleetSim::new(cfg).run_recorded(journal) {
+            Ok((r, _)) => {
                 println!("      {label}: {r}");
                 out.push(r);
             }
@@ -236,7 +242,7 @@ fn union_ab(args: &Args, failures: &mut Failures) -> Vec<FleetReport> {
 
 /// Act 3 (`--serve`): the resident service survives a killed round and
 /// keeps answering from the previous generation.
-fn serve_demo(args: &Args, failures: &mut Failures) {
+fn serve_demo(args: &Args, failures: &mut Failures, journal: &mut Recorder) {
     let (devices, rows) = if args.quick { (2, 250) } else { (4, 400) };
     println!(
         "\n[serve] resident service: {devices} devices x {rows} rows, 3 rounds, \
@@ -265,7 +271,7 @@ fn serve_demo(args: &Args, failures: &mut Failures) {
         ..ServiceConfig::default()
     };
     let mut store = SnapshotStore::new(Box::new(MemStorage::new()));
-    let report = match FleetService::new(cfg).run(&mut store) {
+    let report = match FleetService::new(cfg).run_recorded(&mut store, journal) {
         Ok(r) => r,
         Err(e) => {
             failures.push_run_error("service run failed", &e);
@@ -366,16 +372,16 @@ fn main() {
         if args.quick { " (quick mode)" } else { "" }
     );
     let previous = previous_reports();
-    // Recording is always on (the acts are training-dominated; journal
-    // appends are noise): `--trace` prints the per-phase summary, and any
-    // failing exit dumps the flight recorder for the CI artifact.
-    let session = kinet_obs::start(kinet_obs::ObsConfig::default());
+    // Every act is recorded into one journal (the acts are
+    // training-dominated; journal appends are noise): its tail is dumped
+    // for the CI artifact, and `--trace` also prints it in full.
+    let mut journal = Recorder::new();
     let mut failures = Failures::default();
     let mut reports = Vec::new();
-    reports.extend(scale_run(&args, &mut failures));
-    reports.extend(union_ab(&args, &mut failures));
+    reports.extend(scale_run(&args, &mut failures, &mut journal));
+    reports.extend(union_ab(&args, &mut failures, &mut journal));
     if args.serve {
-        serve_demo(&args, &mut failures);
+        serve_demo(&args, &mut failures, &mut journal);
     }
 
     println!();
@@ -405,10 +411,10 @@ fn main() {
         Err(e) => failures.push(format!("could not write fleet_report.json: {e}")),
     }
 
-    let capture = session.finish();
-    if args.trace || !failures.msgs.is_empty() {
-        kinet_bench::obs_wrapup(&capture, !failures.msgs.is_empty());
+    if args.trace {
+        print!("{}", journal.render());
     }
+    kinet_bench::obs_wrapup("fleet_demo", &journal);
 
     if failures.msgs.is_empty() {
         println!("fleet_demo: all assertions hold");

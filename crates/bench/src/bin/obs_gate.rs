@@ -1,23 +1,26 @@
-//! Observability gate: proves the `kinet_obs` layer is deterministic,
-//! invisible to fingerprints, and cheap enough to leave on.
+//! Observability gate: proves the `kinet_obs` journal is deterministic,
+//! agrees with the report it narrates, is invisible to fingerprints, and
+//! is cheap enough to leave on.
 //!
 //! Four contracts, each persisted as evidence before the verdict:
 //!
 //! 1. **Journal determinism** — one faulted fleet round (straggler retry
 //!    plus a poisoned share, so the retry/quarantine events actually
-//!    fire) executed at `KINET_THREADS` ∈ {1, 2, 4} must produce a
-//!    byte-identical journal rendering *and* a byte-identical metrics
-//!    snapshot: virtual ticks only, merged in `(scope, seq)` order.
-//! 2. **Fingerprint invisibility** — the same round with no session
-//!    active must fingerprint bit-identically to the instrumented runs:
+//!    fire) recorded at `KINET_THREADS` ∈ {1, 2, 4} must produce a
+//!    byte-identical journal rendering: virtual ticks only, appended on
+//!    the orchestrator thread in emission order.
+//! 2. **Journal agrees with the report** — the journal's `fleet.retry`
+//!    and `fleet.quarantine` counts equal the report's
+//!    `FaultReport::retries` and `quarantined.len()`, and both are
+//!    non-zero.
+//! 3. **Fingerprint invisibility** — `FleetSim::run` (journal dropped)
+//!    must fingerprint bit-identically to `FleetSim::run_recorded`:
 //!    recording never perturbs the round it watches.
-//! 3. **Serving throughput floor** — an instrumented serving burst must
-//!    clear a wall-clock rows/s floor, and the synthetic-tick p99 comes
-//!    from the `serving.batch_ticks` histogram, not from timers.
-//! 4. **Flight recorder** — the bounded ring holds the most recent
-//!    records (≤ capacity, never empty after an instrumented round) and
-//!    is dumped to `target/experiments/obs_dump.json` unconditionally,
-//!    so a red gate still uploads its last moments.
+//! 4. **Serving throughput floor** — a serving burst must clear a
+//!    wall-clock rows/s floor and score exactly `batches × 96` rows.
+//!
+//! The last recorded journal's tail is written to
+//! `target/experiments/obs_gate_obs_dump.json`, pass or fail.
 //!
 //! ```text
 //! obs_gate [--quick] [--seed N]
@@ -30,16 +33,16 @@ use kinet_fleet::{
     DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetSim, ModelKind, ResilienceConfig,
     ServingModel, SharingPolicy, UnionConfig,
 };
-use kinet_obs::{snapshot_records, JournalSnapshot, ObsConfig};
+use kinet_obs::Recorder;
 use kinet_tensor::pool::with_threads;
 use serde::Serialize;
 use std::time::Instant;
 
-/// Thread counts the journal and metrics must be byte-identical across.
+/// Thread counts the journal must be byte-identical across.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Flight-recorder capacity the gate sessions run with.
-const RING_CAPACITY: usize = 256;
+/// Rows per serving-burst batch.
+const BATCH_ROWS: usize = 96;
 
 /// Wall-clock serving floor (rows/s). Deliberately conservative: the
 /// committed `bench_fleet` baseline measures the real number; this floor
@@ -109,9 +112,10 @@ struct ThreadRun {
     fingerprint: String,
     journal_records: usize,
     journal_bytes: usize,
-    metrics_bytes: usize,
-    retries: u64,
-    quarantines: u64,
+    journal_retries: usize,
+    journal_quarantines: usize,
+    report_retries: usize,
+    report_quarantines: usize,
 }
 
 #[derive(Serialize)]
@@ -121,9 +125,6 @@ struct ServingProbe {
     wall_secs: f64,
     rows_per_sec: f64,
     rows_per_sec_floor: f64,
-    p50_ticks: u64,
-    p95_ticks: u64,
-    p99_ticks: u64,
 }
 
 #[derive(Serialize)]
@@ -132,25 +133,14 @@ struct ObsReport {
     seed: u64,
     thread_counts: Vec<usize>,
     journal_identical: bool,
-    metrics_identical: bool,
-    fingerprint_obs_on: String,
-    fingerprint_obs_off: String,
-    obs_invisible_to_fingerprint: bool,
-    ring_capacity: usize,
-    ring_len: usize,
+    journal_matches_report: bool,
+    fingerprint_recorded: String,
+    fingerprint_unrecorded: String,
+    recording_invisible_to_fingerprint: bool,
     phase_summary: String,
     serving: Option<ServingProbe>,
     runs: Vec<ThreadRun>,
     failures: Vec<String>,
-}
-
-fn counter_value(metrics: &kinet_obs::metrics::MetricsSnapshot, name: &str) -> u64 {
-    metrics
-        .counters
-        .iter()
-        .find(|c| c.name == name)
-        .map(|c| c.value)
-        .unwrap_or(0)
 }
 
 fn main() {
@@ -162,138 +152,116 @@ fn main() {
         }
     };
     println!(
-        "obs_gate — deterministic tracing + metrics contracts{}\n",
+        "obs_gate — deterministic journal contracts{}\n",
         if args.quick { " (quick mode)" } else { "" }
     );
     let cfg = faulted_config(&args);
     let mut failures: Vec<String> = Vec::new();
 
-    // ---- contract 1: journal + metrics byte-identical across threads ----
+    // ---- contracts 1 + 2: journal byte-identical across threads and in
+    // agreement with the report it narrates ----
     let mut runs = Vec::new();
-    let mut captures: Vec<(usize, String, String, String)> = Vec::new();
-    let mut last_ring: Vec<kinet_obs::Record> = Vec::new();
-    let mut phase_summary = String::new();
+    let mut renders: Vec<(usize, String)> = Vec::new();
+    let mut journal = Recorder::new();
     for &threads in &THREAD_COUNTS {
-        let session = kinet_obs::start(ObsConfig {
-            ring_capacity: RING_CAPACITY,
+        journal = Recorder::new();
+        let outcome = with_threads(threads, || {
+            FleetSim::new(cfg.clone()).run_recorded(&mut journal)
         });
-        let outcome = with_threads(threads, || FleetSim::new(cfg.clone()).run());
-        let capture = session.finish();
         let report = match outcome {
-            Ok(r) => r,
+            Ok((r, _)) => r,
             Err(e) => {
-                failures.push(format!(
-                    "instrumented round failed at {threads} thread(s): {e}"
-                ));
+                failures.push(format!("recorded round failed at {threads} thread(s): {e}"));
                 continue;
             }
         };
-        let journal_text = capture.journal.render();
-        let metrics_text = match serde_json::to_string(&capture.metrics) {
-            Ok(t) => t,
-            Err(e) => {
-                failures.push(format!("metrics snapshot failed to serialize: {e}"));
-                String::new()
-            }
-        };
-        let fingerprint = report.deterministic_fingerprint();
-        phase_summary = capture.journal.phase_summary();
-        println!("[threads={threads}] {phase_summary}");
+        let render = journal.render();
+        println!("[threads={threads}] {}", journal.phase_summary());
         runs.push(ThreadRun {
             threads,
-            fingerprint: fingerprint.clone(),
-            journal_records: capture.journal.records().len(),
-            journal_bytes: journal_text.len(),
-            metrics_bytes: metrics_text.len(),
-            retries: counter_value(&capture.metrics, "fleet.retries"),
-            quarantines: counter_value(&capture.metrics, "fleet.quarantines"),
+            fingerprint: report.deterministic_fingerprint(),
+            journal_records: journal.records().len(),
+            journal_bytes: render.len(),
+            journal_retries: journal.events_for("fleet.retry").count(),
+            journal_quarantines: journal.events_for("fleet.quarantine").count(),
+            report_retries: report.fault.retries,
+            report_quarantines: report.fault.quarantined.len(),
         });
-        last_ring = capture.ring;
-        captures.push((threads, journal_text, metrics_text, fingerprint));
+        renders.push((threads, render));
     }
-    let mut journal_identical = !captures.is_empty();
-    let mut metrics_identical = !captures.is_empty();
-    if let [(_, first_journal, first_metrics, _), rest @ ..] = captures.as_slice() {
-        for (threads, journal, metrics, _) in rest {
-            if journal != first_journal {
+    let mut journal_identical = !renders.is_empty();
+    if let [(_, first), rest @ ..] = renders.as_slice() {
+        for (threads, render) in rest {
+            if render != first {
                 journal_identical = false;
                 failures.push(format!(
                     "journal bytes diverge between 1 and {threads} thread(s)"
                 ));
             }
-            if metrics != first_metrics {
-                metrics_identical = false;
-                failures.push(format!(
-                    "metrics bytes diverge between 1 and {threads} thread(s)"
-                ));
-            }
+        }
+    }
+    let mut journal_matches_report = !runs.is_empty();
+    for run in &runs {
+        if run.journal_retries != run.report_retries
+            || run.journal_quarantines != run.report_quarantines
+        {
+            journal_matches_report = false;
+            failures.push(format!(
+                "journal disagrees with the report at {} thread(s): {} vs {} retries, \
+                 {} vs {} quarantines",
+                run.threads,
+                run.journal_retries,
+                run.report_retries,
+                run.journal_quarantines,
+                run.report_quarantines
+            ));
         }
     }
     if let Some(run) = runs.first() {
         if run.journal_records == 0 {
-            failures.push("instrumented faulted round produced an empty journal".into());
+            failures.push("recorded faulted round produced an empty journal".into());
         }
-        if run.retries == 0 {
-            failures.push("straggler injection produced no fleet.retries count".into());
+        if run.report_retries == 0 {
+            failures.push("straggler injection produced no retry".into());
         }
-        if run.quarantines == 0 {
-            failures.push("poisoned share produced no fleet.quarantines count".into());
+        if run.report_quarantines == 0 {
+            failures.push("poisoned share produced no quarantine".into());
         }
     }
 
-    // ---- contract 2: obs is invisible to the round fingerprint ----
-    // No session active: every instrumentation site takes the one-relaxed-
-    // load disabled path. The round must not notice the difference.
-    let fingerprint_obs_on = captures
+    // ---- contract 3: recording is invisible to the round fingerprint ----
+    let fingerprint_recorded = runs
         .first()
-        .map(|(_, _, _, fp)| fp.clone())
+        .map(|r| r.fingerprint.clone())
         .unwrap_or_default();
-    let fingerprint_obs_off = match FleetSim::new(cfg.clone()).run() {
+    let fingerprint_unrecorded = match FleetSim::new(cfg.clone()).run() {
         Ok(r) => r.deterministic_fingerprint(),
         Err(e) => {
-            failures.push(format!("obs-off round failed: {e}"));
+            failures.push(format!("unrecorded round failed: {e}"));
             String::new()
         }
     };
-    let obs_invisible_to_fingerprint =
-        !fingerprint_obs_on.is_empty() && fingerprint_obs_on == fingerprint_obs_off;
-    if !obs_invisible_to_fingerprint {
-        failures.push("fingerprint differs between obs-on and obs-off runs".into());
+    let recording_invisible_to_fingerprint =
+        !fingerprint_recorded.is_empty() && fingerprint_recorded == fingerprint_unrecorded;
+    if !recording_invisible_to_fingerprint {
+        failures.push("fingerprint differs between run and run_recorded".into());
     }
 
-    // ---- contract 4 (checked before 3 so the dump reflects the round):
-    // the flight recorder is bounded and non-empty.
-    let ring_len = last_ring.len();
-    if ring_len == 0 && !captures.is_empty() {
-        failures.push("flight recorder is empty after an instrumented round".into());
-    }
-    if ring_len > RING_CAPACITY {
-        failures.push(format!(
-            "flight recorder holds {ring_len} records, capacity {RING_CAPACITY}"
-        ));
-    }
-
-    // ---- contract 3: instrumented serving burst clears the floor ----
+    // ---- contract 4: serving burst clears the floor ----
     let serving = run_serving_probe(&args, &cfg, &mut failures);
 
     // Evidence before verdict: both artifacts are written even when red.
-    let dump: JournalSnapshot = snapshot_records(&last_ring);
-    match write_json("obs_dump", &dump) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => failures.push(format!("could not write obs_dump.json: {e}")),
-    }
+    kinet_bench::obs_wrapup("obs_gate", &journal);
     let report = ObsReport {
         quick: args.quick,
         seed: args.seed,
         thread_counts: THREAD_COUNTS.to_vec(),
         journal_identical,
-        metrics_identical,
-        fingerprint_obs_on,
-        fingerprint_obs_off,
-        obs_invisible_to_fingerprint,
-        ring_capacity: RING_CAPACITY,
-        ring_len,
-        phase_summary,
+        journal_matches_report,
+        fingerprint_recorded,
+        fingerprint_unrecorded,
+        recording_invisible_to_fingerprint,
+        phase_summary: journal.phase_summary(),
         serving,
         runs,
         failures: failures.clone(),
@@ -313,13 +281,14 @@ fn main() {
         eprintln!("obs_gate: observability contracts violated");
         std::process::exit(1);
     }
-    println!("obs_gate: journal deterministic, fingerprints untouched, serving floor holds");
+    println!(
+        "obs_gate: journal deterministic and faithful, fingerprints untouched, serving floor holds"
+    );
 }
 
 /// Trains a serving model on the faulted round's committed pool, then
-/// scores a flow burst under an active session: rows/s is wall clock
-/// (this is `crates/bench`, the sanctioned timing module), latency
-/// quantiles come from the deterministic synthetic-tick histogram.
+/// scores a flow burst: rows/s is wall clock (this is `crates/bench`,
+/// the sanctioned timing module).
 fn run_serving_probe(
     args: &Args,
     cfg: &FleetConfig,
@@ -346,10 +315,9 @@ fn run_serving_probe(
         }
     };
     let batches = if args.quick { 40 } else { 200 };
-    let batch_rows = 96;
     let mut flows = Vec::with_capacity(batches);
     for b in 0..batches {
-        match LabSimulator::new(LabSimConfig::small(batch_rows, args.seed ^ (b as u64 + 11)))
+        match LabSimulator::new(LabSimConfig::small(BATCH_ROWS, args.seed ^ (b as u64 + 11)))
             .generate()
         {
             Ok(t) => flows.push(t),
@@ -360,11 +328,6 @@ fn run_serving_probe(
         }
     }
 
-    let session = kinet_obs::start(ObsConfig {
-        ring_capacity: RING_CAPACITY,
-    });
-    // Wall clock is sanctioned in crates/bench (the timing-owned module);
-    // journal/metric ticks stay virtual.
     let t0 = Instant::now();
     let mut rows_scored = 0u64;
     for flow in &flows {
@@ -377,33 +340,20 @@ fn run_serving_probe(
         }
     }
     let wall_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let capture = session.finish();
-
-    let hist = capture
-        .metrics
-        .histograms
-        .iter()
-        .find(|h| h.name == "serving.batch_ticks");
-    let (p50, p95, p99) = hist.map(|h| (h.p50, h.p95, h.p99)).unwrap_or((0, 0, 0));
-    if hist.map(|h| h.count).unwrap_or(0) != batches as u64 {
-        failures.push(format!(
-            "serving.batch_ticks observed {} batches, expected {batches}",
-            hist.map(|h| h.count).unwrap_or(0)
-        ));
-    }
     let rows_per_sec = rows_scored as f64 / wall_secs;
     println!(
-        "[serving] {batches} batches, {rows_scored} rows in {:.4}s — {:.0} rows/s \
-         (floor {:.0}), tick quantiles p50={p50} p95={p95} p99={p99}",
-        wall_secs, rows_per_sec, SERVING_ROWS_PER_SEC_FLOOR
+        "[serving] {batches} batches, {rows_scored} rows in {wall_secs:.4}s — {rows_per_sec:.0} \
+         rows/s (floor {SERVING_ROWS_PER_SEC_FLOOR:.0})"
     );
+    if rows_scored != (batches * BATCH_ROWS) as u64 {
+        failures.push(format!(
+            "serving burst scored {rows_scored} rows, expected {batches} x {BATCH_ROWS}"
+        ));
+    }
     if rows_per_sec < SERVING_ROWS_PER_SEC_FLOOR {
         failures.push(format!(
             "serving throughput {rows_per_sec:.0} rows/s under floor {SERVING_ROWS_PER_SEC_FLOOR}"
         ));
-    }
-    if p99 == 0 {
-        failures.push("serving.batch_ticks p99 is zero after an instrumented burst".into());
     }
     Some(ServingProbe {
         batches,
@@ -411,8 +361,5 @@ fn run_serving_probe(
         wall_secs,
         rows_per_sec,
         rows_per_sec_floor: SERVING_ROWS_PER_SEC_FLOOR,
-        p50_ticks: p50,
-        p95_ticks: p95,
-        p99_ticks: p99,
     })
 }

@@ -19,7 +19,8 @@
 //!
 //! The full per-scenario reports are persisted as
 //! `target/experiments/service_report.json` **before** the pass/fail
-//! verdict, so a red gate still uploads evidence.
+//! verdict, so a red gate still uploads evidence; the last recorded
+//! journal's tail goes to `target/experiments/service_gate_obs_dump.json`.
 //!
 //! ```text
 //! service_gate [--quick] [--seed N]
@@ -37,6 +38,7 @@ use kinet_fleet::{
     SharingPolicy, SnapshotStore, StorageFaultKind, StorageFaultSpec, UnionConfig, WatchdogConfig,
     EXIT_MEMBERSHIP_COLLAPSE,
 };
+use kinet_obs::Recorder;
 use kinet_tensor::pool::with_threads;
 use serde::Serialize;
 
@@ -85,9 +87,9 @@ struct Scenario {
     storage_faults: Vec<StorageFaultSpec>,
     runs: usize,
     check: fn(&Args, &ServiceReport, &mut Vec<String>),
-    /// Journal assertions, run against one extra instrumented execution
-    /// (`None` skips the extra run).
-    journal_check: Option<fn(&kinet_obs::Journal, &mut Vec<String>)>,
+    /// Journal assertions, run against the recorded journal of every
+    /// thread-count run.
+    journal_check: Option<fn(&Recorder, &mut Vec<String>)>,
 }
 
 /// The small raw-sharing fleet most mechanics scenarios run on.
@@ -390,16 +392,17 @@ struct ServiceGateReport {
 }
 
 /// Runs one scenario's full restart sequence on a fresh faulted store,
-/// once per thread count, and cross-checks the final fingerprints. When
-/// the scenario carries a `journal_check`, one extra instrumented
-/// execution captures the journal for it (sessions are exclusive, so
-/// this cannot run inside the thread-count loop shared with other
-/// scenarios' futures — it runs serially here).
-fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Option<kinet_obs::Capture>) {
+/// once per thread count, recording each into its own journal, and
+/// cross-checks the final fingerprints. A scenario's `journal_check` runs
+/// on every thread count's journal; the last journal is returned for the
+/// gate's dump.
+fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Recorder) {
     let cfg = (sc.config)(args);
     let mut failures = Vec::new();
     let mut runs: Vec<(usize, ServiceReport)> = Vec::new();
+    let mut last_journal = Recorder::new();
     for &threads in &THREAD_COUNTS {
+        let mut journal = Recorder::new();
         let outcome = with_threads(threads, || {
             let mut store = SnapshotStore::new(Box::new(FaultStorage::new(
                 MemStorage::new(),
@@ -408,7 +411,7 @@ fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Option<kinet_obs
             let service = FleetService::new(cfg.clone());
             let mut last = None;
             for _ in 0..sc.runs {
-                last = Some(service.run(&mut store)?);
+                last = Some(service.run_recorded(&mut store, &mut journal)?);
             }
             last.ok_or_else(|| FleetError::Internal("scenario ran zero times".into()))
         });
@@ -416,6 +419,16 @@ fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Option<kinet_obs
             Ok(report) => runs.push((threads, report)),
             Err(e) => failures.push(format!("run failed at {threads} thread(s): {e}")),
         }
+        if let Some(jc) = sc.journal_check {
+            let mut journal_failures = Vec::new();
+            jc(&journal, &mut journal_failures);
+            failures.extend(
+                journal_failures
+                    .into_iter()
+                    .map(|f| format!("journal at {threads} thread(s): {f}")),
+            );
+        }
+        last_journal = journal;
     }
     let fingerprints_identical = match runs.as_slice() {
         [] => false,
@@ -437,35 +450,6 @@ fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Option<kinet_obs
     if let Some(report) = &report {
         (sc.check)(args, report, &mut failures);
     }
-    let mut capture = None;
-    if let (Some(jc), Some(report)) = (sc.journal_check, &report) {
-        let session = kinet_obs::start(kinet_obs::ObsConfig::default());
-        let outcome = with_threads(1, || {
-            let mut store = SnapshotStore::new(Box::new(FaultStorage::new(
-                MemStorage::new(),
-                sc.storage_faults.clone(),
-            )));
-            let cfg = (sc.config)(args);
-            let service = FleetService::new(cfg);
-            let mut last = None;
-            for _ in 0..sc.runs {
-                last = Some(service.run(&mut store)?);
-            }
-            last.ok_or_else(|| FleetError::Internal("scenario ran zero times".into()))
-        });
-        let cap = session.finish();
-        match outcome {
-            Ok(instrumented) => {
-                if instrumented.deterministic_fingerprint() != report.deterministic_fingerprint() {
-                    failures
-                        .push("instrumented re-run diverges from the uninstrumented report".into());
-                }
-                jc(&cap.journal, &mut failures);
-            }
-            Err(e) => failures.push(format!("instrumented re-run failed: {e}")),
-        }
-        capture = Some(cap);
-    }
     (
         ScenarioRecord {
             scenario: sc.name.to_string(),
@@ -475,7 +459,7 @@ fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Option<kinet_obs
             failures,
             report,
         },
-        capture,
+        last_journal,
     )
 }
 
@@ -537,13 +521,11 @@ fn main() {
     );
 
     let mut records = Vec::new();
-    let mut last_capture = None;
+    let mut last_journal = Recorder::new();
     for sc in scenarios() {
         println!("[{}] {}", sc.name, sc.description);
-        let (record, capture) = run_scenario(&args, &sc);
-        if capture.is_some() {
-            last_capture = capture;
-        }
+        let (record, journal) = run_scenario(&args, &sc);
+        last_journal = journal;
         if let Some(report) = &record.report {
             println!(
                 "      {report}\n      fingerprints identical across {:?}: {}",
@@ -564,9 +546,7 @@ fn main() {
     );
 
     let failed = records.iter().any(|r| !r.failures.is_empty()) || !probe.pass;
-    if let Some(capture) = &last_capture {
-        kinet_bench::obs_wrapup(capture, failed);
-    }
+    kinet_bench::obs_wrapup("service_gate", &last_journal);
     let gate = ServiceGateReport {
         quick: args.quick,
         seed: args.seed,

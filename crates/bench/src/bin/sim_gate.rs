@@ -123,7 +123,6 @@ fn main() {
         args.devices, args.rows_per_device, args.seed
     );
     let previous = previous_reports(&args.out).unwrap_or_default();
-    let session = kinet_obs::start(kinet_obs::ObsConfig::default());
     let mut reports = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     let mut run_error_code: Option<i32> = None;
@@ -202,8 +201,6 @@ fn main() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => failures.push(format!("could not write {}.json: {e}", args.out)),
     }
-
-    kinet_bench::obs_wrapup(&session.finish(), !failures.is_empty());
 
     if failures.is_empty() {
         println!("sim_gate: all quality floors hold");

@@ -224,18 +224,17 @@ pub fn write_json<T: Serialize>(id: &str, value: &T) -> std::io::Result<PathBuf>
     Ok(path)
 }
 
-/// Gate-binary wrap-up for a finished observability capture: prints the
-/// one-line per-phase tick/row summary and, when the caller is about to
-/// exit non-zero, dumps the flight recorder to
-/// `target/experiments/obs_dump.json` so CI uploads the last moments of
-/// the failed run.
-pub fn obs_wrapup(capture: &kinet_obs::Capture, failed: bool) {
-    println!("{}", capture.journal.phase_summary());
-    if failed {
-        match write_json("obs_dump", &kinet_obs::snapshot_records(&capture.ring)) {
-            Ok(path) => eprintln!("flight recorder dumped to {}", path.display()),
-            Err(e) => eprintln!("could not write obs_dump.json: {e}"),
-        }
+/// Gate-binary wrap-up for a recorded journal: prints the one-line
+/// per-phase tick/row summary and writes the journal's last
+/// [`kinet_obs::DUMP_TAIL`] records to
+/// `target/experiments/<gate>_obs_dump.json`, pass or fail, so each CI
+/// upload step ships its own gate's last moments.
+pub fn obs_wrapup(gate: &str, journal: &kinet_obs::Recorder) {
+    println!("{}", journal.phase_summary());
+    let id = format!("{gate}_obs_dump");
+    match write_json(&id, &journal.tail_snapshot(kinet_obs::DUMP_TAIL)) {
+        Ok(path) => println!("journal tail dumped to {}", path.display()),
+        Err(e) => eprintln!("could not write {id}.json: {e}"),
     }
 }
 

@@ -108,7 +108,6 @@ impl PeakRows {
     /// Records `resident_rows` as a candidate peak.
     pub fn observe(&self, resident_rows: usize) {
         self.0.fetch_max(resident_rows, Ordering::Relaxed);
-        kinet_obs::metrics::DATA_PEAK_DECODED_ROWS.record_max(resident_rows as u64);
     }
 
     /// The largest residency observed so far.
@@ -297,7 +296,6 @@ impl<S: ChunkSource> StreamingShard<S> {
     ) -> Result<(), E> {
         while let Some(chunk) = self.source.next_chunk(self.chunk_rows)? {
             self.rows_seen += chunk.n_rows();
-            kinet_obs::metrics::DATA_CHUNKS_DECODED.incr(1);
             let retained = consume(&chunk)?;
             self.peak.observe(chunk.n_rows() + retained);
         }

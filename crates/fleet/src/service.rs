@@ -48,11 +48,7 @@ use crate::sim::FleetSim;
 use crate::storage::SnapshotStore;
 use kinet_data::{ColumnKind, Table};
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
-use kinet_obs::metrics::{
-    SERVICE_ROUNDS_ABORTED, SERVICE_ROUNDS_COMMITTED, SERVICE_ROUNDS_FAILED, SERVING_BATCHES,
-    SERVING_BATCH_TICKS, SERVING_ROWS_SCORED,
-};
-use kinet_obs::{event, kv, serving_cost_ticks, with_scope, Scope};
+use kinet_obs::{kv, Recorder};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -625,11 +621,6 @@ impl ServingModel {
             }
             totals.disc_sum += sigmoid(d);
         }
-        // Observability taps: relaxed atomics only, so the hot loop stays
-        // allocation-free and the synthetic-tick histogram is identical
-        // for every `KINET_THREADS` value.
-        SERVING_ROWS_SCORED.incr(n_rows as u64);
-        SERVING_BATCH_TICKS.observe_ticks(serving_cost_ticks(n_rows as u64, width as u64));
         Ok(totals)
     }
 }
@@ -731,27 +722,14 @@ impl ServingHandle {
         let Some((model, generation, committed_round)) = self.installed.as_ref() else {
             return Ok(None);
         };
-        with_scope(Scope::Serve, || {
-            let (rows, attack_flagged, mean_discriminator) = model.score_batch(flows)?;
-            let staleness = current_round.saturating_sub(*committed_round) as u64;
-            SERVING_BATCHES.incr(1);
-            event(
-                "serve.answer",
-                serving_cost_ticks(rows as u64, model.encoder.width() as u64),
-                &[
-                    kv("rows", rows as u64),
-                    kv("generation", *generation),
-                    kv("staleness", staleness),
-                ],
-            );
-            Ok(Some(BatchScore {
-                rows,
-                attack_flagged,
-                mean_discriminator,
-                generation: *generation,
-                staleness,
-            }))
-        })
+        let (rows, attack_flagged, mean_discriminator) = model.score_batch(flows)?;
+        Ok(Some(BatchScore {
+            rows,
+            attack_flagged,
+            mean_discriminator,
+            generation: *generation,
+            staleness: current_round.saturating_sub(*committed_round) as u64,
+        }))
     }
 }
 
@@ -840,13 +818,22 @@ impl FleetService {
     /// first failed round. Watchdog aborts and quorum-lost rounds are
     /// *recorded*, not fatal.
     pub fn run(&self, store: &mut SnapshotStore) -> Result<ServiceReport, FleetError> {
-        // The resident service owns the orchestrator scope for its whole
-        // lifetime; each round's `run_detailed` continues it, so sequence
-        // numbers order rounds, phases, and verdict events globally.
-        with_scope(Scope::Orch, || self.run_inner(store))
+        self.run_recorded(store, &mut Recorder::new())
     }
 
-    fn run_inner(&self, store: &mut SnapshotStore) -> Result<ServiceReport, FleetError> {
+    /// [`FleetService::run`], appending every round's fleet records plus
+    /// the service's own resume, churn, verdict, serving and storage
+    /// events to `journal`, in emission order. The journal never enters
+    /// a snapshot or the report.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`FleetService::run`].
+    pub fn run_recorded(
+        &self,
+        store: &mut SnapshotStore,
+        journal: &mut Recorder,
+    ) -> Result<ServiceReport, FleetError> {
         self.cfg.validate()?;
         let key = self.config_key();
         let plan = ChurnPlan::derive(
@@ -864,7 +851,11 @@ impl FleetService {
         let mut start_round = 0usize;
         let mut handle = ServingHandle::empty();
 
-        if let Some(snapshot) = store.load_latest()? {
+        let latest = store.load_latest()?;
+        for rejected in 1..=store.rejected().len() {
+            journal.event("storage.reject", 0, &[kv("rejected", rejected as u64)]);
+        }
+        if let Some(snapshot) = latest {
             let text = String::from_utf8(snapshot.payload)
                 .map_err(|_| FleetError::Checkpoint("snapshot payload is not UTF-8".into()))?;
             let parsed: ServiceSnapshot = serde_json::from_str(&text)
@@ -875,7 +866,7 @@ impl FleetService {
                 report = parsed.partial;
                 report.rounds_planned = self.cfg.rounds;
                 report.resumed_from_generation = Some(parsed.generation);
-                event(
+                journal.event(
                     "service.resume",
                     0,
                     &[
@@ -909,7 +900,7 @@ impl FleetService {
                 report.churn.push(format!("round {round}: -{id} left"));
             }
             if !membership.joined.is_empty() || !membership.left.is_empty() {
-                event(
+                journal.event(
                     "service.churn",
                     0,
                     &[
@@ -947,7 +938,7 @@ impl FleetService {
             };
 
             let mut fatal = None;
-            match FleetSim::new(round_cfg).run_detailed() {
+            match FleetSim::new(round_cfg).run_recorded(journal) {
                 Ok((fleet_report, pool)) => {
                     generation += 1;
                     record.verdict = RoundVerdict::Committed { generation };
@@ -955,8 +946,7 @@ impl FleetService {
                     record.attack_recall = Some(fleet_report.attack_recall);
                     record.global_accuracy = Some(fleet_report.global_accuracy);
                     report.committed_rounds += 1;
-                    SERVICE_ROUNDS_COMMITTED.incr(1);
-                    event(
+                    journal.event(
                         "service.commit",
                         fleet_report.fault.virtual_ticks,
                         &[kv("round", round as u64), kv("generation", generation)],
@@ -977,8 +967,7 @@ impl FleetService {
                     spent_ticks,
                     deadline_ticks,
                 }) => {
-                    SERVICE_ROUNDS_ABORTED.incr(1);
-                    event(
+                    journal.event(
                         "service.watchdog_abort",
                         spent_ticks,
                         &[
@@ -996,8 +985,7 @@ impl FleetService {
                 }
                 Err(e @ FleetError::Config(_)) => return Err(e),
                 Err(e) => {
-                    SERVICE_ROUNDS_FAILED.incr(1);
-                    event("service.round_failed", 0, &[kv("round", round as u64)]);
+                    journal.event("service.round_failed", 0, &[kv("round", round as u64)]);
                     record.verdict = RoundVerdict::Failed {
                         error: e.to_string(),
                     };
@@ -1009,7 +997,7 @@ impl FleetService {
             }
 
             if self.cfg.serving.enabled {
-                record.serving = self.serve_round(round, &handle)?;
+                record.serving = self.serve_round(round, &handle, journal)?;
             }
             report.rounds.push(record);
             report.final_generation = (generation > 0).then_some(generation);
@@ -1028,6 +1016,14 @@ impl FleetService {
             let payload = serde_json::to_string(&snapshot)
                 .map_err(|e| FleetError::Checkpoint(format!("snapshot encode: {e}")))?;
             store.commit(generation, payload.as_bytes())?;
+            journal.event(
+                "storage.commit",
+                0,
+                &[
+                    kv("generation", generation),
+                    kv("bytes", payload.len() as u64),
+                ],
+            );
         }
 
         report.storage.injected = store.injected_faults().to_vec();
@@ -1040,6 +1036,7 @@ impl FleetService {
         &self,
         round: usize,
         handle: &ServingHandle,
+        journal: &mut Recorder,
     ) -> Result<RoundServingStats, FleetError> {
         let mut stats = RoundServingStats::default();
         let mut disc_sum = 0.0;
@@ -1059,6 +1056,15 @@ impl FleetService {
             })?;
             match handle.answer(&flows, round)? {
                 Some(score) => {
+                    journal.event(
+                        "serve.answer",
+                        0,
+                        &[
+                            kv("rows", score.rows as u64),
+                            kv("generation", score.generation),
+                            kv("staleness", score.staleness),
+                        ],
+                    );
                     stats.batches += 1;
                     stats.rows += score.rows;
                     stats.attack_flagged += score.attack_flagged;

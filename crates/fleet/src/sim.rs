@@ -41,10 +41,7 @@ use kinet_data::synth::TabularSynthesizer;
 use kinet_data::{DataError, Table};
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 use kinet_eval::utility::evaluate_nids;
-use kinet_obs::metrics::{
-    FLEET_ACQUIRE_TICKS, FLEET_PREPARE_TICKS, FLEET_QUARANTINES, FLEET_RETRIES, FLEET_UNION_TICKS,
-};
-use kinet_obs::{event, kv, span_close, span_open, with_scope, Scope};
+use kinet_obs::{kv, Recorder};
 use kinetgan::{KinetGan, KinetGanConfig};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -130,13 +127,22 @@ impl FleetSim {
     /// Same contract as [`FleetSim::run`], plus [`FleetError::Watchdog`]
     /// when an armed [`crate::config::WatchdogConfig`] deadline is blown.
     pub fn run_detailed(&self) -> Result<(FleetReport, Option<Table>), FleetError> {
-        // The whole round runs under the orchestrator scope; when the
-        // resident service already opened it, this is a continuation and
-        // sequence numbers keep climbing across rounds.
-        with_scope(Scope::Orch, || self.run_detailed_inner())
+        self.run_recorded(&mut Recorder::new())
     }
 
-    fn run_detailed_inner(&self) -> Result<(FleetReport, Option<Table>), FleetError> {
+    /// [`FleetSim::run_detailed`], appending the round's phase spans and
+    /// retry, quarantine and quorum events to `journal`. Every record is
+    /// appended here, on the orchestrator thread, at a phase barrier, so
+    /// the journal is identical for every `KINET_THREADS` value; the
+    /// report is identical to an unrecorded run's.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`FleetSim::run_detailed`].
+    pub fn run_recorded(
+        &self,
+        journal: &mut Recorder,
+    ) -> Result<(FleetReport, Option<Table>), FleetError> {
         let cfg = &self.config;
         cfg.validate()?;
         // kinet-lint: allow(wall-clock) — feeds only timing fields that deterministic_fingerprint() excludes
@@ -160,26 +166,23 @@ impl FleetSim {
         })?;
 
         // ---- phase 1: acquire shards (streaming, parallel, retried) ----
-        // Timestamp discipline: device closures never read the shared
-        // clock (the reading would depend on sibling progress and break
-        // cross-thread-count determinism); the orchestrator stamps spans
-        // at the phase barriers, where the clock value is settled.
-        span_open("fleet.round", 0, &[kv("devices", cfg.n_devices as u64)]);
-        span_open("fleet.acquire", 0, &[]);
+        // Device closures record nothing: the orchestrator journals their
+        // retries and stamps spans at the phase barriers, where the order
+        // and the clock value are settled for every thread count.
+        journal.span_open("fleet.round", 0, &[kv("devices", cfg.n_devices as u64)]);
+        journal.span_open("fleet.acquire", 0, &[]);
         let acquired: Vec<Attempted<DeviceStage>> =
             schedule::run_indexed_settled(cfg.n_devices, |d| {
-                with_scope(Scope::Device(d as u32), || {
-                    self.acquire_with_recovery(d, &peak, &plan, &clock)
-                })
+                self.acquire_with_recovery(d, &peak, &plan, &clock)
             });
+        record_retries(journal, acquired.iter().map(|a| a.retries));
         let acquire_ticks = clock.total();
         let acquired_rows: u64 = acquired
             .iter()
             .filter_map(|a| a.result.as_ref().ok())
             .map(|s| s.shard_rows as u64)
             .sum();
-        FLEET_ACQUIRE_TICKS.incr(acquire_ticks);
-        span_close(
+        journal.span_close(
             "fleet.acquire",
             acquire_ticks,
             &[kv("ticks", acquire_ticks), kv("rows", acquired_rows)],
@@ -192,7 +195,7 @@ impl FleetSim {
         )?;
 
         // ---- phase 2: condition-union exchange over surviving vocabs ----
-        span_open("fleet.union", acquire_ticks, &[]);
+        journal.span_open("fleet.union", acquire_ticks, &[]);
         let mut union_events: Vec<Vec<String>> = vec![Vec::new(); cfg.n_devices];
         let union_classes = if cfg.union.enabled {
             let mut vocabs = Vec::new();
@@ -242,8 +245,7 @@ impl FleetSim {
             .collect();
         let union_end_ticks = clock.total();
         let union_seeded: u64 = missing.iter().map(|m| m.len() as u64).sum();
-        FLEET_UNION_TICKS.incr(union_end_ticks - acquire_ticks);
-        span_close(
+        journal.span_close(
             "fleet.union",
             union_end_ticks,
             &[
@@ -260,17 +262,20 @@ impl FleetSim {
         )?;
 
         // ---- phase 3: prepare shares (parallel, retried) ----
-        span_open("fleet.prepare", union_end_ticks, &[]);
+        journal.span_open("fleet.prepare", union_end_ticks, &[]);
         let prepared: Vec<Option<Attempted<DeviceOutcome>>> =
             schedule::run_indexed_settled(cfg.n_devices, |d| match &acquired[d].result {
-                Ok(stage) => Some(with_scope(Scope::Device(d as u32), || {
-                    self.prepare_with_recovery(d, stage, &missing[d], &test, &plan, &clock)
-                })),
+                Ok(stage) => {
+                    Some(self.prepare_with_recovery(d, stage, &missing[d], &test, &plan, &clock))
+                }
                 Err(_) => None,
             });
+        record_retries(
+            journal,
+            prepared.iter().map(|p| p.as_ref().map_or(0, |a| a.retries)),
+        );
         let prepare_end_ticks = clock.total();
-        FLEET_PREPARE_TICKS.incr(prepare_end_ticks - union_end_ticks);
-        span_close(
+        journal.span_close(
             "fleet.prepare",
             prepare_end_ticks,
             &[kv("ticks", prepare_end_ticks - union_end_ticks)],
@@ -283,18 +288,21 @@ impl FleetSim {
         )?;
 
         // ---- aggregation, in device-index order ----
-        let out = self.aggregate(AggregateInput {
-            acquired,
-            union_events,
-            prepared,
-            union_classes,
-            plan: &plan,
-            clock: &clock,
-            test: &test,
-            peak: &peak,
-            start,
-        });
-        span_close(
+        let out = self.aggregate(
+            AggregateInput {
+                acquired,
+                union_events,
+                prepared,
+                union_classes,
+                plan: &plan,
+                clock: &clock,
+                test: &test,
+                peak: &peak,
+                start,
+            },
+            journal,
+        );
+        journal.span_close(
             "fleet.round",
             clock.total(),
             &[kv("ticks", clock.total()), kv("ok", u64::from(out.is_ok()))],
@@ -398,12 +406,6 @@ impl FleetSim {
                             res.backoff_cap_ticks,
                             attempt,
                         ));
-                        FLEET_RETRIES.incr(1);
-                        event(
-                            "fleet.retry",
-                            0,
-                            &[kv("device", d as u64), kv("attempt", attempt as u64)],
-                        );
                         retries += 1;
                         attempt += 1;
                         continue;
@@ -450,12 +452,6 @@ impl FleetSim {
                             res.backoff_cap_ticks,
                             attempt,
                         ));
-                        FLEET_RETRIES.incr(1);
-                        event(
-                            "fleet.retry",
-                            0,
-                            &[kv("device", d as u64), kv("attempt", attempt as u64)],
-                        );
                         retries += 1;
                         attempt += 1;
                         continue;
@@ -625,12 +621,6 @@ impl FleetSim {
                             res.backoff_cap_ticks,
                             attempt,
                         ));
-                        FLEET_RETRIES.incr(1);
-                        event(
-                            "fleet.retry",
-                            0,
-                            &[kv("device", d as u64), kv("attempt", attempt as u64)],
-                        );
                         retries += 1;
                         attempt += 1;
                         continue;
@@ -794,6 +784,7 @@ impl FleetSim {
     fn aggregate(
         &self,
         input: AggregateInput<'_>,
+        journal: &mut Recorder,
     ) -> Result<(FleetReport, Option<Table>), FleetError> {
         let AggregateInput {
             acquired,
@@ -936,8 +927,7 @@ impl FleetSim {
                                             stage.device
                                         ));
                                         report.status = format!("quarantined: {why}");
-                                        FLEET_QUARANTINES.incr(1);
-                                        event(
+                                        journal.event(
                                             "fleet.quarantine",
                                             clock.total(),
                                             &[kv("device", d as u64)],
@@ -973,7 +963,7 @@ impl FleetSim {
 
         resilience::check_quorum(&reported, &degraded, &cfg.resilience)?;
         let devices_reported = reported.iter().filter(|&&r| r).count();
-        event(
+        journal.event(
             "fleet.quorum",
             clock.total(),
             &[
@@ -1093,6 +1083,20 @@ struct AggregateInput<'a> {
     test: &'a Table,
     peak: &'a PeakRows,
     start: Instant,
+}
+
+/// Journals one settled phase's retries in device order: device `d`
+/// retried attempts `0..retries[d]`, each one a `fleet.retry` event.
+fn record_retries(journal: &mut Recorder, retries: impl Iterator<Item = usize>) {
+    for (d, n) in retries.enumerate() {
+        for attempt in 0..n {
+            journal.event(
+                "fleet.retry",
+                0,
+                &[kv("device", d as u64), kv("attempt", attempt as u64)],
+            );
+        }
+    }
 }
 
 #[cfg(test)]

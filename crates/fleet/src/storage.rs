@@ -18,8 +18,6 @@
 
 use crate::error::FleetError;
 use crate::fault::{StorageFaultKind, StorageFaultSpec};
-use kinet_obs::metrics::{SNAPSHOT_BYTES_WRITTEN, SNAPSHOT_RECORDS_REJECTED};
-use kinet_obs::{event, kv};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -389,15 +387,6 @@ impl SnapshotStore {
     /// design it surfaces only at [`SnapshotStore::load_latest`].
     pub fn commit(&mut self, generation: u64, payload: &[u8]) -> Result<(), FleetError> {
         let record = encode_record(generation, payload);
-        SNAPSHOT_BYTES_WRITTEN.incr(record.len() as u64);
-        event(
-            "storage.commit",
-            0,
-            &[
-                kv("generation", generation),
-                kv("bytes", record.len() as u64),
-            ],
-        );
         self.storage
             .write_atomic(&Self::object_name(generation), &record)
             .map_err(|e| FleetError::Checkpoint(format!("commit generation {generation}: {e}")))
@@ -471,12 +460,6 @@ impl SnapshotStore {
 
     /// Records one rejected object.
     fn note_rejected(&mut self, name: &str, why: &str) {
-        SNAPSHOT_RECORDS_REJECTED.incr(1);
-        event(
-            "storage.reject",
-            0,
-            &[kv("rejected", self.rejected.len() as u64 + 1)],
-        );
         self.rejected.push((name.to_string(), why.to_string()));
     }
 }

@@ -1,72 +1,21 @@
-//! Property and regression tests of the observability determinism
-//! contract (DESIGN.md §2.10): journal bytes are invariant across
-//! worker-pool sizes for arbitrary scoped workloads, and turning the
-//! layer on never perturbs a fleet round's deterministic fingerprint.
-//!
-//! Sessions are exclusive (a global lock serializes them), so these
-//! tests are safe under the default parallel test runner — they just
-//! queue behind one another.
+//! Regression tests of the journal contract (DESIGN.md §2.10): a
+//! recorded round's journal is thread-count-invariant, agrees with the
+//! report it narrates, belongs to that round alone even while other
+//! rounds run concurrently, and recording never perturbs the round's
+//! deterministic fingerprint.
 
-use kinet_fleet::schedule::run_indexed_settled;
 use kinet_fleet::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetSim, ModelKind, ResilienceConfig,
-    SharingPolicy, UnionConfig,
+    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetReport, FleetSim, ModelKind,
+    ResilienceConfig, SharingPolicy, UnionConfig,
 };
-use kinet_obs::{event, kv, span_close, span_open, start, with_scope, ObsConfig, Scope};
+use kinet_obs::Recorder;
 use kinet_tensor::pool::with_threads;
-use proptest::prelude::*;
-
-/// Runs one synthetic scoped workload under an obs session and returns
-/// the canonical journal rendering plus the flight-recorder length.
-///
-/// The workload mimics the fleet's phase shape: the orchestrator opens a
-/// span, `n_tasks` device closures race on the settled scheduler (each
-/// emitting a deterministic burst of events from its own scope), and the
-/// orchestrator closes the span after the barrier. Event payloads are
-/// pure functions of the device index, never of scheduling order.
-fn journal_of(
-    threads: usize,
-    n_tasks: usize,
-    events_per_task: usize,
-    ring: usize,
-) -> (String, usize) {
-    let session = start(ObsConfig {
-        ring_capacity: ring,
-    });
-    with_threads(threads, || {
-        with_scope(Scope::Orch, || {
-            span_open("prop.round", 0, &[kv("tasks", n_tasks as u64)]);
-        });
-        run_indexed_settled(n_tasks, |d| {
-            with_scope(Scope::Device(d as u32), || {
-                for i in 0..events_per_task {
-                    event(
-                        "prop.step",
-                        0,
-                        &[kv("device", d as u64), kv("step", i as u64)],
-                    );
-                }
-                d
-            })
-        });
-        with_scope(Scope::Orch, || {
-            span_close(
-                "prop.round",
-                0,
-                &[
-                    kv("ticks", 0),
-                    kv("rows", (n_tasks * events_per_task) as u64),
-                ],
-            );
-        });
-    });
-    let capture = session.finish();
-    (capture.journal.render(), capture.ring.len())
-}
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 /// The faulted-round configuration from the chaos suite: retries,
-/// quarantine, and union fallback all fire, so the instrumented code
-/// paths this crate added in PR 10 are actually exercised.
+/// quarantine, and union fallback all fire, so every journal event the
+/// fleet emits is exercised.
 fn faulted_config() -> FleetConfig {
     let mut cfg = FleetConfig::fast(SharingPolicy::Synthetic(ModelKind::KinetGan));
     cfg.n_devices = 4;
@@ -87,72 +36,82 @@ fn faulted_config() -> FleetConfig {
     cfg
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Journal bytes are identical across 1, 2, and 4 workers for any
-    /// task fan-out, per-task event burst, and ring capacity — the
-    /// (scope, seq) merge order fully hides the scheduler interleaving.
-    #[test]
-    fn journal_bytes_invariant_across_thread_counts(
-        n_tasks in 1usize..9,
-        events_per_task in 0usize..6,
-        ring in prop::sample::select(vec![1usize, 4, 64, 256]),
-    ) {
-        let (r1, len1) = journal_of(1, n_tasks, events_per_task, ring);
-        let (r2, len2) = journal_of(2, n_tasks, events_per_task, ring);
-        let (r4, len4) = journal_of(4, n_tasks, events_per_task, ring);
-        prop_assert_eq!(&r1, &r2, "1 vs 2 workers");
-        prop_assert_eq!(&r1, &r4, "1 vs 4 workers");
-        // The flight recorder is bounded by its capacity and holds the
-        // same count regardless of worker parallelism.
-        let total = 2 + n_tasks * events_per_task;
-        prop_assert_eq!(len1, total.min(ring));
-        prop_assert_eq!(len2, len1);
-        prop_assert_eq!(len4, len1);
-        // The journal itself is unbounded: every record survives merge.
-        prop_assert_eq!(r1.lines().count(), total);
-    }
+/// Runs the faulted round recorded at `threads` workers.
+fn recorded_round(threads: usize) -> (FleetReport, Recorder) {
+    let mut journal = Recorder::new();
+    let (report, _) = with_threads(threads, || {
+        FleetSim::new(faulted_config())
+            .run_recorded(&mut journal)
+            .unwrap()
+    });
+    (report, journal)
 }
 
-/// Regression: enabling observability around a faulted round leaves the
-/// round's deterministic fingerprint byte-identical — the taps read
-/// state, they never steer it.
+/// Regression: recording a faulted round leaves its deterministic
+/// fingerprint byte-identical — the journal reads state, it never steers
+/// it — and the journal's retry/quarantine events match the report's
+/// fault accounting one for one.
 #[test]
 fn faulted_round_fingerprint_identical_obs_on_vs_off() {
-    let cfg = faulted_config();
-    let plain = with_threads(2, || FleetSim::new(cfg.clone()).run().unwrap());
-    let session = start(ObsConfig::default());
-    let observed = with_threads(2, || FleetSim::new(cfg.clone()).run().unwrap());
-    let capture = session.finish();
+    let plain = with_threads(2, || FleetSim::new(faulted_config()).run().unwrap());
+    let (recorded, journal) = recorded_round(2);
     assert_eq!(
         plain.deterministic_fingerprint(),
-        observed.deterministic_fingerprint(),
-        "observability must be a pure read of the round"
+        recorded.deterministic_fingerprint(),
+        "recording must be a pure read of the round"
     );
-    // The session actually saw the round: retries and quarantines fired.
+    let retries = journal.events_for("fleet.retry").count();
+    let quarantines = journal.events_for("fleet.quarantine").count();
     assert!(
-        capture.journal.events_for("fleet.retry").count() > 0,
-        "scripted transient crash should surface as a retry event"
+        retries > 0,
+        "scripted transient crash should surface as a retry"
     );
     assert!(
-        capture.journal.events_for("fleet.quarantine").count() > 0,
-        "poisoned share should surface as a quarantine event"
+        quarantines > 0,
+        "poisoned share should surface as a quarantine"
     );
-    assert!(!capture.journal.render().is_empty());
+    assert_eq!(retries, recorded.fault.retries);
+    assert_eq!(quarantines, recorded.fault.quarantined.len());
 }
 
-/// The instrumented journal itself is thread-count-invariant for a real
-/// faulted round, not just for synthetic workloads.
+/// The journal of a real faulted round is thread-count-invariant.
 #[test]
 fn faulted_round_journal_bytes_invariant() {
-    let cfg = faulted_config();
-    let mut renders = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let session = start(ObsConfig::default());
-        with_threads(threads, || FleetSim::new(cfg.clone()).run().unwrap());
-        renders.push(session.finish().journal.render());
-    }
+    let renders: Vec<String> = [1usize, 2, 4]
+        .into_iter()
+        .map(|threads| recorded_round(threads).1.render())
+        .collect();
+    assert!(!renders[0].is_empty());
     assert_eq!(renders[0], renders[1], "1 vs 2 workers");
     assert_eq!(renders[0], renders[2], "1 vs 4 workers");
+}
+
+/// Regression: unrecorded rounds running on another thread never write
+/// into a recorded round's journal — its bytes equal a solo recorded run.
+/// The barrier starts the recorded round only once the other thread is
+/// running rounds, and that thread keeps running them until it is done.
+#[test]
+fn recorded_journal_ignores_concurrent_unrecorded_rounds() {
+    let solo = recorded_round(1).1.render();
+    let started = Barrier::new(2);
+    let stop = AtomicBool::new(false);
+    let concurrent = std::thread::scope(|s| {
+        let noise = s.spawn(|| {
+            started.wait();
+            let mut rounds = 0usize;
+            loop {
+                FleetSim::new(faulted_config()).run().unwrap();
+                rounds += 1;
+                if stop.load(Ordering::SeqCst) {
+                    return rounds;
+                }
+            }
+        });
+        started.wait();
+        let render = recorded_round(1).1.render();
+        stop.store(true, Ordering::SeqCst);
+        assert!(noise.join().unwrap() > 0);
+        render
+    });
+    assert_eq!(solo, concurrent);
 }

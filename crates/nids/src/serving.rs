@@ -11,7 +11,6 @@
 
 use kinet_data::Table;
 use kinet_fleet::{FleetError, ServingHandle, ServingModel};
-use kinet_obs::{event, kv, with_scope, Scope};
 
 /// One scored flow batch, as the deployment sees it.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,30 +79,16 @@ impl FlowScorer {
         flows: &Table,
         current_round: usize,
     ) -> Result<Option<FlowVerdict>, FleetError> {
-        with_scope(Scope::Serve, || {
-            let verdict = self
-                .handle
-                .answer(flows, current_round)?
-                .map(|score| FlowVerdict {
-                    rows: score.rows,
-                    attack_flagged: score.attack_flagged,
-                    mean_discriminator: score.mean_discriminator,
-                    generation: score.generation,
-                    staleness: score.staleness,
-                });
-            if let Some(v) = &verdict {
-                event(
-                    "nids.flow_verdict",
-                    0,
-                    &[
-                        kv("rows", v.rows as u64),
-                        kv("flagged", v.attack_flagged as u64),
-                        kv("degraded", u64::from(v.degraded())),
-                    ],
-                );
-            }
-            Ok(verdict)
-        })
+        Ok(self
+            .handle
+            .answer(flows, current_round)?
+            .map(|score| FlowVerdict {
+                rows: score.rows,
+                attack_flagged: score.attack_flagged,
+                mean_discriminator: score.mean_discriminator,
+                generation: score.generation,
+                staleness: score.staleness,
+            }))
     }
 }
 

@@ -1,71 +1,35 @@
-//! `kinet_obs` — deterministic observability for the fleet.
+//! `kinet_obs` — the deterministic run journal.
 //!
-//! Three pieces, all honoring the repo's bit-for-bit determinism
-//! contract (see DESIGN.md §2.10):
+//! A [`Recorder`] is a plain value: a `Vec` of [`Record`]s owned by the
+//! run that asked for it. The recorded entry points take it by `&mut`
+//! (`FleetSim::run_recorded`, `FleetService::run_recorded`); the
+//! unrecorded ones (`run`, `run_detailed`) hand the same code a recorder
+//! they drop. There is no process-global state, so two runs on two
+//! threads can never write into each other's journal.
 //!
-//! * **Journal** ([`journal`]) — typed `SpanOpen`/`SpanClose`/`Event`
-//!   records with a static `target`, up to [`MAX_FIELDS`] `key=value`
-//!   fields, and *virtual-tick* timestamps supplied by the caller
-//!   (never a wall clock). Records are buffered per worker thread in
-//!   scope frames and merged in `(scope key, sequence)` order, so the
-//!   rendered journal bytes are identical for any `KINET_THREADS`.
-//! * **Metrics** ([`metrics`]) — a static registry of monotonic
-//!   counters, max-gauges, and fixed-bucket histograms, all plain
-//!   relaxed atomics whose totals are order-independent and therefore
-//!   thread-count-invariant.
-//! * **Flight recorder** ([`ring`] via [`Capture::ring`]) — a bounded
-//!   ring of the most recent records, dumped by the gate binaries as
-//!   `target/experiments/obs_dump.json` when a run goes red.
+//! Every record is appended on the orchestrator thread, between phase
+//! barriers — device closures record nothing and report what happened
+//! through the values they already return (retry counts, quarantine
+//! verdicts), which the orchestrator turns into records once the barrier
+//! settles. Journal order is therefore emission order, and the rendered
+//! bytes are identical for every `KINET_THREADS` value (DESIGN.md
+//! §2.10).
 //!
-//! The whole layer is **off by default**: every record/increment entry
-//! point first reads one relaxed [`AtomicBool`], and the disabled path
-//! allocates nothing (the record/merge hot functions are patrolled by
-//! `crates/lint/hotlist.toml`). Instrumented library code never starts
-//! a session itself — gates, benches, and tests opt in with
-//! [`start`], which holds a global session lock so concurrent tests
-//! cannot interleave their captures.
+//! Timestamps are *virtual ticks* supplied by the caller — a
+//! barrier-point `VirtualClock` reading, a locally known deterministic
+//! quantity, or `0` — never a wall clock.
 //!
-//! Timestamp discipline: records emitted from *inside* concurrently
-//! scheduled device closures must not read the shared `VirtualClock`
-//! (the interleaving would vary with the thread count) — they carry
-//! locally known deterministic quantities (backoff ticks, attempt
-//! numbers) or `0`. Orchestrator-side records read the clock only at
-//! phase barriers, where its value is deterministic.
+//! Gates dump the journal's last records (the flight recorder,
+//! [`Recorder::tail_snapshot`]) as `target/experiments/<gate>_obs_dump.json`.
 
-pub mod journal;
-pub mod metrics;
-pub mod ring;
-pub mod session;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-pub use journal::{
-    event, merge_records, snapshot_records, span_close, span_open, with_scope, FieldSnap, Journal,
-    JournalSnapshot, RecordSnap,
-};
-pub use session::{start, Capture, ObsConfig, Session};
-
-/// Master switch. Off outside an active [`Session`]; every entry point
-/// checks it first so the disabled path costs one relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// `true` while an observability session is active.
-///
-/// Written in qualified form: `.load(` as a method token would collide
-/// with the workspace's `Dataset::load`/`RoundCheckpoint::load` in the
-/// lint call graph and drag their allocation cones onto every hot path
-/// that checks the switch.
-#[inline]
-pub fn enabled() -> bool {
-    AtomicBool::load(&ENABLED, Ordering::Relaxed)
-}
-
-pub(crate) fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Maximum `key=value` fields carried inline by one [`Record`].
 pub const MAX_FIELDS: usize = 4;
+
+/// Records a gate's flight-recorder dump keeps: the journal's tail.
+pub const DUMP_TAIL: usize = 256;
 
 /// One `key=value` pair. Values are `u64` only — enough for ticks,
 /// rows, generations, and counts, and trivially deterministic.
@@ -92,20 +56,16 @@ pub enum RecordKind {
     /// A phase or span began at `ticks`.
     SpanOpen,
     /// A span ended at `ticks`; conventionally carries `ticks` (the
-    /// span duration) and `rows` fields for [`Journal::phase_summary`].
+    /// span duration) and `rows` fields for [`Recorder::phase_summary`].
     SpanClose,
     /// A point event.
     Event,
 }
 
-/// One journal record. `Copy` so the record path moves plain words,
+/// One journal record. `Copy` so the append path moves plain words,
 /// never heap data.
 #[derive(Clone, Copy, Debug)]
 pub struct Record {
-    /// Merge key, first component: see [`scope_key`].
-    pub scope: u64,
-    /// Merge key, second component: position within the scope.
-    pub seq: u32,
     /// Virtual-tick timestamp supplied by the caller (0 when the site
     /// has no deterministic clock reading available).
     pub ticks: u64,
@@ -135,46 +95,172 @@ impl Record {
     }
 }
 
-/// Who is recording. Device indices come from the deterministic fleet
-/// schedule, so the scope key order is the merge order the journal
-/// promises: orchestrator, serving, then devices by index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scope {
-    /// The round orchestrator (serial, between phase barriers).
-    Orch,
-    /// The serving path (flow-batch answering).
-    Serve,
-    /// One device closure, by schedule index.
-    Device(u32),
+/// The journal of one run, in emission order.
+#[derive(Clone, Debug, Default)]
+pub struct Recorder {
+    records: Vec<Record>,
 }
 
-/// Dense merge key for a scope: `orch=0`, `serve=1`, `device d=2+d`.
-pub fn scope_key(scope: Scope) -> u64 {
-    match scope {
-        Scope::Orch => 0,
-        Scope::Serve => 1,
-        Scope::Device(d) => 2 + d as u64,
+impl Recorder {
+    /// An empty journal.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records a point event. `ticks` must be a deterministic quantity
+    /// (a barrier-point clock reading, a locally computed delay, or 0).
+    pub fn event(&mut self, target: &'static str, ticks: u64, fields: &[Field]) {
+        self.append(RecordKind::Event, target, ticks, fields);
+    }
+
+    /// Records a span opening.
+    pub fn span_open(&mut self, target: &'static str, ticks: u64, fields: &[Field]) {
+        self.append(RecordKind::SpanOpen, target, ticks, fields);
+    }
+
+    /// Records a span close. Carry `ticks` (duration) and `rows` fields
+    /// to feed [`Recorder::phase_summary`].
+    pub fn span_close(&mut self, target: &'static str, ticks: u64, fields: &[Field]) {
+        self.append(RecordKind::SpanClose, target, ticks, fields);
+    }
+
+    /// Appends one record; fields past [`MAX_FIELDS`] are dropped. Hot
+    /// (patrolled by `crates/lint/hotlist.toml`): plain word moves plus
+    /// one `Vec::push`.
+    fn append(&mut self, kind: RecordKind, target: &'static str, ticks: u64, fields: &[Field]) {
+        let mut rec = Record {
+            ticks,
+            kind,
+            target,
+            fields: [NO_FIELD; MAX_FIELDS],
+            n_fields: 0,
+        };
+        for (slot, field) in rec.fields.iter_mut().zip(fields.iter()) {
+            *slot = *field;
+            rec.n_fields += 1;
+        }
+        self.records.push(rec);
+    }
+
+    /// All records in emission order.
+    pub fn records(&self) -> &[Record] {
+        &self.records
+    }
+
+    /// Records with the given target, in emission order.
+    pub fn events_for<'a>(&'a self, target: &'a str) -> impl Iterator<Item = &'a Record> {
+        self.records.iter().filter(move |r| r.target == target)
+    }
+
+    /// Canonical text rendering, one line per record:
+    /// `#<seq> t=<ticks> <kind> <target> <key>=<val>…`, where `seq` is
+    /// the record's position in the journal. Byte-equality of two
+    /// renders is the journal determinism assertion the gates make.
+    pub fn render(&self) -> String {
+        let mut out = String::with_capacity(self.records.len() * 48);
+        for (seq, rec) in self.records.iter().enumerate() {
+            out.push_str(&format!(
+                "#{seq} t={} {} {}",
+                rec.ticks,
+                kind_label(rec.kind),
+                rec.target
+            ));
+            for field in rec.active_fields() {
+                out.push_str(&format!(" {}={}", field.key, field.val));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// One-line per-phase digest aggregated over `SpanClose` records:
+    /// `obs: <target> ticks=<sum> rows=<sum> | …` in target order.
+    pub fn phase_summary(&self) -> String {
+        let mut agg: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+        for rec in self
+            .records
+            .iter()
+            .filter(|r| r.kind == RecordKind::SpanClose)
+        {
+            let cell = agg.entry(rec.target).or_insert((0, 0));
+            cell.0 = cell.0.saturating_add(rec.field_val("ticks").unwrap_or(0));
+            cell.1 = cell.1.saturating_add(rec.field_val("rows").unwrap_or(0));
+        }
+        if agg.is_empty() {
+            return "obs: no spans recorded".to_string();
+        }
+        let phases: Vec<String> = agg
+            .iter()
+            .map(|(target, (ticks, rows))| format!("{target} ticks={ticks} rows={rows}"))
+            .collect();
+        format!("obs: {}", phases.join(" | "))
+    }
+
+    /// Owned, serde-serializable view of the last `n` records — the
+    /// flight recorder a gate dumps. Sequence numbers stay absolute.
+    pub fn tail_snapshot(&self, n: usize) -> JournalSnapshot {
+        let first = self.records.len().saturating_sub(n);
+        let records = self
+            .records
+            .iter()
+            .enumerate()
+            .skip(first)
+            .map(|(seq, rec)| RecordSnap {
+                seq,
+                ticks: rec.ticks,
+                kind: kind_label(rec.kind).to_string(),
+                target: rec.target.to_string(),
+                fields: rec
+                    .active_fields()
+                    .iter()
+                    .map(|f| FieldSnap {
+                        key: f.key.to_string(),
+                        val: f.val,
+                    })
+                    .collect(),
+            })
+            .collect();
+        JournalSnapshot { records }
     }
 }
 
-/// Human label for a scope key, used by the canonical rendering.
-pub fn scope_label(key: u64) -> String {
-    match key {
-        0 => "orch".to_string(),
-        1 => "serve".to_string(),
-        d => format!("dev{}", d - 2),
+fn kind_label(kind: RecordKind) -> &'static str {
+    match kind {
+        RecordKind::SpanOpen => "open",
+        RecordKind::SpanClose => "close",
+        RecordKind::Event => "event",
     }
 }
 
-/// Deterministic synthetic cost model for one serving batch, in virtual
-/// ticks: one tick of dispatch overhead, one per row, plus one per 64
-/// row-feature products. A pure function of the batch shape, so the
-/// histogram it feeds is bit-identical across thread counts (DESIGN.md
-/// §2.10 documents the model).
-#[inline]
-pub fn serving_cost_ticks(rows: u64, width: u64) -> u64 {
-    1u64.saturating_add(rows)
-        .saturating_add(rows.saturating_mul(width) / 64)
+/// Owned view of one field, for JSON artifacts.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct FieldSnap {
+    /// Field name.
+    pub key: String,
+    /// Field value.
+    pub val: u64,
+}
+
+/// Owned view of one record, for JSON artifacts.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct RecordSnap {
+    /// Position in the journal.
+    pub seq: usize,
+    /// Virtual-tick timestamp.
+    pub ticks: u64,
+    /// `open`, `close`, or `event`.
+    pub kind: String,
+    /// Target label.
+    pub target: String,
+    /// Live fields.
+    pub fields: Vec<FieldSnap>,
+}
+
+/// Owned, serde-serializable journal (or journal-tail) view.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct JournalSnapshot {
+    /// Records in journal order.
+    pub records: Vec<RecordSnap>,
 }
 
 #[cfg(test)]
@@ -182,19 +268,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scope_keys_are_dense_and_ordered() {
-        assert_eq!(scope_key(Scope::Orch), 0);
-        assert_eq!(scope_key(Scope::Serve), 1);
-        assert_eq!(scope_key(Scope::Device(0)), 2);
-        assert_eq!(scope_key(Scope::Device(7)), 9);
-        assert_eq!(scope_label(9), "dev7");
-    }
-
-    #[test]
     fn field_lookup_sees_only_live_entries() {
         let mut rec = Record {
-            scope: 0,
-            seq: 0,
             ticks: 0,
             kind: RecordKind::Event,
             target: "t",
@@ -209,11 +284,63 @@ mod tests {
     }
 
     #[test]
-    fn serving_cost_is_monotone_in_rows_and_width() {
-        assert_eq!(serving_cost_ticks(0, 10), 1);
-        assert!(serving_cost_ticks(100, 16) < serving_cost_ticks(200, 16));
-        assert!(serving_cost_ticks(100, 16) < serving_cost_ticks(100, 64));
-        // No overflow at absurd shapes.
-        assert!(serving_cost_ticks(u64::MAX, u64::MAX) > 0);
+    fn field_overflow_truncates_at_max_fields() {
+        let mut journal = Recorder::new();
+        journal.event(
+            "wide",
+            0,
+            &[kv("a", 1), kv("b", 2), kv("c", 3), kv("d", 4), kv("e", 5)],
+        );
+        let rec = journal.records()[0];
+        assert_eq!(rec.n_fields as usize, MAX_FIELDS);
+        assert_eq!(rec.field_val("d"), Some(4));
+        assert_eq!(rec.field_val("e"), None);
+    }
+
+    #[test]
+    fn render_and_summary_are_stable() {
+        let mut journal = Recorder::new();
+        journal.span_open("fleet.acquire", 0, &[]);
+        journal.span_close("fleet.acquire", 40, &[kv("ticks", 40), kv("rows", 500)]);
+        journal.event("fleet.retry", 0, &[kv("device", 1), kv("attempt", 0)]);
+        journal.span_close("fleet.union", 55, &[kv("ticks", 15), kv("rows", 8)]);
+        assert_eq!(
+            journal.render(),
+            "#0 t=0 open fleet.acquire\n\
+             #1 t=40 close fleet.acquire ticks=40 rows=500\n\
+             #2 t=0 event fleet.retry device=1 attempt=0\n\
+             #3 t=55 close fleet.union ticks=15 rows=8\n"
+        );
+        assert_eq!(
+            journal.phase_summary(),
+            "obs: fleet.acquire ticks=40 rows=500 | fleet.union ticks=15 rows=8"
+        );
+        assert_eq!(journal.events_for("fleet.retry").count(), 1);
+        assert_eq!(Recorder::new().phase_summary(), "obs: no spans recorded");
+    }
+
+    #[test]
+    fn tail_snapshot_keeps_the_last_records_with_absolute_seqs() {
+        let mut journal = Recorder::new();
+        for i in 0..5 {
+            journal.event("step", i, &[kv("i", i)]);
+        }
+        let tail = journal.tail_snapshot(2);
+        let seqs: Vec<usize> = tail.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [3, 4]);
+        assert_eq!(journal.tail_snapshot(99).records.len(), 5);
+        assert!(journal.tail_snapshot(0).records.is_empty());
+    }
+
+    #[test]
+    fn snapshot_round_trips_through_vendored_serde() {
+        let mut journal = Recorder::new();
+        journal.event("serve.answer", 0, &[kv("rows", 128), kv("staleness", 1)]);
+        let json = serde_json::to_string_pretty(&journal.tail_snapshot(DUMP_TAIL)).unwrap();
+        let back: JournalSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.records.len(), 1);
+        assert_eq!(back.records[0].target, "serve.answer");
+        assert_eq!(back.records[0].fields[0].key, "rows");
+        assert_eq!(back.records[0].fields[0].val, 128);
     }
 }
