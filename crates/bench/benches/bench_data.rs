@@ -1,5 +1,6 @@
-//! Benchmarks the data pipeline: GMM fitting, whole-table transforms and
-//! condition sampling.
+//! Benchmarks the data pipeline: GMM fitting, whole-table transforms,
+//! condition sampling, and parsing persisted JSON (snapshot recovery and
+//! report reloads).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kinet_data::condition::ConditionVectorSpec;
@@ -8,6 +9,7 @@ use kinet_data::sampler::{BalanceMode, TrainingSampler};
 use kinet_data::transform::DataTransformer;
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
+use serde_json::Value;
 
 fn bench_gmm_fit(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
@@ -52,10 +54,28 @@ fn bench_condition_sampling(c: &mut Criterion) {
     });
 }
 
+/// Parses a compact JSON array of `n` 10-character strings (13 bytes per
+/// element). Many short strings is the shape that made the parser
+/// quadratic when it re-validated the rest of the input per character.
+fn bench_json_parse(c: &mut Criterion) {
+    for (name, n) in [("json_parse_52kb", 4_000), ("json_parse_832kb", 64_000)] {
+        let text = Value::Array(
+            (0..n)
+                .map(|i| Value::String(format!("flow-{i:05}")))
+                .collect(),
+        )
+        .to_json_string();
+        c.bench_function(name, |bencher| {
+            bencher.iter(|| std::hint::black_box(serde_json::parse_value(&text).unwrap()));
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_gmm_fit,
     bench_transform,
-    bench_condition_sampling
+    bench_condition_sampling,
+    bench_json_parse
 );
 criterion_main!(benches);
