@@ -22,9 +22,6 @@ fn bench_validity(c: &mut Criterion) {
     c.bench_function("reasoner_is_valid_uncached", |bencher| {
         bencher.iter(|| std::hint::black_box(kg.reasoner().is_valid(&a).is_valid()));
     });
-    c.bench_function("reasoner_is_valid_cached", |bencher| {
-        bencher.iter(|| std::hint::black_box(kg.reasoner().is_valid_cached(&a)));
-    });
 }
 
 fn bench_batch_validity(c: &mut Criterion) {
@@ -38,7 +35,7 @@ fn bench_batch_validity(c: &mut Criterion) {
 }
 
 /// The tentpole comparison: scoring a 20k-row table through the reference
-/// string pipeline (rows → assignments → memoized reasoner) vs the
+/// string pipeline (rows → assignments → reasoner) vs the
 /// compiled interned path, from the same `Table`.
 fn bench_validity_rate_20k(c: &mut Criterion) {
     let table = LabSimulator::new(LabSimConfig {

@@ -1,19 +1,15 @@
-//! End-to-end pipeline benchmarks: the `fast_demo` KiNETGAN fit and a
-//! rejection-sampling release, each on the string reference pipeline vs
-//! the interned fast path. Both variants release bit-identical bytes for a
-//! fixed seed (pinned by `tests/workspace_smoke.rs`), so the comparison is
-//! pure cost.
+//! End-to-end pipeline benchmarks: the `fast_demo` KiNETGAN fit (with and
+//! without knowledge guidance), a rejection-sampling release, and one
+//! training step's knowledge-infusion work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kinet_data::synth::TabularSynthesizer;
 use kinet_data::transform::DataTransformer;
-use kinet_data::{Table, Value};
+use kinet_data::Table;
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
-use kinet_kg::{Assignment, AttrValue};
 use kinetgan::pipeline::KgTrainPipeline;
 use kinetgan::{KgMode, KinetGan, KinetGanConfig};
 use rand::{rngs::StdRng, SeedableRng};
-use std::collections::BTreeMap;
 
 fn lab_data(n: usize) -> Table {
     LabSimulator::new(LabSimConfig {
@@ -25,27 +21,17 @@ fn lab_data(n: usize) -> Table {
     .expect("lab generation succeeds")
 }
 
-fn config(interned: bool) -> KinetGanConfig {
-    KinetGanConfig::fast_demo()
-        .with_epochs(4)
-        .with_seed(7)
-        .with_interned_pipeline(interned)
+fn config() -> KinetGanConfig {
+    KinetGanConfig::fast_demo().with_epochs(4).with_seed(7)
 }
 
 fn bench_fit(c: &mut Criterion) {
     let data = lab_data(512);
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(5);
-    group.bench_function("fit_fast_demo_string", |b| {
-        b.iter(|| {
-            let mut model = KinetGan::new(config(false), LabSimulator::knowledge_graph());
-            model.fit(&data).expect("training succeeds");
-            criterion::black_box(model.report().map(|r| r.final_validity))
-        });
-    });
     group.bench_function("fit_fast_demo_interned", |b| {
         b.iter(|| {
-            let mut model = KinetGan::new(config(true), LabSimulator::knowledge_graph());
+            let mut model = KinetGan::new(config(), LabSimulator::knowledge_graph());
             model.fit(&data).expect("training succeeds");
             criterion::black_box(model.report().map(|r| r.final_validity))
         });
@@ -54,7 +40,7 @@ fn bench_fit(c: &mut Criterion) {
     group.bench_function("fit_fast_demo_kg_off", |b| {
         b.iter(|| {
             let mut model = KinetGan::new(
-                config(true).with_kg_mode(KgMode::Off),
+                config().with_kg_mode(KgMode::Off),
                 LabSimulator::knowledge_graph(),
             );
             model.fit(&data).expect("training succeeds");
@@ -66,118 +52,29 @@ fn bench_fit(c: &mut Criterion) {
 
 fn bench_sample_rejection(c: &mut Criterion) {
     let data = lab_data(512);
-    let mut fitted = Vec::new();
-    for interned in [false, true] {
-        let mut model = KinetGan::new(
-            config(interned).with_rejection_rounds(2),
-            LabSimulator::knowledge_graph(),
-        );
-        model.fit(&data).expect("training succeeds");
-        fitted.push(model);
-    }
+    let mut model = KinetGan::new(
+        config().with_rejection_rounds(2),
+        LabSimulator::knowledge_graph(),
+    );
+    model.fit(&data).expect("training succeeds");
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(5);
-    group.bench_function("sample_rejection_string", |b| {
-        b.iter(|| criterion::black_box(fitted[0].sample(1024, 5).expect("sampling succeeds")));
-    });
     group.bench_function("sample_rejection_interned", |b| {
-        b.iter(|| criterion::black_box(fitted[1].sample(1024, 5).expect("sampling succeeds")));
+        b.iter(|| criterion::black_box(model.sample(1024, 5).expect("sampling succeeds")));
     });
     group.finish();
 }
 
-/// The reference (pre-PR) per-batch D_KG positives construction: string
-/// assignments, reasoner `sample_valid`, a fresh `Table`, and a full
-/// deterministic re-encode — exactly the per-step work
-/// `KgTrainPipeline::fill_positives` compiles away.
-fn string_positives_batch(
-    table: &Table,
-    transformer: &DataTransformer,
-    kg: &kinet_kg::NetworkKg,
-    domains: &BTreeMap<String, Vec<String>>,
-    real_idx: &[usize],
-    rng: &mut StdRng,
-) -> kinet_tensor::Matrix {
-    let scope = kg.scope_field();
-    let rows: Vec<Vec<Value>> = real_idx
-        .iter()
-        .map(|&row| {
-            let mut a = kinet_data::encoded::row_to_assignment(table, row);
-            let event = a.get_cat(scope).unwrap_or("*").to_string();
-            let mut partial = Assignment::new();
-            if let Some(e) = a.get_cat(scope) {
-                let e = e.to_string();
-                partial.set(scope, AttrValue::cat(e));
-            }
-            let mut fields: Vec<String> = kg
-                .reasoner()
-                .rules()
-                .applicable(&event)
-                .map(|r| r.field.clone())
-                .filter(|f| f != scope)
-                .collect();
-            fields.sort();
-            fields.dedup();
-            if let Some(valid) = kg
-                .reasoner()
-                .sample_valid(&partial, &fields, domains, rng, 8)
-            {
-                a.merge(&valid);
-            }
-            table
-                .schema()
-                .iter()
-                .enumerate()
-                .map(|(ci, col)| match a.get(col.name()) {
-                    Some(AttrValue::Cat(s)) => {
-                        let known = domains
-                            .get(col.name())
-                            .is_none_or(|domain| domain.iter().any(|d| d == s));
-                        if known {
-                            Value::cat(s.clone())
-                        } else {
-                            table.value(row, ci)
-                        }
-                    }
-                    Some(AttrValue::Num(v)) => Value::num(*v),
-                    None => table.value(row, ci),
-                })
-                .collect()
-        })
-        .collect();
-    let pos_table = Table::from_rows(table.schema().clone(), rows).expect("schema-shaped rows");
-    transformer.transform_deterministic(&pos_table)
-}
-
 /// The fast_demo fit step's knowledge-infusion work, end to end (real rows
-/// in → encoded KG-valid positives matrix out), string vs interned.
+/// in → encoded KG-valid positives matrix out).
 fn bench_kg_infusion_step(c: &mut Criterion) {
     let data = lab_data(512);
     let kg = LabSimulator::knowledge_graph();
     let transformer = DataTransformer::fit(&data, 4, 7).expect("non-empty table");
-    let mut domains: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for name in data.schema().categorical_names() {
-        if let Some(enc) = transformer.categorical_encoder(name) {
-            domains.insert(name.to_string(), enc.categories().to_vec());
-        }
-    }
     let real_idx: Vec<usize> = (0..64).map(|i| (i * 7) % data.n_rows()).collect();
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(20);
-    group.bench_function("kg_infusion_step_string", |b| {
-        let mut rng = StdRng::seed_from_u64(9);
-        b.iter(|| {
-            criterion::black_box(string_positives_batch(
-                &data,
-                &transformer,
-                &kg,
-                &domains,
-                &real_idx,
-                &mut rng,
-            ))
-        });
-    });
     group.bench_function("kg_infusion_step_interned", |b| {
         let mut pipe = KgTrainPipeline::new(&kg, &data, &transformer);
         let mut pos = kinet_tensor::Matrix::default();

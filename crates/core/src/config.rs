@@ -82,12 +82,6 @@ pub struct KinetGanConfig {
     /// Rejection-resampling rounds at sampling time (0 = keep everything;
     /// each round replaces KG-invalid rows with fresh draws).
     pub rejection_rounds: usize,
-    /// Use the interned fast path (compiled reasoner + pre-encoded batch
-    /// pipeline) for knowledge infusion. `false` runs the string-based
-    /// reference implementation; both release bit-identical bytes for a
-    /// fixed seed — the flag exists for A/B benchmarks and equivalence
-    /// tests.
-    pub interned_pipeline: bool,
     /// Master RNG seed for parameter init and training randomness.
     pub seed: u64,
 }
@@ -112,7 +106,6 @@ impl Default for KinetGanConfig {
             clip_norm: 5.0,
             real_label: 0.9,
             rejection_rounds: 0,
-            interned_pipeline: true,
             seed: 1234,
         }
     }
@@ -202,13 +195,6 @@ impl KinetGanConfig {
     /// Sets the rejection-resampling rounds used at sampling time.
     pub fn with_rejection_rounds(mut self, rounds: usize) -> Self {
         self.rejection_rounds = rounds;
-        self
-    }
-
-    /// Selects between the interned fast path and the string-based
-    /// reference implementation of knowledge infusion.
-    pub fn with_interned_pipeline(mut self, interned: bool) -> Self {
-        self.interned_pipeline = interned;
         self
     }
 

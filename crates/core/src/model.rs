@@ -5,17 +5,16 @@ use crate::discriminator::{KnowledgeDiscriminator, RecordDiscriminator};
 use crate::generator::ConditionalGenerator;
 use crate::pipeline::KgTrainPipeline;
 use kinet_data::condition::ConditionVectorSpec;
-use kinet_data::encoded::{row_to_assignment, KgTableChecker};
+use kinet_data::encoded::KgTableChecker;
 use kinet_data::sampler::TrainingSampler;
 use kinet_data::synth::{SynthError, TabularSynthesizer};
 use kinet_data::transform::{CategoricalEncoder, DataTransformer};
-use kinet_data::{ColumnKind, Table, Value};
-use kinet_kg::{Assignment, AttrValue, NetworkKg};
+use kinet_data::{ColumnKind, Table};
+use kinet_kg::NetworkKg;
 use kinet_nn::optim::{Adam, Optimizer};
 use kinet_nn::{Tape, Var};
 use kinet_tensor::Matrix;
 use rand::{rngs::StdRng, SeedableRng};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Per-epoch loss trajectory and summary statistics of one `fit` run.
@@ -153,71 +152,6 @@ impl KinetGan {
             .collect()
     }
 
-    /// Fields constrained by the KG for the given event (both categorical
-    /// and numeric), excluding the scope field itself.
-    fn constrained_fields(&self, event: &str) -> Vec<String> {
-        let scope = self.kg.scope_field();
-        let mut fields: Vec<String> = self
-            .kg
-            .reasoner()
-            .rules()
-            .applicable(event)
-            .map(|r| r.field.clone())
-            .filter(|f| f != scope)
-            .collect();
-        fields.sort();
-        fields.dedup();
-        fields
-    }
-
-    /// Builds one KG-valid positive row for `D_KG`: the real row with its
-    /// constrained fields re-drawn from the reasoner's valid sets.
-    fn kg_positive_row(
-        &self,
-        table: &Table,
-        row: usize,
-        domains: &BTreeMap<String, Vec<String>>,
-        rng: &mut StdRng,
-    ) -> Vec<Value> {
-        let mut a = row_to_assignment(table, row);
-        let scope = self.kg.scope_field();
-        let event = a.get_cat(scope).unwrap_or("*").to_string();
-        let mut partial = Assignment::new();
-        if let Some(e) = a.get_cat(scope) {
-            let e = e.to_string();
-            partial.set(scope, AttrValue::cat(e));
-        }
-        let fields = self.constrained_fields(&event);
-        if let Some(valid) = self
-            .kg
-            .reasoner()
-            .sample_valid(&partial, &fields, domains, rng, 8)
-        {
-            a.merge(&valid);
-        }
-        table
-            .schema()
-            .iter()
-            .enumerate()
-            .map(|(ci, col)| match a.get(col.name()) {
-                // KG-sampled categories outside the locally observed
-                // dictionary cannot be encoded; keep the original value.
-                Some(AttrValue::Cat(s)) => {
-                    let known = domains
-                        .get(col.name())
-                        .is_none_or(|domain| domain.iter().any(|d| d == s));
-                    if known {
-                        Value::cat(s.clone())
-                    } else {
-                        table.value(row, ci)
-                    }
-                }
-                Some(AttrValue::Num(v)) => Value::num(*v),
-                None => table.value(row, ci),
-            })
-            .collect()
-    }
-
     /// Runs one full training pass; returns the fitted state.
     fn train(&self, table: &Table) -> Result<Fitted, SynthError> {
         self.config.validate().map_err(SynthError::Training)?;
@@ -267,14 +201,6 @@ impl KinetGan {
         let g_params = generator.params();
 
         let encoded = transformer.transform(table, &mut rng);
-        // Categorical domains used by the reasoner's valid-combination
-        // sampler as fallbacks for unconstrained fields.
-        let mut domains: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for name in table.schema().categorical_names() {
-            if let Some(enc) = transformer.categorical_encoder(name) {
-                domains.insert(name.to_string(), enc.categories().to_vec());
-            }
-        }
 
         let steps = (table.n_rows() / cfg.batch_size).max(1);
         let mut report = TrainingReport::default();
@@ -307,12 +233,10 @@ impl KinetGan {
             report.class_names = enc.categories().to_vec();
         }
 
-        // Interned fast path: pre-encode the table once (codes + the
+        // D_KG positives: pre-encode the table once (codes + the
         // deterministic transform) and compile per-event sampling plans;
-        // every batch then gathers by index into reused buffers. The
-        // string path below stays as the reference implementation.
-        let mut kg_pipe = (use_dkg && cfg.interned_pipeline)
-            .then(|| KgTrainPipeline::new(&self.kg, table, &transformer));
+        // every batch then gathers by index into reused buffers.
+        let mut kg_pipe = use_dkg.then(|| KgTrainPipeline::new(&self.kg, table, &transformer));
         let mut real_buf = Matrix::default();
         let mut pos_buf = Matrix::default();
 
@@ -349,19 +273,10 @@ impl KinetGan {
                     let d_fake = d_m.forward(&tape, fake.output, &c, true, &mut rng);
                     let mut loss =
                         kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, cfg.real_label);
-                    if let Some(dkg) = &d_kg {
-                        let pos = if let Some(pipe) = kg_pipe.as_mut() {
-                            pipe.fill_positives(&real_idx, &mut pos_buf, &mut rng, 8)?;
-                            pos_buf.clone()
-                        } else {
-                            let pos_rows: Vec<Vec<Value>> = real_idx
-                                .iter()
-                                .map(|&r| self.kg_positive_row(table, r, &domains, &mut rng))
-                                .collect();
-                            let pos_table = Table::from_rows(table.schema().clone(), pos_rows)?;
-                            transformer.transform_deterministic(&pos_table)
-                        };
-                        let kg_pos = dkg.forward(&tape, tape.constant(pos), true, &mut rng);
+                    if let (Some(dkg), Some(pipe)) = (&d_kg, kg_pipe.as_mut()) {
+                        pipe.fill_positives(&real_idx, &mut pos_buf, &mut rng, 8)?;
+                        let kg_pos =
+                            dkg.forward(&tape, tape.constant(pos_buf.clone()), true, &mut rng);
                         let kg_neg = dkg.forward(&tape, fake.output, true, &mut rng);
                         let kg_loss = kinet_nn::loss::gan_discriminator_loss(kg_pos, kg_neg, 1.0);
                         loss = loss.add(kg_loss);
@@ -628,16 +543,13 @@ impl TabularSynthesizer for KinetGan {
     fn sample(&self, n: usize, seed: u64) -> Result<Table, SynthError> {
         let f = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
         let mut rng = StdRng::seed_from_u64(seed);
-        // Compiled rejection scoring (the string reasoner path remains the
-        // reference; both find the same invalid rows).
-        let checker =
-            (self.config.rejection_rounds > 0 && self.config.interned_pipeline).then(|| {
-                KgTableChecker::new(
-                    self.kg.compiled(),
-                    self.kg.base_interner(),
-                    f.table.schema(),
-                )
-            });
+        let checker = (self.config.rejection_rounds > 0).then(|| {
+            KgTableChecker::new(
+                self.kg.compiled(),
+                self.kg.base_interner(),
+                f.table.schema(),
+            )
+        });
         let mut invalid_buf = Vec::new();
         kinet_data::synth::sample_in_batches(
             f.table.schema().clone(),
@@ -661,23 +573,9 @@ impl TabularSynthesizer for KinetGan {
                 let gen = f.generator.generate(&tape, &c, self.config.tau, false, rng);
                 let mut decoded = f.transformer.inverse_transform(&gen.output.value())?;
                 for _round in 0..self.config.rejection_rounds {
-                    let invalid_rows: &[usize] = match &checker {
-                        Some(ch) => {
-                            ch.invalid_rows(&decoded, &mut invalid_buf)?;
-                            &invalid_buf
-                        }
-                        None => {
-                            invalid_buf = (0..decoded.n_rows())
-                                .filter(|&r| {
-                                    !self
-                                        .kg
-                                        .reasoner()
-                                        .is_valid_cached(&row_to_assignment(&decoded, r))
-                                })
-                                .collect();
-                            &invalid_buf
-                        }
-                    };
+                    let Some(checker) = &checker else { break };
+                    checker.invalid_rows(&decoded, &mut invalid_buf)?;
+                    let invalid_rows: &[usize] = &invalid_buf;
                     if invalid_rows.is_empty() {
                         break;
                     }
@@ -705,12 +603,9 @@ impl TabularSynthesizer for KinetGan {
                         .generator
                         .generate(&tape, &retry_c, self.config.tau, false, rng);
                     let redecoded = f.transformer.inverse_transform(&regen.output.value())?;
-                    let mut rows: Vec<Vec<Value>> =
-                        (0..decoded.n_rows()).map(|r| decoded.row(r)).collect();
                     for (i, &r) in invalid_rows.iter().enumerate() {
-                        rows[r] = redecoded.row(i);
+                        decoded.set_row(r, redecoded.row(i))?;
                     }
-                    decoded = Table::from_rows(decoded.schema().clone(), rows)?;
                 }
                 Ok(decoded)
             },
@@ -749,6 +644,7 @@ impl std::fmt::Debug for KinetGan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kinet_data::Value;
     use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 
     fn tiny_data(n: usize, seed: u64) -> Table {
@@ -978,25 +874,20 @@ mod tests {
 
     #[test]
     fn rule_schema_type_conflict_fails_fit_on_both_pipelines() {
-        // AllowedValues on a continuous column: the reference path fails
-        // `Table::from_rows` kind validation when the sampled category
-        // lands on the numeric column; the interned path must fail at the
-        // same point instead of silently keeping the original value.
+        // AllowedValues on a continuous column: the sampled category cannot
+        // land on the numeric column, so training must abort instead of
+        // silently keeping the original value. The string reference fails
+        // the same way (`crates/core/tests/pipeline_oracle.rs`).
         let data = tiny_data(100, 9);
-        for interned in [true, false] {
-            let store = kinet_kg::ontology::GraphBuilder::new("bad")
-                .allow_values("*", "dst_port", &["80"])
-                .build();
-            let kg = NetworkKg::new("bad", store, "event", &["event"]);
-            let mut model = KinetGan::new(tiny_config().with_interned_pipeline(interned), kg);
-            let err = model
-                .fit(&data)
-                .expect_err("type-conflicted KG must abort training");
-            assert!(
-                matches!(err, SynthError::Data(_)),
-                "interned={interned}: {err}"
-            );
-        }
+        let store = kinet_kg::ontology::GraphBuilder::new("bad")
+            .allow_values("*", "dst_port", &["80"])
+            .build();
+        let kg = NetworkKg::new("bad", store, "event", &["event"]);
+        let mut model = KinetGan::new(tiny_config(), kg);
+        let err = model
+            .fit(&data)
+            .expect_err("type-conflicted KG must abort training");
+        assert!(matches!(err, SynthError::Data(_)), "{err}");
     }
 
     #[test]

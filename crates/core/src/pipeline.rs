@@ -1,12 +1,12 @@
-//! The interned training batch pipeline: knowledge-infusion without
-//! strings.
+//! The knowledge-infusion batch pipeline: the D_KG positives of every
+//! training step.
 //!
-//! The reference training loop (kept in [`crate::KinetGan`] behind
-//! `interned_pipeline = false`) rebuilds string machinery per batch: every
-//! D_KG positive row round-trips through a `BTreeMap`-backed
-//! [`kinet_kg::Assignment`], the reasoner clones `BTreeSet`s per
-//! valid-value query, and each batch is re-encoded through a freshly built
-//! [`Table`]. This module is the compiled replacement:
+//! The paper trains D_KG on "all valid sets of attributes for the
+//! conditional vector C queried from the knowledge graph" (§III-B). For
+//! each real row of a batch, [`KgTrainPipeline::fill_positives`] re-draws
+//! the fields the KG constrains for the row's event class until the
+//! candidate is KG-valid, and writes the result into the batch's encoded
+//! positives:
 //!
 //! * the training table is **pre-encoded once** — interned category codes
 //!   ([`EncodedTable`]) plus the deterministic CTGAN transform — and every
@@ -16,11 +16,13 @@
 //!   tables, numeric ranges, dictionary fallbacks, all over interned
 //!   symbols), so drawing a KG-valid positive is a few integer picks and
 //!   one O(fields) [`CompiledReasoner::check_cells`] — no allocation per
-//!   row;
-//! * the RNG draw sequence (which fields draw, in which order, from
-//!   which-size sets, in which value order) exactly mirrors the string
-//!   reasoner's `sample_valid`, so a fixed seed releases **bit-identical
-//!   bytes** on either pipeline — the property the equivalence tests pin.
+//!   row.
+//!
+//! The string [`kinet_kg::Reasoner::sample_valid`] is the readable
+//! reference for the same query. The RNG draw sequence (which fields draw,
+//! in which order, from which-size sets, in which value order) mirrors it
+//! exactly, and `crates/core/tests/pipeline_oracle.rs` checks that both
+//! give bit-identical positives and leave the RNG in the same state.
 
 use kinet_data::encoded::EncodedTable;
 use kinet_data::transform::{ColumnSpan, DataTransformer, ModeSpecificNormalizer};
@@ -59,10 +61,10 @@ enum WriteTarget {
     /// [`KgTrainPipeline::normalizers`]).
     Num { col: usize, span: ColumnSpan },
     /// The rule's value type clashes with the schema column's kind (e.g.
-    /// `AllowedValues` on a continuous column). The reference pipeline
+    /// `AllowedValues` on a continuous column). The string reference
     /// fails `Table::from_rows` kind validation the moment such a sampled
-    /// value lands on the column; the interned path raises the same error
-    /// at the same point instead of silently skipping the write.
+    /// value lands on the column; the pipeline raises the same error at
+    /// the same point instead of silently skipping the write.
     Conflict { col: usize },
 }
 
@@ -73,7 +75,7 @@ struct PlanField {
     write: Option<WriteTarget>,
 }
 
-/// Per-fit state of the interned knowledge-infusion loop.
+/// Per-fit state of the knowledge-infusion loop.
 pub struct KgTrainPipeline {
     compiled: CompiledReasoner,
     enc: EncodedTable,
@@ -86,7 +88,7 @@ pub struct KgTrainPipeline {
     /// exists and is categorical.
     scope_syms: Option<Vec<Sym>>,
     /// Per event row: the sampling plan over its constrained fields, in
-    /// sorted field-name order (the reference path's iteration order).
+    /// sorted field-name order (the string reference's iteration order).
     plans: Vec<Vec<PlanField>>,
     /// Cloned normalizers of continuous columns (schema order).
     normalizers: Vec<Option<ModeSpecificNormalizer>>,
@@ -124,8 +126,8 @@ impl KgTrainPipeline {
         let mut plans = Vec::with_capacity(rules.n_event_rows());
         for row in 0..rules.n_event_rows() {
             let mut plan = Vec::new();
-            // Field ids ascend in sorted-name order, matching the sorted
-            // `constrained_fields` list of the reference path.
+            // Field ids ascend in sorted-name order, matching the sorted,
+            // deduplicated constrained-field list of the string reference.
             for fid in 0..rules.n_fields() {
                 if fid == rules.scope_fid() || !compiled.is_constrained(row, fid) {
                     continue;
@@ -141,7 +143,7 @@ impl KgTrainPipeline {
                 } else if let Some((lo, hi)) = compiled.valid_range(row, fid) {
                     PlanAction::Range(lo, hi)
                 } else {
-                    // Prefix-only constraint: the reference path falls back
+                    // Prefix-only constraint: the string reference falls back
                     // to the observed dictionary of the (categorical)
                     // column, or leaves the field unset.
                     match schema_col {
@@ -197,13 +199,13 @@ impl KgTrainPipeline {
     /// re-drawn from the compiled valid sets (up to `max_tries` rejection
     /// rounds per row; rows whose constraints cannot be satisfied keep
     /// their original encoding). The base gather runs on the worker pool;
-    /// the draws consume `rng` in exactly the reference path's order.
+    /// the draws consume `rng` in exactly the string reference's order.
     ///
     /// # Errors
     ///
     /// Returns [`DataError::SchemaMismatch`] when an accepted sample puts
     /// a value of the wrong kind on a schema column (a rule/schema type
-    /// conflict) — the point where the reference pipeline's
+    /// conflict) — the point where the string reference's
     /// `Table::from_rows` fails.
     pub fn fill_positives(
         &mut self,
@@ -278,7 +280,7 @@ impl KgTrainPipeline {
     /// Writes the accepted candidate's fields over the gathered encoding of
     /// one output row. Categories outside the column's training dictionary
     /// cannot be one-hot encoded and keep the original value — the same
-    /// rule the reference path applies.
+    /// rule the string reference applies.
     fn write_accepted(&self, event_row: usize, orow: &mut [f32]) -> Result<(), DataError> {
         for pf in &self.plans[event_row] {
             let Some(write) = pf.write else { continue };

@@ -85,7 +85,7 @@ pub enum FleetError {
         /// `(device_index, last failure)` for every degraded device.
         degraded: Vec<(usize, String)>,
     },
-    /// A checkpoint file could not be read, parsed, or written.
+    /// A snapshot could not be encoded, committed, listed, or parsed.
     Checkpoint(String),
     /// Membership churn shrank the resident fleet below the configured
     /// minimum: the service refuses to keep scheduling rounds a quorum

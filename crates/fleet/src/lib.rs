@@ -71,5 +71,4 @@ pub use service::{
     ServingModel,
 };
 pub use sim::FleetSim;
-pub use sim::ResumeOutcome;
 pub use storage::{DirStorage, FaultStorage, MemStorage, Snapshot, SnapshotStore, Storage};

@@ -1,5 +1,5 @@
 //! The recovery layer: bounded retry with deterministic backoff, share
-//! validation + quarantine, quorum accounting, and round checkpoints.
+//! validation + quarantine, and quorum accounting.
 //!
 //! Where [`crate::fault`] decides what *breaks*, this module decides what
 //! the orchestrator *does about it*. The policy knobs live in
@@ -11,14 +11,11 @@
 //! ticks on the [`crate::fault::VirtualClock`], never wall-clock sleeps,
 //! so recovery decisions are reproducible across `KINET_THREADS` values.
 
-use crate::config::FleetConfig;
 use crate::error::FleetError;
-use crate::report::FleetReport;
 use kinet_data::encoded::KgTableChecker;
 use kinet_data::stream::{ChunkSource, StreamValidity, TableChunks};
 use kinet_data::Table;
 use kinet_kg::NetworkKg;
-use std::path::Path;
 
 /// Recovery policy for one fleet run.
 #[derive(Clone, Debug, PartialEq)]
@@ -203,77 +200,6 @@ pub fn validate_share(
     Ok(validity)
 }
 
-/// A committed round persisted to disk, so an interrupted multi-round
-/// campaign resumes instead of recomputing (PR 5's serde snapshots carry
-/// the report; the config key guards against resuming someone else's
-/// round).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct RoundCheckpoint {
-    /// Canonical rendering of the [`FleetConfig`] that produced the round.
-    pub config_key: String,
-    /// The committed report.
-    pub report: FleetReport,
-}
-
-impl RoundCheckpoint {
-    /// Wraps a committed report.
-    pub fn new(config_key: String, report: FleetReport) -> Self {
-        Self { config_key, report }
-    }
-
-    /// The canonical config key: the `Debug` rendering, which covers every
-    /// field (including fault and resilience policies), so any config
-    /// change invalidates the checkpoint.
-    pub fn config_key(cfg: &FleetConfig) -> String {
-        format!("{cfg:?}")
-    }
-
-    /// Writes the checkpoint as a checksummed snapshot record
-    /// ([`crate::storage::encode_record`]) through a temp-file + atomic
-    /// rename, so a torn write can neither truncate the file in place nor
-    /// go undetected at load.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Checkpoint`] when encoding or writing fails.
-    pub fn save(&self, path: &Path) -> Result<(), FleetError> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| FleetError::Checkpoint(format!("encode {}: {e}", path.display())))?;
-        let record = crate::storage::encode_record(0, json.as_bytes());
-        crate::storage::write_file_atomic(path, &record)
-            .map_err(|e| FleetError::Checkpoint(format!("write {}: {e}", path.display())))
-    }
-
-    /// Reads a checkpoint back. `Ok(None)` means *absent* — a fresh run,
-    /// not a failure. An existing file that fails record verification
-    /// (torn, bit-flipped, not a checkpoint) is an error the caller must
-    /// surface, never silently conflate with absence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Checkpoint`] when the file exists but is
-    /// unreadable or corrupt.
-    pub fn load(path: &Path) -> Result<Option<Self>, FleetError> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(FleetError::Checkpoint(format!(
-                    "read {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        let (_, payload) = crate::storage::decode_record(&bytes)
-            .map_err(|e| FleetError::Checkpoint(format!("verify {}: {e}", path.display())))?;
-        let json = std::str::from_utf8(payload)
-            .map_err(|e| FleetError::Checkpoint(format!("decode {}: {e}", path.display())))?;
-        serde_json::from_str(json)
-            .map(Some)
-            .map_err(|e| FleetError::Checkpoint(format!("parse {}: {e}", path.display())))
-    }
-}
-
 /// Order-invariant quorum verdict over per-device outcomes.
 ///
 /// `reported[d]` is `true` when device `d`'s contribution was accepted
@@ -418,45 +344,6 @@ mod tests {
         // With the floor at zero the same garbage share is accepted.
         let open = ResilienceConfig::default();
         assert!(validate_share(&bad, &kg, &open, 8).is_ok());
-    }
-
-    #[test]
-    fn checkpoint_distinguishes_absent_from_corrupt() {
-        use crate::config::SharingPolicy;
-        use crate::sim::FleetSim;
-        let dir = std::env::temp_dir().join("kinet_fleet_ckpt_corrupt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round.ckpt");
-        let _ = std::fs::remove_file(&path);
-
-        // Absent is Ok(None) — a fresh run, not an error.
-        assert!(RoundCheckpoint::load(&path).unwrap().is_none());
-
-        let report = FleetSim::new(FleetConfig::fast(SharingPolicy::Raw))
-            .run()
-            .unwrap();
-        let cp = RoundCheckpoint::new("key".into(), report);
-        cp.save(&path).unwrap();
-        assert!(
-            !dir.join("round.ckpt.tmp").exists(),
-            "atomic write leaves no temp file behind"
-        );
-        let back = RoundCheckpoint::load(&path).unwrap().expect("intact");
-        assert_eq!(back.config_key, "key");
-
-        // A truncated checkpoint (torn write) is a loud error.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = RoundCheckpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("verify"), "{err}");
-
-        // A single flipped bit is a loud error too.
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x01;
-        std::fs::write(&path, &flipped).unwrap();
-        assert!(RoundCheckpoint::load(&path).is_err(), "bit flip detected");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

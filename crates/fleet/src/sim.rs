@@ -31,7 +31,7 @@ use crate::fault::{poison_share, FaultKind, FaultPlan, PoisonKind, VirtualClock}
 use crate::report::{
     DeviceReport, DeviceTrainingDiag, FaultReport, FleetReport, UnionReport, DEVICE_OK,
 };
-use crate::resilience::{self, backoff_ticks, RoundCheckpoint};
+use crate::resilience::{self, backoff_ticks};
 use crate::{schedule, union};
 use kinet_baselines::{common::BaselineConfig, CtGan, Tvae};
 use kinet_data::stream::{
@@ -44,7 +44,6 @@ use kinet_eval::utility::evaluate_nids;
 use kinet_obs::{kv, Recorder};
 use kinetgan::{KinetGan, KinetGanConfig};
 use std::collections::BTreeSet;
-use std::path::Path;
 use std::time::Instant;
 
 const DEVICE_CYCLE: [&str; 4] = ["blink_camera", "smart_plug", "motion_sensor", "tag_manager"];
@@ -64,19 +63,6 @@ struct DeviceOutcome {
     local_eval: Option<(f64, f64)>,
     seeded_classes: Vec<String>,
     diag: Option<DeviceTrainingDiag>,
-}
-
-/// How [`FleetSim::run_or_resume`] obtained its report.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ResumeOutcome {
-    /// No usable checkpoint existed (absent, or another configuration's);
-    /// the round ran fresh.
-    Fresh,
-    /// The checkpoint was intact and matched; the round was not re-run.
-    Resumed,
-    /// A checkpoint existed but failed verification; the round re-ran and
-    /// the corruption was recorded in the report's observed-fault log.
-    RecoveredCorrupt(String),
 }
 
 /// One device task's settled result plus its recovery accounting.
@@ -308,43 +294,6 @@ impl FleetSim {
             &[kv("ticks", clock.total()), kv("ok", u64::from(out.is_ok()))],
         );
         out
-    }
-
-    /// Runs the fleet, resuming from `path` when it holds an intact
-    /// checkpoint of this exact configuration; otherwise runs fresh and
-    /// writes the checkpoint. The [`ResumeOutcome`] distinguishes the
-    /// three cases: an **absent** (or other-config) checkpoint runs fresh
-    /// silently, while a **corrupt** one re-runs *loudly* — the corruption
-    /// is recorded in the report's observed-fault log (and thereby the
-    /// fingerprint) and named in
-    /// [`ResumeOutcome::RecoveredCorrupt`], never swallowed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FleetSim::run`] failures and
-    /// [`FleetError::Checkpoint`] when the fresh checkpoint cannot be
-    /// written.
-    pub fn run_or_resume(&self, path: &Path) -> Result<(FleetReport, ResumeOutcome), FleetError> {
-        let key = RoundCheckpoint::config_key(&self.config);
-        let mut corrupt = None;
-        match RoundCheckpoint::load(path) {
-            Ok(Some(cp)) if cp.config_key == key => return Ok((cp.report, ResumeOutcome::Resumed)),
-            Ok(_) => {} // Absent, or another config's round: fresh run.
-            Err(e) => corrupt = Some(e.to_string()),
-        }
-        let mut report = self.run()?;
-        if let Some(why) = &corrupt {
-            report
-                .fault
-                .observed
-                .push(format!("checkpoint corrupt, round re-ran: {why}"));
-        }
-        RoundCheckpoint::new(key, report.clone()).save(path)?;
-        let outcome = match corrupt {
-            Some(why) => ResumeOutcome::RecoveredCorrupt(why),
-            None => ResumeOutcome::Fresh,
-        };
-        Ok((report, outcome))
     }
 
     /// Errors out of the round when an armed watchdog deadline is blown.
@@ -1309,81 +1258,6 @@ mod tests {
             "both devices still report"
         );
         assert!(!report.fault.observed.is_empty());
-    }
-
-    #[test]
-    fn checkpoint_resume_round_trips() {
-        let dir = std::env::temp_dir().join("kinet_fleet_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round.json");
-        let _ = std::fs::remove_file(&path);
-        let sim = FleetSim::new(FleetConfig::fast(SharingPolicy::Raw));
-        let (fresh, outcome) = sim.run_or_resume(&path).unwrap();
-        assert_eq!(outcome, ResumeOutcome::Fresh, "first run computes");
-        let (reloaded, outcome) = sim.run_or_resume(&path).unwrap();
-        assert_eq!(
-            outcome,
-            ResumeOutcome::Resumed,
-            "second run resumes from the checkpoint"
-        );
-        assert_eq!(
-            fresh.deterministic_fingerprint(),
-            reloaded.deterministic_fingerprint()
-        );
-        // A different config ignores the stale checkpoint and re-runs.
-        let mut other_cfg = FleetConfig::fast(SharingPolicy::Raw);
-        other_cfg.seed = 43;
-        let (other, outcome) = FleetSim::new(other_cfg).run_or_resume(&path).unwrap();
-        assert_eq!(
-            outcome,
-            ResumeOutcome::Fresh,
-            "config key mismatch forces a fresh round"
-        );
-        assert_ne!(
-            other.deterministic_fingerprint(),
-            fresh.deterministic_fingerprint()
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_checkpoint_is_reran_loudly() {
-        let dir = std::env::temp_dir().join("kinet_fleet_ckpt_torn_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round.json");
-        let _ = std::fs::remove_file(&path);
-        let sim = FleetSim::new(FleetConfig::fast(SharingPolicy::Raw));
-        let (fresh, _) = sim.run_or_resume(&path).unwrap();
-        // Tear the checkpoint in half — a crash mid-write on a filesystem
-        // without the atomic-rename guarantee.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let (recovered, outcome) = sim.run_or_resume(&path).unwrap();
-        match &outcome {
-            ResumeOutcome::RecoveredCorrupt(why) => {
-                assert!(why.contains("verify"), "{why}")
-            }
-            other => panic!("expected corrupt recovery, got {other:?}"),
-        }
-        assert!(
-            recovered
-                .fault
-                .observed
-                .iter()
-                .any(|o| o.contains("checkpoint corrupt")),
-            "re-run is recorded in the fault log"
-        );
-        // The re-run recomputed the same round; only the fault log differs.
-        assert_eq!(recovered.pool_rows, fresh.pool_rows);
-        assert_ne!(
-            recovered.deterministic_fingerprint(),
-            fresh.deterministic_fingerprint(),
-            "corrupt recovery is loud in the fingerprint"
-        );
-        // The rewritten checkpoint is intact again and resumes cleanly.
-        let (_, outcome) = sim.run_or_resume(&path).unwrap();
-        assert_eq!(outcome, ResumeOutcome::Resumed);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
 /// the old object or the complete new one.
 pub trait Storage: fmt::Debug {
     /// Reads an object; `Ok(None)` when it does not exist (distinct from
-    /// an I/O failure, which the checkpoint layer must not swallow).
+    /// an I/O failure, which the snapshot layer must not swallow).
     ///
     /// # Errors
     ///

@@ -1,12 +1,16 @@
-//! The reasoner: validity queries over a knowledge graph, with a memoized
-//! fast path for the hot loop inside GAN training.
+//! The reasoner: validity queries over a knowledge graph, answered on
+//! string [`Assignment`]s.
+//!
+//! This is the readable reference for the KG query `Q`. Training and
+//! sampling run the compiled form of the same rules
+//! ([`crate::CompiledReasoner`], over interned symbols); the equivalence
+//! tests check the two agree row by row.
 
 use crate::assignment::{Assignment, AttrValue};
 use crate::rules::RuleSet;
 use crate::store::TripleStore;
-use parking_lot::RwLock;
 use rand::{Rng, RngExt};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One rule violation, as a human-readable description.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -48,16 +52,9 @@ impl Validity {
 /// knowledge-guided discriminator asks it whether generated attribute
 /// combinations are valid, and samples valid combinations to use as
 /// positive examples.
-///
-/// Categorical validity queries are memoized (the GAN asks about the same
-/// discrete combinations over and over), making the hot path a hash lookup.
 #[derive(Debug)]
 pub struct Reasoner {
     rules: RuleSet,
-    /// Per-event, per-field categorical domains observed from the rules;
-    /// used by [`Reasoner::sample_valid`].
-    // kinet-lint: allow(nondeterministic-iteration) — memo cache, get/insert by key only, never iterated
-    cache: RwLock<HashMap<String, bool>>,
 }
 
 impl Reasoner {
@@ -69,11 +66,7 @@ impl Reasoner {
 
     /// Builds a reasoner over an explicit rule set.
     pub fn new(rules: RuleSet) -> Self {
-        Self {
-            rules,
-            // kinet-lint: allow(nondeterministic-iteration) — same lookup-only memo cache as the field above
-            cache: RwLock::new(HashMap::new()),
-        }
+        Self { rules }
     }
 
     /// The underlying rule set.
@@ -81,7 +74,7 @@ impl Reasoner {
         &self.rules
     }
 
-    /// Full validity check with violation details (not memoized).
+    /// Full validity check with violation details.
     pub fn is_valid(&self, a: &Assignment) -> Validity {
         let v = self.rules.violations(a);
         if v.is_empty() {
@@ -89,25 +82,6 @@ impl Reasoner {
         } else {
             Validity::Invalid(v.into_iter().map(Violation).collect())
         }
-    }
-
-    /// Memoized boolean validity check. Equivalent to
-    /// `self.is_valid(a).is_valid()` but cached on the assignment's
-    /// canonical string form; cache misses use the streaming
-    /// [`RuleSet::satisfied`] check, so no violation list is ever built.
-    pub fn is_valid_cached(&self, a: &Assignment) -> bool {
-        let key = a.to_string();
-        if let Some(&hit) = self.cache.read().get(&key) {
-            return hit;
-        }
-        let verdict = self.rules.satisfied(a);
-        self.cache.write().insert(key, verdict);
-        verdict
-    }
-
-    /// Number of memoized validity entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.read().len()
     }
 
     /// Valid categorical values for `field` given the event class, if the
@@ -124,13 +98,13 @@ impl Reasoner {
 
     /// Fraction of assignments in `batch` that are valid — the batch score
     /// used by evaluation and by the hard D_KG signal. Violations are
-    /// counted via the short-circuiting [`RuleSet::satisfied`] path (through
-    /// the memo cache), so no per-row `Vec<Violation>` is materialized.
+    /// counted via the short-circuiting [`RuleSet::satisfied`] path, so no
+    /// per-row `Vec<Violation>` is materialized.
     pub fn validity_rate(&self, batch: &[Assignment]) -> f64 {
         if batch.is_empty() {
             return 1.0;
         }
-        let ok = batch.iter().filter(|a| self.is_valid_cached(a)).count();
+        let ok = batch.iter().filter(|a| self.rules.satisfied(a)).count();
         ok as f64 / batch.len() as f64
     }
 
@@ -180,7 +154,7 @@ impl Reasoner {
                     candidate.set(field, AttrValue::cat(pick.clone()));
                 }
             }
-            if self.is_valid_cached(&candidate) {
+            if self.rules.satisfied(&candidate) {
                 return Some(candidate);
             }
         }
@@ -219,16 +193,28 @@ mod tests {
     }
 
     #[test]
-    fn cached_path_agrees_and_caches() {
-        let r = reasoner();
-        let a = cve_record(33000.0, "udp");
-        let b = cve_record(80.0, "udp");
-        assert!(r.is_valid_cached(&a));
-        assert!(!r.is_valid_cached(&b));
-        assert_eq!(r.cache_len(), 2);
-        // repeat hits the cache (same result)
-        assert!(r.is_valid_cached(&a));
-        assert_eq!(r.cache_len(), 2);
+    fn validity_rate_tells_categorical_from_numeric_values() {
+        // `Cat("80")` and `Num(80.0)` print the same, so a verdict keyed on
+        // the assignment's display form would score both alike. Only the
+        // categorical value escapes the numeric range rule; the numeric
+        // one violates it.
+        let r = Reasoner::from_store(
+            &GraphBuilder::new("lab")
+                .numeric_range("cve_1999_0003", "dst_port", 32771, 34000)
+                .build(),
+            "event",
+        );
+        let record = |port: AttrValue| {
+            Assignment::new()
+                .with("event", "cve_1999_0003".into())
+                .with("dst_port", port)
+        };
+        let cat_80 = record(AttrValue::cat("80"));
+        let num_80 = record(AttrValue::num(80.0));
+        assert_eq!(cat_80.to_string(), num_80.to_string());
+        assert!(r.is_valid(&cat_80).is_valid());
+        assert!(!r.is_valid(&num_80).is_valid());
+        assert_eq!(r.validity_rate(&[cat_80, num_80]), 0.5);
     }
 
     #[test]

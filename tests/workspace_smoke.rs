@@ -5,7 +5,16 @@
 
 use kinetgan_suite::data::synth::TabularSynthesizer;
 use kinetgan_suite::datasets::lab::{LabSimConfig, LabSimulator};
+use kinetgan_suite::fleet::storage::fnv1a64;
 use kinetgan_suite::model::{KinetGan, KinetGanConfig};
+
+/// FNV-1a-64 of `train_and_release_csv`'s bytes. Recorded when the
+/// knowledge-infusion loop still had a string reference implementation
+/// beside the compiled one, and both released exactly these bytes.
+const FAST_DEMO_RELEASE_FNV: u64 = 0xc1ac_d97f_7b7b_b533;
+
+/// FNV-1a-64 of `small_shard_release_csv`'s bytes, recorded the same way.
+const SMALL_SHARD_RELEASE_FNV: u64 = 0x94a1_eca8_f9ea_3286;
 
 #[test]
 fn umbrella_reexports_resolve() {
@@ -14,10 +23,9 @@ fn umbrella_reexports_resolve() {
     assert_eq!(eye.rows(), 3);
 
     let kg = kinetgan_suite::kg::NetworkKg::lab_default();
-    assert_eq!(
-        kg.reasoner().cache_len(),
-        0,
-        "fresh reasoner starts uncached"
+    assert!(
+        !kg.reasoner().rules().is_empty(),
+        "the lab KG compiles to a non-empty rule set"
     );
 
     let data = LabSimulator::new(LabSimConfig {
@@ -37,7 +45,7 @@ fn umbrella_reexports_resolve() {
     );
 }
 
-fn train_and_release_csv_with(interned: bool) -> Vec<u8> {
+fn train_and_release_csv() -> Vec<u8> {
     let data = LabSimulator::new(LabSimConfig {
         n_records: 200,
         seed: 13,
@@ -49,8 +57,7 @@ fn train_and_release_csv_with(interned: bool) -> Vec<u8> {
         KinetGanConfig::fast_demo()
             .with_epochs(2)
             .with_seed(99)
-            .with_rejection_rounds(1)
-            .with_interned_pipeline(interned),
+            .with_rejection_rounds(1),
         LabSimulator::knowledge_graph(),
     );
     model.fit(&data).expect("training succeeds");
@@ -58,10 +65,6 @@ fn train_and_release_csv_with(interned: bool) -> Vec<u8> {
     let mut buf = Vec::new();
     release.write_csv(&mut buf).expect("csv encoding succeeds");
     buf
-}
-
-fn train_and_release_csv() -> Vec<u8> {
-    train_and_release_csv_with(true)
 }
 
 #[test]
@@ -76,15 +79,15 @@ fn fixed_seed_training_is_bit_for_bit_deterministic() {
 }
 
 #[test]
-fn interned_pipeline_matches_string_reference_bytes() {
-    // The compiled (interned) knowledge-infusion path must consume the RNG
-    // in exactly the reference order and make identical decisions, so a
-    // fixed seed releases the same bytes on either implementation.
-    let interned = train_and_release_csv_with(true);
-    let string_ref = train_and_release_csv_with(false);
+fn fast_demo_release_matches_pinned_digest() {
+    // The knowledge-infusion loop must consume the RNG in exactly the
+    // string reference's order and make identical decisions, so the
+    // release keeps the bytes both implementations agreed on.
+    let release = train_and_release_csv();
     assert_eq!(
-        interned, string_ref,
-        "interned fast path diverged from the string reference pipeline"
+        fnv1a64(&release),
+        FAST_DEMO_RELEASE_FNV,
+        "fast_demo release bytes changed"
     );
 }
 
@@ -132,11 +135,10 @@ fn workspace_is_lint_clean() {
     );
 }
 
-fn small_shard_release_csv(interned: bool) -> Vec<u8> {
+fn small_shard_release_csv() -> Vec<u8> {
     // The condition-balanced trainer introduced for the Table-1 fix:
     // log-frequency train-by-sampling, sampling-time balancing, and
-    // rejection rounds that re-draw conditions — every new code path must
-    // make identical decisions on the interned and string pipelines.
+    // rejection rounds that re-draw conditions.
     let data = LabSimulator::new(LabSimConfig {
         n_records: 150,
         seed: 29,
@@ -148,8 +150,7 @@ fn small_shard_release_csv(interned: bool) -> Vec<u8> {
         KinetGanConfig::small_shard()
             .with_epochs(3)
             .with_seed(77)
-            .with_sample_balance(kinetgan_suite::data::sampler::BalanceMode::LogFreq)
-            .with_interned_pipeline(interned),
+            .with_sample_balance(kinetgan_suite::data::sampler::BalanceMode::LogFreq),
         LabSimulator::knowledge_graph(),
     );
     model.fit(&data).expect("training succeeds");
@@ -161,21 +162,14 @@ fn small_shard_release_csv(interned: bool) -> Vec<u8> {
 
 #[test]
 fn condition_balanced_trainer_is_pipeline_and_thread_invariant() {
-    let reference = small_shard_release_csv(true);
-    assert!(!reference.is_empty());
-    assert_eq!(
-        reference,
-        small_shard_release_csv(false),
-        "interned and string pipelines diverged under the balanced trainer"
-    );
+    // Pipeline invariance is pinned by the digest: the bytes the string
+    // reference and the compiled pipeline both released.
     for threads in [1usize, 2, 4] {
-        for interned in [true, false] {
-            let run =
-                kinetgan_suite::tensor::with_threads(threads, || small_shard_release_csv(interned));
-            assert_eq!(
-                reference, run,
-                "release changed at KINET_THREADS={threads}, interned={interned}"
-            );
-        }
+        let run = kinetgan_suite::tensor::with_threads(threads, small_shard_release_csv);
+        assert_eq!(
+            fnv1a64(&run),
+            SMALL_SHARD_RELEASE_FNV,
+            "release changed at KINET_THREADS={threads}"
+        );
     }
 }
