@@ -44,7 +44,7 @@ fn main() -> ExitCode {
 
     let threshold = gate::threshold();
     let mut rows = Vec::new();
-    let mut missing = Vec::new();
+    let mut failures = Vec::new();
     let mut compared_files = 0;
     let entries = match std::fs::read_dir(&baseline_dir) {
         Ok(e) => e,
@@ -68,26 +68,21 @@ fn main() -> ExitCode {
             .trim_start_matches("BENCH_")
             .trim_end_matches(".json")
             .to_string();
-        let baseline =
-            gate::parse_medians(&std::fs::read_to_string(&path).expect("readable baseline"));
+        let baseline_json = std::fs::read_to_string(&path).expect("readable baseline");
         let fresh_path = fresh_dir.join(name);
         let Ok(fresh_json) = std::fs::read_to_string(&fresh_path) else {
             // A baselined bench with no fresh summary at all is lost
             // coverage, not a pass.
-            missing.push(format!(
+            failures.push(format!(
                 "{bench}: no fresh summary at {}",
                 fresh_path.display()
             ));
             continue;
         };
         compared_files += 1;
-        let fresh = gate::parse_medians(&fresh_json);
-        missing.extend(
-            gate::missing_names(&baseline, &fresh)
-                .into_iter()
-                .map(|n| format!("{bench}: baselined benchmark {n:?} missing from fresh run")),
-        );
-        rows.extend(gate::compare(&bench, &baseline, &fresh));
+        let (file_rows, file_failures) = gate::compare_file(&bench, &baseline_json, &fresh_json);
+        rows.extend(file_rows);
+        failures.extend(file_failures);
     }
 
     if compared_files == 0 {
@@ -109,13 +104,13 @@ fn main() -> ExitCode {
             flag, row.bench, row.name, row.baseline_ns, row.fresh_ns, row.ratio
         );
     }
-    for m in &missing {
-        println!("  MISSING   {m}");
+    for f in &failures {
+        println!("  FAILED    {f}");
     }
-    if regressions > 0 || !missing.is_empty() {
+    if regressions > 0 || !failures.is_empty() {
         eprintln!(
-            "{regressions} benchmark(s) regressed beyond {threshold:.2}x, {} missing from the fresh run (refresh baselines with --update after intentional bench changes)",
-            missing.len()
+            "{regressions} benchmark(s) regressed beyond {threshold:.2}x, {} unusable or missing (refresh baselines with --update after intentional bench changes)",
+            failures.len()
         );
         return ExitCode::FAILURE;
     }

@@ -31,50 +31,18 @@
 //! floors (2-epoch generators are noise); the fault mechanics and the
 //! determinism checks still run. Exit code 1 on any violated assertion.
 
-use kinet_bench::write_json;
+use kinet_bench::gate::{self, Args, ProbeRecord, THREAD_COUNTS};
 use kinet_datasets::lab::LabSimulator;
 use kinet_fleet::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetError, FleetReport, FleetSim,
-    ModelKind, ResilienceConfig, SharingPolicy, UnionConfig, EXIT_QUORUM_LOST,
+    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetReport, FleetSim, ModelKind,
+    ResilienceConfig, SharingPolicy, UnionConfig, EXIT_QUORUM_LOST,
 };
 use kinet_obs::Recorder;
-use kinet_tensor::pool::with_threads;
 use serde::Serialize;
 
 /// Pooled attack recall the committed scenarios must clear (the fault-free
 /// skewed-split union run measures 0.736; README "Chaos testing").
 const RECALL_FLOOR: f64 = 0.6;
-
-/// Thread counts every scenario must fingerprint identically across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-struct Args {
-    quick: bool,
-    seed: u64,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut quick = false;
-        let mut seed = 42u64;
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--quick" => quick = true,
-                "--seed" => {
-                    let v = it.next().ok_or("--seed requires a value")?;
-                    seed = v.parse().map_err(|_| format!("invalid number {v:?}"))?;
-                }
-                "--help" | "-h" => {
-                    println!("usage: chaos_gate [--quick] [--seed N]");
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(Self { quick, seed })
-    }
-}
 
 /// One fault-matrix entry: an injection plus the recovery contract it must
 /// satisfy.
@@ -191,21 +159,12 @@ struct ScenarioRecord {
 }
 
 #[derive(Serialize)]
-struct QuorumProbeRecord {
-    description: String,
-    expected_exit_code: i32,
-    actual_exit_code: Option<i32>,
-    error: String,
-    pass: bool,
-}
-
-#[derive(Serialize)]
 struct ChaosReport {
     quick: bool,
     seed: u64,
     recall_floor: f64,
     scenarios: Vec<ScenarioRecord>,
-    quorum_probe: QuorumProbeRecord,
+    quorum_probe: ProbeRecord,
 }
 
 /// Runs one scenario at every thread count; the 1-thread run is the one
@@ -224,39 +183,19 @@ fn run_scenario(args: &Args, sc: &Scenario, journal: &mut Recorder) -> ScenarioR
 
     // The determinism-under-faults contract: the same round at 1, 2, and 4
     // workers must fingerprint bit-identically, fault plan and all.
-    let mut runs: Vec<(usize, FleetReport)> = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let sim = FleetSim::new(cfg.clone());
-        let outcome = with_threads(threads, || {
+    let (report, fingerprints_identical) = gate::across_threads(
+        "fingerprint",
+        &mut failures,
+        |threads| {
+            let sim = FleetSim::new(cfg.clone());
             if threads == 1 {
                 sim.run_recorded(journal).map(|(report, _)| report)
             } else {
                 sim.run()
             }
-        });
-        match outcome {
-            Ok(report) => runs.push((threads, report)),
-            Err(e) => failures.push(format!("run failed at {threads} thread(s): {e}")),
-        }
-    }
-    let fingerprints_identical = match runs.as_slice() {
-        [] => false,
-        [(_, first), rest @ ..] => {
-            let fp = first.deterministic_fingerprint();
-            let mut same = true;
-            for (threads, other) in rest {
-                if other.deterministic_fingerprint() != fp {
-                    same = false;
-                    failures.push(format!(
-                        "fingerprint diverges between 1 and {threads} thread(s)"
-                    ));
-                }
-            }
-            same
-        }
-    };
-
-    let report = runs.into_iter().next().map(|(_, r)| r);
+        },
+        FleetReport::deterministic_fingerprint,
+    );
     if let Some(report) = &report {
         let f = &report.fault;
         if !f.quorum_met {
@@ -339,48 +278,23 @@ fn run_scenario(args: &Args, sc: &Scenario, journal: &mut Recorder) -> ScenarioR
 
 /// Crashing a device under a full-quorum policy must fail the round with
 /// the dedicated exit code — a lost quorum is an operator page, not a 1.
-fn quorum_probe(args: &Args) -> QuorumProbeRecord {
+fn quorum_probe(args: &Args) -> ProbeRecord {
     let mut cfg = base_config(args);
     // Raw sharing: the probe is about the quorum verdict, not training.
     cfg.policy = SharingPolicy::Raw;
     cfg.union = UnionConfig::default();
     cfg.fault = FaultConfig::scripted(vec![DeviceFaultSpec::permanent(1, FaultKind::CrashAcquire)]);
     cfg.resilience = ResilienceConfig::default(); // quorum_frac 1.0
-    let (actual, error, pass) = match FleetSim::new(cfg).run() {
-        Ok(_) => (
-            None,
-            "round committed despite a dead device".to_string(),
-            false,
-        ),
-        Err(e @ FleetError::QuorumLost { .. }) => (
-            Some(e.exit_code()),
-            e.to_string(),
-            e.exit_code() == EXIT_QUORUM_LOST,
-        ),
-        Err(e) => (
-            Some(e.exit_code()),
-            format!("wrong error class: {e}"),
-            false,
-        ),
-    };
-    QuorumProbeRecord {
-        description: "permanent crash under quorum_frac=1.0 must exit with the quorum-lost code"
-            .to_string(),
-        expected_exit_code: EXIT_QUORUM_LOST,
-        actual_exit_code: actual,
-        error,
-        pass,
-    }
+    ProbeRecord::expect_exit(
+        "permanent crash under quorum_frac=1.0 must exit with the quorum-lost code",
+        EXIT_QUORUM_LOST,
+        FleetSim::new(cfg).run(),
+        "round committed despite a dead device",
+    )
 }
 
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("chaos_gate: {e}");
-            std::process::exit(1);
-        }
-    };
+    let args = Args::from_env("chaos_gate");
     println!(
         "chaos_gate — fault-matrix recovery floors{}\n",
         if args.quick { " (quick mode)" } else { "" }
@@ -414,13 +328,8 @@ fn main() {
 
     println!("[quorum-loss-probe] dead device under full quorum");
     let probe = quorum_probe(&args);
-    println!(
-        "      exit code {:?} (expected {}): {}",
-        probe.actual_exit_code, probe.expected_exit_code, probe.error
-    );
 
     let failed = records.iter().any(|r| !r.failures.is_empty()) || !probe.pass;
-    kinet_bench::obs_wrapup("chaos_gate", &journal);
     let chaos = ChaosReport {
         quick: args.quick,
         seed: args.seed,
@@ -428,18 +337,12 @@ fn main() {
         scenarios: records,
         quorum_probe: probe,
     };
-    // Evidence before verdict: a red gate still uploads its report.
-    match write_json("chaos_report", &chaos) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => {
-            eprintln!("chaos_gate FAIL: could not write chaos_report.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failed {
-        eprintln!("chaos_gate: fault-matrix floors violated");
-        std::process::exit(1);
-    }
-    println!("chaos_gate: all fault-matrix floors hold");
+    gate::finish(
+        "chaos_gate",
+        &journal,
+        "chaos_report",
+        &chaos,
+        failed,
+        "fault-matrix floors",
+    );
 }

@@ -3,11 +3,11 @@
 //! synthetic traffic vs. keeping data local, swept over fleet sizes.
 
 use kinet_bench::{write_json, ExpConfig};
-use kinet_nids::{DistributedConfig, DistributedSim, ModelKind, SharingPolicy};
+use kinet_fleet::{FleetConfig, FleetSim, ModelKind, SharingPolicy};
 
 fn main() {
     let cfg = ExpConfig::from_env();
-    // The small-shard schedule needs a real epoch budget (the nids crate
+    // The small-shard schedule needs a real epoch budget (the fleet
     // defaults to 60); the old `.min(12)` cap would undertrain it back to
     // label noise. `KINET_EXP_EPOCHS` still scales the sweep down for CI.
     println!(
@@ -22,13 +22,14 @@ fn main() {
             SharingPolicy::Synthetic(ModelKind::CtGan),
             SharingPolicy::LocalOnly,
         ] {
-            let sim = DistributedSim::new(DistributedConfig {
+            let sim = FleetSim::new(FleetConfig {
                 n_devices,
-                records_per_device: (cfg.rows / n_devices).max(200),
+                rows_per_device: (cfg.rows / n_devices).max(200),
                 test_records: cfg.rows / 2,
                 policy,
                 model_epochs: cfg.epochs,
                 seed: cfg.seed,
+                ..FleetConfig::default()
             });
             match sim.run() {
                 Ok(report) => {

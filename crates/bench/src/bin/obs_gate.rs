@@ -28,18 +28,14 @@
 //!
 //! Exit code 1 on any violated assertion.
 
-use kinet_bench::write_json;
+use kinet_bench::gate::{self, Args, THREAD_COUNTS};
 use kinet_fleet::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetSim, ModelKind, ResilienceConfig,
-    ServingModel, SharingPolicy, UnionConfig,
+    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetError, FleetSim, ModelKind,
+    ResilienceConfig, ServingModel, SharingPolicy, UnionConfig,
 };
 use kinet_obs::Recorder;
-use kinet_tensor::pool::with_threads;
 use serde::Serialize;
 use std::time::Instant;
-
-/// Thread counts the journal must be byte-identical across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Rows per serving-burst batch.
 const BATCH_ROWS: usize = 96;
@@ -49,34 +45,6 @@ const BATCH_ROWS: usize = 96;
 /// only catches order-of-magnitude regressions (e.g. accidental
 /// allocation or locking in `score_rows`) on a loaded CI box.
 const SERVING_ROWS_PER_SEC_FLOOR: f64 = 20_000.0;
-
-struct Args {
-    quick: bool,
-    seed: u64,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut quick = false;
-        let mut seed = 42u64;
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--quick" => quick = true,
-                "--seed" => {
-                    let v = it.next().ok_or("--seed requires a value")?;
-                    seed = v.parse().map_err(|_| format!("invalid number {v:?}"))?;
-                }
-                "--help" | "-h" => {
-                    println!("usage: obs_gate [--quick] [--seed N]");
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(Self { quick, seed })
-    }
-}
 
 /// The faulted round every determinism check runs: a transient straggler
 /// on device 1 (exercises `fleet.retry`) and a NaN-poisoned share from
@@ -144,13 +112,7 @@ struct ObsReport {
 }
 
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("obs_gate: {e}");
-            std::process::exit(1);
-        }
-    };
+    let args = Args::from_env("obs_gate");
     println!(
         "obs_gate — deterministic journal contracts{}\n",
         if args.quick { " (quick mode)" } else { "" }
@@ -161,45 +123,29 @@ fn main() {
     // ---- contracts 1 + 2: journal byte-identical across threads and in
     // agreement with the report it narrates ----
     let mut runs = Vec::new();
-    let mut renders: Vec<(usize, String)> = Vec::new();
     let mut journal = Recorder::new();
-    for &threads in &THREAD_COUNTS {
-        journal = Recorder::new();
-        let outcome = with_threads(threads, || {
-            FleetSim::new(cfg.clone()).run_recorded(&mut journal)
-        });
-        let report = match outcome {
-            Ok((r, _)) => r,
-            Err(e) => {
-                failures.push(format!("recorded round failed at {threads} thread(s): {e}"));
-                continue;
-            }
-        };
-        let render = journal.render();
-        println!("[threads={threads}] {}", journal.phase_summary());
-        runs.push(ThreadRun {
-            threads,
-            fingerprint: report.deterministic_fingerprint(),
-            journal_records: journal.records().len(),
-            journal_bytes: render.len(),
-            journal_retries: journal.events_for("fleet.retry").count(),
-            journal_quarantines: journal.events_for("fleet.quarantine").count(),
-            report_retries: report.fault.retries,
-            report_quarantines: report.fault.quarantined.len(),
-        });
-        renders.push((threads, render));
-    }
-    let mut journal_identical = !renders.is_empty();
-    if let [(_, first), rest @ ..] = renders.as_slice() {
-        for (threads, render) in rest {
-            if render != first {
-                journal_identical = false;
-                failures.push(format!(
-                    "journal bytes diverge between 1 and {threads} thread(s)"
-                ));
-            }
-        }
-    }
+    let (_, journal_identical) = gate::across_threads(
+        "journal",
+        &mut failures,
+        |threads| {
+            journal = Recorder::new();
+            let (report, _) = FleetSim::new(cfg.clone()).run_recorded(&mut journal)?;
+            let render = journal.render();
+            println!("[threads={threads}] {}", journal.phase_summary());
+            runs.push(ThreadRun {
+                threads,
+                fingerprint: report.deterministic_fingerprint(),
+                journal_records: journal.records().len(),
+                journal_bytes: render.len(),
+                journal_retries: journal.events_for("fleet.retry").count(),
+                journal_quarantines: journal.events_for("fleet.quarantine").count(),
+                report_retries: report.fault.retries,
+                report_quarantines: report.fault.quarantined.len(),
+            });
+            Ok::<_, FleetError>(render)
+        },
+        String::clone,
+    );
     let mut journal_matches_report = !runs.is_empty();
     for run in &runs {
         if run.journal_retries != run.report_retries
@@ -250,8 +196,10 @@ fn main() {
     // ---- contract 4: serving burst clears the floor ----
     let serving = run_serving_probe(&args, &cfg, &mut failures);
 
-    // Evidence before verdict: both artifacts are written even when red.
-    kinet_bench::obs_wrapup("obs_gate", &journal);
+    for f in &failures {
+        eprintln!("FAIL: {f}");
+    }
+    let failed = !failures.is_empty();
     let report = ObsReport {
         quick: args.quick,
         seed: args.seed,
@@ -264,25 +212,15 @@ fn main() {
         phase_summary: journal.phase_summary(),
         serving,
         runs,
-        failures: failures.clone(),
+        failures,
     };
-    match write_json("obs_report", &report) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("obs_gate FAIL: could not write obs_report.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        eprintln!("obs_gate: observability contracts violated");
-        std::process::exit(1);
-    }
-    println!(
-        "obs_gate: journal deterministic and faithful, fingerprints untouched, serving floor holds"
+    gate::finish(
+        "obs_gate",
+        &journal,
+        "obs_report",
+        &report,
+        failed,
+        "observability contracts",
     );
 }
 

@@ -31,7 +31,7 @@
 //! and serving mechanics still run. Exit code 1 on any violated
 //! assertion.
 
-use kinet_bench::write_json;
+use kinet_bench::gate::{self, Args, ProbeRecord, THREAD_COUNTS};
 use kinet_fleet::{
     ChurnConfig, DeviceFaultSpec, FaultConfig, FaultKind, FaultStorage, FleetConfig, FleetError,
     FleetService, MemStorage, ModelKind, RoundVerdict, ServiceConfig, ServiceReport, ServingConfig,
@@ -39,43 +39,11 @@ use kinet_fleet::{
     EXIT_MEMBERSHIP_COLLAPSE,
 };
 use kinet_obs::Recorder;
-use kinet_tensor::pool::with_threads;
 use serde::Serialize;
 
 /// Attack recall the churned committed round must clear in full mode
 /// (same floor as `chaos_gate`).
 const RECALL_FLOOR: f64 = 0.6;
-
-/// Thread counts every scenario must fingerprint identically across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-struct Args {
-    quick: bool,
-    seed: u64,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut quick = false;
-        let mut seed = 42u64;
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--quick" => quick = true,
-                "--seed" => {
-                    let v = it.next().ok_or("--seed requires a value")?;
-                    seed = v.parse().map_err(|_| format!("invalid number {v:?}"))?;
-                }
-                "--help" | "-h" => {
-                    println!("usage: service_gate [--quick] [--seed N]");
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(Self { quick, seed })
-    }
-}
 
 /// One matrix entry: a service configuration, a storage-fault plan, how
 /// many times to run the service against the *same* store (a restart per
@@ -374,21 +342,12 @@ struct ScenarioRecord {
 }
 
 #[derive(Serialize)]
-struct CollapseProbeRecord {
-    description: String,
-    expected_exit_code: i32,
-    actual_exit_code: Option<i32>,
-    error: String,
-    pass: bool,
-}
-
-#[derive(Serialize)]
 struct ServiceGateReport {
     quick: bool,
     seed: u64,
     recall_floor: f64,
     scenarios: Vec<ScenarioRecord>,
-    collapse_probe: CollapseProbeRecord,
+    collapse_probe: ProbeRecord,
 }
 
 /// Runs one scenario's full restart sequence on a fresh faulted store,
@@ -399,54 +358,29 @@ struct ServiceGateReport {
 fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Recorder) {
     let cfg = (sc.config)(args);
     let mut failures = Vec::new();
-    let mut runs: Vec<(usize, ServiceReport)> = Vec::new();
+    let mut journal_failures = Vec::new();
     let mut last_journal = Recorder::new();
-    for &threads in &THREAD_COUNTS {
-        let mut journal = Recorder::new();
-        let outcome = with_threads(threads, || {
-            let mut store = SnapshotStore::new(Box::new(FaultStorage::new(
-                MemStorage::new(),
-                sc.storage_faults.clone(),
-            )));
-            let service = FleetService::new(cfg.clone());
-            let mut last = None;
-            for _ in 0..sc.runs {
-                last = Some(service.run_recorded(&mut store, &mut journal)?);
+    let (report, fingerprints_identical) = gate::across_threads(
+        "fingerprint",
+        &mut failures,
+        |threads| {
+            let mut journal = Recorder::new();
+            let outcome = run_restarts(sc, &cfg, &mut journal);
+            if let Some(jc) = sc.journal_check {
+                let mut found = Vec::new();
+                jc(&journal, &mut found);
+                journal_failures.extend(
+                    found
+                        .into_iter()
+                        .map(|f| format!("journal at {threads} thread(s): {f}")),
+                );
             }
-            last.ok_or_else(|| FleetError::Internal("scenario ran zero times".into()))
-        });
-        match outcome {
-            Ok(report) => runs.push((threads, report)),
-            Err(e) => failures.push(format!("run failed at {threads} thread(s): {e}")),
-        }
-        if let Some(jc) = sc.journal_check {
-            let mut journal_failures = Vec::new();
-            jc(&journal, &mut journal_failures);
-            failures.extend(
-                journal_failures
-                    .into_iter()
-                    .map(|f| format!("journal at {threads} thread(s): {f}")),
-            );
-        }
-        last_journal = journal;
-    }
-    let fingerprints_identical = match runs.as_slice() {
-        [] => false,
-        [(_, first), rest @ ..] => {
-            let fp = first.deterministic_fingerprint();
-            let mut same = true;
-            for (threads, other) in rest {
-                if other.deterministic_fingerprint() != fp {
-                    same = false;
-                    failures.push(format!(
-                        "fingerprint diverges between 1 and {threads} thread(s)"
-                    ));
-                }
-            }
-            same
-        }
-    };
-    let report = runs.into_iter().next().map(|(_, r)| r);
+            last_journal = journal;
+            outcome
+        },
+        ServiceReport::deterministic_fingerprint,
+    );
+    failures.extend(journal_failures);
     if let Some(report) = &report {
         (sc.check)(args, report, &mut failures);
     }
@@ -463,10 +397,29 @@ fn run_scenario(args: &Args, sc: &Scenario) -> (ScenarioRecord, Recorder) {
     )
 }
 
+/// One restart sequence: the service runs `sc.runs` times against the
+/// same fresh faulted store, all recorded into `journal`.
+fn run_restarts(
+    sc: &Scenario,
+    cfg: &ServiceConfig,
+    journal: &mut Recorder,
+) -> Result<ServiceReport, FleetError> {
+    let mut store = SnapshotStore::new(Box::new(FaultStorage::new(
+        MemStorage::new(),
+        sc.storage_faults.clone(),
+    )));
+    let service = FleetService::new(cfg.clone());
+    let mut last = None;
+    for _ in 0..sc.runs {
+        last = Some(service.run_recorded(&mut store, journal)?);
+    }
+    last.ok_or_else(|| FleetError::Internal("scenario ran zero times".into()))
+}
+
 /// Scripting the whole fleet away below the membership floor must kill
 /// the service with the dedicated exit code — a collapsed fleet is an
 /// operator page, not a 1.
-fn collapse_probe(args: &Args) -> CollapseProbeRecord {
+fn collapse_probe(args: &Args) -> ProbeRecord {
     let cfg = ServiceConfig {
         fleet: raw_fleet(args),
         rounds: 3,
@@ -479,42 +432,16 @@ fn collapse_probe(args: &Args) -> CollapseProbeRecord {
         ..ServiceConfig::default()
     };
     let mut store = SnapshotStore::new(Box::new(MemStorage::new()));
-    let (actual, error, pass) = match FleetService::new(cfg).run(&mut store) {
-        Ok(_) => (
-            None,
-            "service kept scheduling rounds below the membership floor".to_string(),
-            false,
-        ),
-        Err(e @ FleetError::MembershipCollapse { .. }) => (
-            Some(e.exit_code()),
-            e.to_string(),
-            e.exit_code() == EXIT_MEMBERSHIP_COLLAPSE,
-        ),
-        Err(e) => (
-            Some(e.exit_code()),
-            format!("wrong error class: {e}"),
-            false,
-        ),
-    };
-    CollapseProbeRecord {
-        description: "scripted leaves below min_members must exit with the \
-                      membership-collapse code"
-            .to_string(),
-        expected_exit_code: EXIT_MEMBERSHIP_COLLAPSE,
-        actual_exit_code: actual,
-        error,
-        pass,
-    }
+    ProbeRecord::expect_exit(
+        "scripted leaves below min_members must exit with the membership-collapse code",
+        EXIT_MEMBERSHIP_COLLAPSE,
+        FleetService::new(cfg).run(&mut store),
+        "service kept scheduling rounds below the membership floor",
+    )
 }
 
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("service_gate: {e}");
-            std::process::exit(1);
-        }
-    };
+    let args = Args::from_env("service_gate");
     println!(
         "service_gate — resident fleet service contracts{}\n",
         if args.quick { " (quick mode)" } else { "" }
@@ -540,32 +467,21 @@ fn main() {
 
     println!("[membership-collapse-probe] the whole fleet leaves at round 1");
     let probe = collapse_probe(&args);
-    println!(
-        "      exit code {:?} (expected {}): {}",
-        probe.actual_exit_code, probe.expected_exit_code, probe.error
-    );
 
     let failed = records.iter().any(|r| !r.failures.is_empty()) || !probe.pass;
-    kinet_bench::obs_wrapup("service_gate", &last_journal);
-    let gate = ServiceGateReport {
+    let report = ServiceGateReport {
         quick: args.quick,
         seed: args.seed,
         recall_floor: RECALL_FLOOR,
         scenarios: records,
         collapse_probe: probe,
     };
-    // Evidence before verdict: a red gate still uploads its report.
-    match write_json("service_report", &gate) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => {
-            eprintln!("service_gate FAIL: could not write service_report.json: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if failed {
-        eprintln!("service_gate: resident-service contracts violated");
-        std::process::exit(1);
-    }
-    println!("service_gate: all resident-service contracts hold");
+    gate::finish(
+        "service_gate",
+        &last_journal,
+        "service_report",
+        &report,
+        failed,
+        "resident-service contracts",
+    );
 }

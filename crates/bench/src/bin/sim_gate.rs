@@ -1,7 +1,7 @@
 //! Distributed-sim quality gate: runs the Table-1 deployment scenario
 //! (by default 4 devices × 500 records, the small-shard training schedule)
 //! for all three sharing policies, asserts the utility floors, and
-//! persists the full [`DistributedReport`]s as
+//! persists the full [`FleetReport`]s as
 //! `target/experiments/<out>.json` so per-PR CI artifacts make utility
 //! regressions as visible as the perf ones `bench_gate` guards.
 //!
@@ -16,14 +16,14 @@
 //! Defaults reproduce the CI floor configuration exactly. Exit code 1
 //! when any floor is violated or an argument is malformed; a failed
 //! simulation run instead exits with the typed
-//! [`kinet_nids::FleetError`] code (2 config-invalid, 3 quorum-lost,
+//! [`kinet_fleet::FleetError`] code (2 config-invalid, 3 quorum-lost,
 //! 4 internal).
 
 use kinet_bench::write_json;
 use kinet_datasets::lab::LabSimulator;
-use kinet_nids::{DistributedConfig, DistributedReport, DistributedSim, ModelKind, SharingPolicy};
+use kinet_fleet::{FleetConfig, FleetReport, FleetSim, ModelKind, SharingPolicy};
 
-/// The asserted floors, shared with `crates/nids/src/sim.rs` tests and
+/// The asserted floors, shared with `crates/fleet/src/sim.rs` tests and
 /// documented in README's Table-1 section.
 const RAW_ACC_FLOOR: f64 = 0.9;
 const SYNTH_ACC_FLOOR: f64 = 0.5;
@@ -41,7 +41,7 @@ impl Args {
         let mut args = Args {
             devices: 4,
             rows_per_device: 500,
-            seed: DistributedConfig::default().seed,
+            seed: FleetConfig::default().seed,
             out: "distributed_report".to_string(),
         };
         let mut it = std::env::args().skip(1);
@@ -78,7 +78,7 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 
 /// Reloads the previous snapshot at `target/experiments/<out>.json`, if
 /// any, through the shim deserializer.
-fn previous_reports(out: &str) -> Option<Vec<DistributedReport>> {
+fn previous_reports(out: &str) -> Option<Vec<FleetReport>> {
     let path = kinet_bench::gate::fresh_dir().join(format!("{out}.json"));
     let text = std::fs::read_to_string(path).ok()?;
     match serde_json::from_str(&text) {
@@ -90,15 +90,16 @@ fn previous_reports(out: &str) -> Option<Vec<DistributedReport>> {
     }
 }
 
-fn print_delta(previous: &[DistributedReport], fresh: &DistributedReport) {
-    // Match the previous run on policy AND device count so e.g. a
-    // `--devices 8` exploration against a default 4-device snapshot is
-    // not misread as quality drift (the report does not record
-    // rows/seed, so runs varying those should pick a distinct `--out`).
-    let Some(prev) = previous
-        .iter()
-        .find(|p| p.policy == fresh.policy && p.n_devices == fresh.n_devices)
-    else {
+fn print_delta(previous: &[FleetReport], fresh: &FleetReport) {
+    // Match the previous run on policy, device count and rows per device
+    // so e.g. a `--devices 8` exploration against a default 4-device
+    // snapshot is not misread as quality drift (the report does not
+    // record the seed, so runs varying it should pick a distinct `--out`).
+    let Some(prev) = previous.iter().find(|p| {
+        p.policy == fresh.policy
+            && p.n_devices == fresh.n_devices
+            && p.rows_per_device == fresh.rows_per_device
+    }) else {
         return;
     };
     println!(
@@ -131,13 +132,13 @@ fn main() {
         SharingPolicy::Synthetic(ModelKind::KinetGan),
         SharingPolicy::LocalOnly,
     ] {
-        let sim = DistributedSim::new(DistributedConfig {
+        let sim = FleetSim::new(FleetConfig {
             n_devices: args.devices,
-            records_per_device: args.rows_per_device,
+            rows_per_device: args.rows_per_device,
             test_records: 800,
             seed: args.seed,
             policy: policy.clone(),
-            ..DistributedConfig::default()
+            ..FleetConfig::default()
         });
         match sim.run() {
             Ok(report) => {
@@ -188,7 +189,7 @@ fn main() {
                     "no attack-class rows in the shared pool (class collapse)",
                 ));
                 fail(check(
-                    report.device_diags.len() == report.n_devices,
+                    report.devices.iter().filter(|d| d.diag.is_some()).count() == report.n_devices,
                     "missing per-device training diagnostics",
                 ));
             }

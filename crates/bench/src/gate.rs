@@ -1,18 +1,184 @@
-//! The bench regression gate: diffs freshly persisted
-//! `target/experiments/BENCH_*.json` summaries against the committed
-//! baselines in `benches/baseline/` and fails above a median-ratio
-//! threshold.
-//!
-//! Summaries are parsed with the vendored `serde_json` deserializer
-//! (which replaced this module's original line-oriented scanner once the
-//! shim grew a real parser in PR 5).
+//! Shared plumbing for the gate binaries: the run harness of
+//! `chaos_gate`, `service_gate` and `obs_gate` (scenario tables, checks
+//! and report structs stay in each gate), and `bench_gate`'s diff of
+//! fresh `target/experiments/BENCH_*.json` medians against the committed
+//! `benches/baseline/` summaries.
 
+use kinet_fleet::FleetError;
+use kinet_obs::Recorder;
+use kinet_tensor::pool::with_threads;
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::path::{Path, PathBuf};
 
+/// The command line every run-harness gate accepts: `[--quick] [--seed N]`.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Args {
+    /// Shrink training to CI-smoke scale.
+    pub quick: bool,
+    /// Master seed (default 42).
+    pub seed: u64,
+}
+
+impl Args {
+    /// Parses the process arguments. `--help` prints `gate`'s usage line
+    /// and exits 0; a malformed argument prints `<gate>: <error>` and
+    /// exits 1.
+    pub fn from_env(gate: &str) -> Self {
+        match Self::parse(std::env::args().skip(1)) {
+            Ok(Some(args)) => args,
+            Ok(None) => {
+                println!("usage: {gate} [--quick] [--seed N]");
+                std::process::exit(0);
+            }
+            Err(e) => {
+                eprintln!("{gate}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// Parses `args`; `Ok(None)` means `--help` was asked for.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Option<Self>, String> {
+        let mut parsed = Args {
+            quick: false,
+            seed: 42,
+        };
+        let mut it = args.into_iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--quick" => parsed.quick = true,
+                "--seed" => {
+                    let v = it.next().ok_or("--seed requires a value")?;
+                    parsed.seed = v.parse().map_err(|_| format!("invalid number {v:?}"))?;
+                }
+                "--help" | "-h" => return Ok(None),
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        Ok(Some(parsed))
+    }
+}
+
+/// Thread counts every gate run must agree across.
+pub const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Runs `run` once per [`THREAD_COUNTS`] entry under [`with_threads`]
+/// and compares `key` of every successful run with that of the first
+/// successful one.
+///
+/// A failed run adds `run failed at N thread(s): <error>` to `failures`;
+/// a differing key adds `<what> diverges between F and N thread(s)`, where
+/// `F` is the thread count of the first run compared. Returns the first
+/// successful result and whether every key agreed (`false` when no run
+/// succeeded).
+pub fn across_threads<R, E: fmt::Display>(
+    what: &str,
+    failures: &mut Vec<String>,
+    mut run: impl FnMut(usize) -> Result<R, E>,
+    key: impl Fn(&R) -> String,
+) -> (Option<R>, bool) {
+    let mut first: Option<(usize, R, String)> = None;
+    let mut identical = true;
+    for &threads in &THREAD_COUNTS {
+        match with_threads(threads, || run(threads)) {
+            Ok(result) => match &first {
+                None => {
+                    let k = key(&result);
+                    first = Some((threads, result, k));
+                }
+                Some((first_threads, _, first_key)) => {
+                    if key(&result) != *first_key {
+                        identical = false;
+                        failures.push(format!(
+                            "{what} diverges between {first_threads} and {threads} thread(s)"
+                        ));
+                    }
+                }
+            },
+            Err(e) => failures.push(format!("run failed at {threads} thread(s): {e}")),
+        }
+    }
+    match first {
+        Some((_, result, _)) => (Some(result), identical),
+        None => (None, false),
+    }
+}
+
+/// The verdict of a probe that drives a run into a failure which must end
+/// the process with one dedicated exit code.
+#[derive(Debug, Serialize)]
+pub struct ProbeRecord {
+    description: String,
+    expected_exit_code: i32,
+    actual_exit_code: Option<i32>,
+    error: String,
+    /// `true` when the run failed with the expected exit code.
+    pub pass: bool,
+}
+
+impl ProbeRecord {
+    /// Scores and prints a probe run: it passes only when `outcome` is an
+    /// error whose exit code is `expected`. `succeeded` is the error text
+    /// recorded when the run did not fail at all.
+    pub fn expect_exit<T>(
+        description: &str,
+        expected: i32,
+        outcome: Result<T, FleetError>,
+        succeeded: &str,
+    ) -> Self {
+        let (actual_exit_code, error, pass) = match outcome {
+            Ok(_) => (None, succeeded.to_string(), false),
+            Err(e) if e.exit_code() == expected => (Some(expected), e.to_string(), true),
+            Err(e) => (
+                Some(e.exit_code()),
+                format!("wrong error class: {e}"),
+                false,
+            ),
+        };
+        println!("      exit code {actual_exit_code:?} (expected {expected}): {error}");
+        Self {
+            description: description.to_string(),
+            expected_exit_code: expected,
+            actual_exit_code,
+            error,
+            pass,
+        }
+    }
+}
+
+/// The evidence-before-verdict finish: prints the journal summary and
+/// dumps its tail ([`crate::obs_wrapup`]), writes `report` to
+/// `target/experiments/<id>.json`, and only then gives the verdict on
+/// `contracts`: exit 1 if `failed`, so a red gate still uploads its
+/// evidence.
+pub fn finish<T: Serialize>(
+    gate: &str,
+    journal: &Recorder,
+    id: &str,
+    report: &T,
+    failed: bool,
+    contracts: &str,
+) {
+    crate::obs_wrapup(gate, journal);
+    match crate::write_json(id, report) {
+        Ok(path) => println!("\nwrote {}", path.display()),
+        Err(e) => {
+            eprintln!("{gate} FAIL: could not write {id}.json: {e}");
+            std::process::exit(1);
+        }
+    }
+    if failed {
+        eprintln!("{gate}: {contracts} violated");
+        std::process::exit(1);
+    }
+    println!("{gate}: all {contracts} hold");
+}
+
 /// Median nanoseconds per benchmark name, parsed from one summary file.
-pub type BenchMedians = BTreeMap<String, u128>;
+type BenchMedians = BTreeMap<String, u128>;
 
 /// One benchmark's fresh-vs-baseline comparison.
 #[derive(Clone, Debug)]
@@ -39,12 +205,10 @@ impl GateRow {
 /// Parses the criterion shim's summary JSON into per-benchmark medians.
 /// Records without a `name` or numeric `median_ns` are skipped (never
 /// produced by the shim; tolerated so a hand-edited baseline cannot crash
-/// the gate).
-pub fn parse_medians(json: &str) -> BenchMedians {
-    let mut out = BTreeMap::new();
-    let Ok(root) = serde_json::parse_value(json) else {
-        return out;
-    };
+/// the gate), but a summary with no usable record is an error: one that
+/// compares nothing must fail the gate, not pass it.
+fn parse_medians(json: &str) -> Result<BenchMedians, String> {
+    let root = serde_json::parse_value(json).map_err(|e| format!("not JSON: {e}"))?;
     let field = |v: &Value, key: &str| -> Option<Value> {
         match v {
             Value::Object(entries) => entries
@@ -55,8 +219,9 @@ pub fn parse_medians(json: &str) -> BenchMedians {
         }
     };
     let Some(Value::Array(results)) = field(&root, "results") else {
-        return out;
+        return Err("no `results` array".into());
     };
+    let mut out = BTreeMap::new();
     for record in &results {
         let Some(Value::String(name)) = field(record, "name") else {
             continue;
@@ -68,12 +233,40 @@ pub fn parse_medians(json: &str) -> BenchMedians {
             out.insert(name, median as u128);
         }
     }
-    out
+    if out.is_empty() {
+        return Err("no benchmark records".into());
+    }
+    Ok(out)
 }
 
-/// Compares every benchmark present in both maps.
-pub fn compare(bench: &str, baseline: &BenchMedians, fresh: &BenchMedians) -> Vec<GateRow> {
-    baseline
+/// Diffs one bench file's fresh summary against its committed baseline.
+/// Returns the compared rows and every failure that holds whatever the
+/// threshold: an unusable summary on either side (see `parse_medians`)
+/// or a baselined benchmark missing from the fresh run.
+pub fn compare_file(
+    bench: &str,
+    baseline_json: &str,
+    fresh_json: &str,
+) -> (Vec<GateRow>, Vec<String>) {
+    let unusable =
+        |side: &str, e: String| (Vec::new(), vec![format!("{bench}: {side} unusable: {e}")]);
+    let baseline = match parse_medians(baseline_json) {
+        Ok(m) => m,
+        Err(e) => return unusable("baseline", e),
+    };
+    let fresh = match parse_medians(fresh_json) {
+        Ok(m) => m,
+        Err(e) => return unusable("fresh summary", e),
+    };
+    // A baselined name with no fresh counterpart is coverage that quietly
+    // evaporated (bench renamed or dropped): it fails, so a regression
+    // cannot hide by disappearing.
+    let failures = baseline
+        .keys()
+        .filter(|name| !fresh.contains_key(*name))
+        .map(|name| format!("{bench}: baselined benchmark {name:?} missing from fresh run"))
+        .collect();
+    let rows = baseline
         .iter()
         .filter_map(|(name, &base_ns)| {
             let &fresh_ns = fresh.get(name)?;
@@ -85,19 +278,8 @@ pub fn compare(bench: &str, baseline: &BenchMedians, fresh: &BenchMedians) -> Ve
                 ratio: fresh_ns as f64 / base_ns.max(1) as f64,
             })
         })
-        .collect()
-}
-
-/// Baselined benchmark names with no fresh counterpart. A non-empty
-/// result means coverage quietly evaporated (bench renamed or dropped);
-/// the gate treats it as a failure so regressions cannot hide by
-/// disappearing.
-pub fn missing_names(baseline: &BenchMedians, fresh: &BenchMedians) -> Vec<String> {
-    baseline
-        .keys()
-        .filter(|name| !fresh.contains_key(*name))
-        .cloned()
-        .collect()
+        .collect();
+    (rows, failures)
 }
 
 /// The committed baseline directory: `benches/baseline/` at the workspace
@@ -140,7 +322,7 @@ mod tests {
 
     #[test]
     fn parses_names_and_medians() {
-        let m = parse_medians(SAMPLE);
+        let m = parse_medians(SAMPLE).unwrap();
         assert_eq!(m.len(), 2);
         assert_eq!(m["validity_rate/20k_string"], 100);
         assert_eq!(m["validity_rate/20k_interned"], 10);
@@ -148,11 +330,11 @@ mod tests {
 
     #[test]
     fn compare_flags_regressions_only_above_threshold() {
-        let baseline = parse_medians(SAMPLE);
-        let mut fresh = baseline.clone();
-        fresh.insert("validity_rate/20k_interned".into(), 16); // 1.6x
-        fresh.insert("validity_rate/20k_string".into(), 120); // 1.2x
-        let rows = compare("kg", &baseline, &fresh);
+        let fresh = SAMPLE
+            .replace(r#""median_ns": 10,"#, r#""median_ns": 16,"#) // 1.6x
+            .replace(r#""median_ns": 100,"#, r#""median_ns": 120,"#); // 1.2x
+        let (rows, failures) = compare_file("kg", SAMPLE, &fresh);
+        assert!(failures.is_empty());
         assert_eq!(rows.len(), 2);
         let regressed: Vec<&str> = rows
             .iter()
@@ -164,15 +346,144 @@ mod tests {
 
     #[test]
     fn missing_benchmarks_are_reported_not_skipped() {
-        let baseline = parse_medians(SAMPLE);
-        let mut fresh = BenchMedians::new();
-        assert!(compare("kg", &baseline, &fresh).is_empty());
-        assert_eq!(missing_names(&baseline, &fresh).len(), 2);
-        fresh.insert("validity_rate/20k_string".into(), 100);
+        let fresh = r#"{"results": [{"name": "validity_rate/20k_string", "median_ns": 100}]}"#;
+        let (rows, failures) = compare_file("kg", SAMPLE, fresh);
+        assert_eq!(rows.len(), 1);
         assert_eq!(
-            missing_names(&baseline, &fresh),
-            ["validity_rate/20k_interned"]
+            failures,
+            [r#"kg: baselined benchmark "validity_rate/20k_interned" missing from fresh run"#]
         );
+    }
+
+    #[test]
+    fn unusable_summaries_fail_by_name() {
+        for (baseline, fresh, side) in [
+            ("not json", SAMPLE, "baseline"),
+            (r#"{"results": []}"#, SAMPLE, "baseline"),
+            (r#"{"bench": "kg"}"#, SAMPLE, "baseline"),
+            (SAMPLE, "{", "fresh summary"),
+            (SAMPLE, r#"{"results": [{"name": "x"}]}"#, "fresh summary"),
+        ] {
+            let (rows, failures) = compare_file("kg", baseline, fresh);
+            assert!(rows.is_empty());
+            assert_eq!(failures.len(), 1, "{baseline} / {fresh}");
+            assert!(
+                failures[0].starts_with(&format!("kg: {side} unusable")),
+                "{failures:?}"
+            );
+        }
+        let (rows, failures) = compare_file("kg", SAMPLE, SAMPLE);
+        assert_eq!(rows.len(), 2);
+        assert!(failures.is_empty());
+    }
+
+    #[test]
+    fn args_parse_quick_seed_and_help() {
+        let parse = |args: &[&str]| Args::parse(args.iter().map(|a| a.to_string()));
+        assert_eq!(
+            parse(&[]),
+            Ok(Some(Args {
+                quick: false,
+                seed: 42
+            }))
+        );
+        assert_eq!(
+            parse(&["--seed", "7", "--quick"]),
+            Ok(Some(Args {
+                quick: true,
+                seed: 7
+            }))
+        );
+        assert_eq!(parse(&["--quick", "--help"]), Ok(None));
+        assert!(parse(&["--seed"]).is_err());
+        assert!(parse(&["--seed", "x"]).is_err());
+        assert!(parse(&["--devices", "4"]).is_err());
+    }
+
+    #[test]
+    fn divergent_key_names_the_thread_counts_compared() {
+        let mut failures = Vec::new();
+        let (first, identical) =
+            across_threads("fingerprint", &mut failures, Ok::<_, String>, |&threads| {
+                if threads == 4 { "b" } else { "a" }.to_string()
+            });
+        assert_eq!(first, Some(1));
+        assert!(!identical);
+        assert_eq!(failures, ["fingerprint diverges between 1 and 4 thread(s)"]);
+
+        failures.clear();
+        let (first, identical) =
+            across_threads("fingerprint", &mut failures, Ok::<_, String>, |_| {
+                "same".to_string()
+            });
+        assert_eq!(first, Some(1));
+        assert!(identical);
+        assert!(failures.is_empty());
+    }
+
+    #[test]
+    fn failed_first_run_compares_from_the_next_thread_count() {
+        let mut failures = Vec::new();
+        let (first, identical) = across_threads(
+            "journal",
+            &mut failures,
+            |threads| {
+                if threads == 1 {
+                    Err("boom")
+                } else {
+                    Ok(threads)
+                }
+            },
+            |&threads| threads.to_string(),
+        );
+        assert_eq!(first, Some(2));
+        assert!(!identical);
+        assert_eq!(
+            failures,
+            [
+                "run failed at 1 thread(s): boom",
+                "journal diverges between 2 and 4 thread(s)"
+            ]
+        );
+
+        failures.clear();
+        let (first, identical) = across_threads(
+            "journal",
+            &mut failures,
+            |_| Err::<usize, _>("down"),
+            |_| String::new(),
+        );
+        assert_eq!(first, None);
+        assert!(!identical, "no run compared is not agreement");
+        assert_eq!(failures.len(), 3);
+    }
+
+    #[test]
+    fn probe_passes_only_on_the_expected_exit_code() {
+        let collapse = || FleetError::MembershipCollapse {
+            round: 1,
+            members: 0,
+            min_members: 2,
+        };
+        let expected = collapse().exit_code();
+        let pass = ProbeRecord::expect_exit("p", expected, Err::<(), _>(collapse()), "committed");
+        assert!(pass.pass);
+        assert_eq!(pass.actual_exit_code, Some(expected));
+        assert_eq!(pass.error, collapse().to_string());
+
+        let committed = ProbeRecord::expect_exit("p", expected, Ok(()), "committed");
+        assert!(!committed.pass);
+        assert_eq!(committed.actual_exit_code, None);
+        assert_eq!(committed.error, "committed");
+
+        let wrong = ProbeRecord::expect_exit(
+            "p",
+            expected,
+            Err::<(), _>(FleetError::Config("bad".into())),
+            "committed",
+        );
+        assert!(!wrong.pass);
+        assert!(wrong.error.starts_with("wrong error class: "));
     }
 
     #[test]

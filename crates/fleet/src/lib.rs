@@ -3,10 +3,11 @@
 //!
 //! The paper's deployment story (§I, §VI) is a *fleet*: many devices, each
 //! observing only its own traffic, collaborating on a global NIDS by
-//! sharing synthetic — never raw — records. The pre-fleet simulation in
-//! `kinet_nids` topped out at a hand-rolled 4-device loop that decoded
-//! every shard eagerly and could not emit a class a device had never seen.
-//! This crate is the orchestration subsystem that removes both ceilings:
+//! sharing synthetic — never raw — records. [`FleetSim`] runs one such
+//! round for a [`FleetConfig`] and returns a [`FleetReport`]; the Table-1
+//! deployment (4 devices × 500 rows, raw vs synthetic vs local-only
+//! sharing) is `FleetConfig { n_devices: 4, rows_per_device: 500, policy,
+//! ..FleetConfig::default() }`. Beyond that round, the crate provides:
 //!
 //! * **Streaming shards** — device traffic arrives as fixed-size chunks
 //!   ([`kinet_data::stream::ChunkSource`]); a device's decoded working set
@@ -37,9 +38,8 @@
 //!   that abort a round without killing the service, and degraded-mode
 //!   serving — flow batches keep being answered from the last committed
 //!   generation, stamped with their staleness, while in-flight rounds
-//!   abort or fail.
-//!
-//! `kinet_nids` re-hosts its public `DistributedSim` API on this crate.
+//!   abort or fail. A detector scores flow batches through
+//!   [`ServingHandle::answer`], which returns a [`BatchScore`].
 
 pub mod config;
 pub mod error;

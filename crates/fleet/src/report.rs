@@ -626,10 +626,26 @@ mod tests {
         let r = sample_report();
         assert_eq!(r.mean_probe_accuracy(), Some(0.8));
         assert_eq!(r.pool_attack_count(&["port_scan"]), 30);
+        assert_eq!(r.pool_attack_count(&["traffic_flooding"]), 0);
         let s = r.to_string();
         assert!(s.contains("synthetic:KiNETGAN"));
         assert!(s.contains("union["));
         assert!(s.contains("probe=0.800"));
+    }
+
+    #[test]
+    fn display_contains_key_fields() {
+        let mut r = sample_report();
+        r.devices.clear();
+        let s = r.to_string();
+        assert!(s.contains("synthetic:KiNETGAN"));
+        assert!(s.contains("acc=0.800"));
+        assert!(s.contains("kg-valid=0.900"));
+        assert!(s.contains("2048"));
+        assert!(
+            !s.contains("probe="),
+            "no probe summary without device diagnostics: {s}"
+        );
     }
 
     #[test]
@@ -669,6 +685,23 @@ mod tests {
         r.devices.clear();
         assert_eq!(r.mean_probe_accuracy(), None, "absent, never NaN");
         assert!(!r.to_string().contains("NaN"));
+    }
+
+    #[test]
+    fn probe_mean_and_attack_counts() {
+        let mut r = sample_report();
+        let mut second = r.devices[0].clone();
+        second.device_index = 1;
+        if let Some(diag) = second.diag.as_mut() {
+            diag.probe_accuracy = Some(0.6);
+        }
+        r.devices.push(second);
+        let mean = r.mean_probe_accuracy().unwrap();
+        assert!((mean - 0.7).abs() < 1e-12, "{mean}");
+        assert!(r.to_string().contains("probe=0.700"));
+        // A device without diagnostics does not drag the mean.
+        r.devices[1].diag = None;
+        assert_eq!(r.mean_probe_accuracy(), Some(0.8));
     }
 
     #[test]

@@ -700,11 +700,6 @@ impl ServingHandle {
         self.installed = Some((model, generation, committed_round));
     }
 
-    /// The installed generation, if any.
-    pub fn generation(&self) -> Option<u64> {
-        self.installed.as_ref().map(|(_, g, _)| *g)
-    }
-
     /// The installed model, if any.
     pub fn model(&self) -> Option<&ServingModel> {
         self.installed.as_ref().map(|(m, _, _)| m)
@@ -1155,9 +1150,15 @@ mod tests {
         let mut handle = ServingHandle::empty();
         assert!(handle.answer(&flows, 3).unwrap().is_none());
         handle.install(model, 2, 1);
+        let fresh = handle.answer(&flows, 1).unwrap().unwrap();
+        assert_eq!(fresh.staleness, 0, "same round as the commit");
         let score = handle.answer(&flows, 3).unwrap().unwrap();
         assert_eq!(score.generation, 2);
         assert_eq!(score.staleness, 2);
+        // Scoring is a pure function of (model, batch): the round stamp
+        // never changes the verdict counts.
+        assert_eq!(score.attack_flagged, fresh.attack_flagged);
+        assert_eq!(score.mean_discriminator, fresh.mean_discriminator);
     }
 
     #[test]

@@ -1078,6 +1078,50 @@ mod tests {
     }
 
     #[test]
+    fn raw_sharing_end_to_end() {
+        // The round as the `distributed` bin and `sim_gate` spell it: a
+        // struct literal over `FleetConfig::default()`.
+        let report = FleetSim::new(FleetConfig {
+            n_devices: 2,
+            rows_per_device: 250,
+            test_records: 400,
+            model_epochs: 2,
+            policy: SharingPolicy::Raw,
+            seed: 42,
+            ..FleetConfig::default()
+        })
+        .run()
+        .unwrap();
+        assert_eq!(report.n_devices, 2);
+        assert_eq!(report.rows_per_device, 250);
+        assert!(report.global_accuracy > 0.5, "{report}");
+        assert!(report.bytes_shared > 1000);
+        assert_eq!(report.policy, "raw");
+        assert!(
+            (report.pool_kg_validity - 1.0).abs() < 1e-9,
+            "simulator output satisfies its own KG: {report}"
+        );
+    }
+
+    #[test]
+    fn report_json_roundtrips_through_the_deserializer() {
+        let report = FleetSim::new(FleetConfig::fast(SharingPolicy::Raw))
+            .run()
+            .unwrap();
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        let back: FleetReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            back.deterministic_fingerprint(),
+            report.deterministic_fingerprint()
+        );
+        assert_eq!(back.policy, report.policy);
+        assert_eq!(back.global_accuracy, report.global_accuracy);
+        assert_eq!(back.pool_class_counts, report.pool_class_counts);
+        assert_eq!(back.bytes_shared, report.bytes_shared);
+        assert_eq!(back.devices.len(), report.devices.len());
+    }
+
+    #[test]
     fn local_only_shares_nothing() {
         let report = FleetSim::new(FleetConfig::fast(SharingPolicy::LocalOnly))
             .run()
@@ -1090,6 +1134,74 @@ mod tests {
             report.fault.devices_reported, 2,
             "local evals count as reports"
         );
+    }
+
+    #[test]
+    fn synthetic_sharing_with_kinetgan() {
+        // The headline Table-1 scenario: 4 devices × 500 records under the
+        // small-shard schedule. The floors are deliberately demanding —
+        // an undertrained generator emits label noise (acc ≈0.24 before
+        // the condition-balanced trainer landed) and these assertions are
+        // exactly what caught it.
+        let report = FleetSim::new(FleetConfig {
+            n_devices: 4,
+            rows_per_device: 500,
+            test_records: 800,
+            model_epochs: 60,
+            policy: SharingPolicy::Synthetic(ModelKind::KinetGan),
+            seed: 42,
+            ..FleetConfig::default()
+        })
+        .run()
+        .unwrap();
+        assert!(report.policy.contains("KiNETGAN"));
+        assert!(
+            report.bytes_shared > 1000,
+            "synthetic rows still ship bytes"
+        );
+        assert!(
+            report.mean_device_prep_ms > 0.0,
+            "training takes measurable time"
+        );
+        // Quality floor: synthetic sharing must be useful, not merely
+        // above the ~1/18 random-guess accuracy of the lab event mix.
+        assert!(report.global_accuracy >= 0.5, "{report}");
+        // Attack-recall floor: fails on class collapse even when benign
+        // accuracy alone would clear the accuracy floor.
+        assert!(
+            report.attack_recall > 0.0,
+            "detector must flag at least some attacks: {report}"
+        );
+        assert!(
+            report.pool_attack_count(&LabSimulator::attack_events()) > 0,
+            "pooled synthetic data must contain attack-class rows: {:?}",
+            report.pool_class_counts
+        );
+        // The KG rejection resampler keeps the pool semantically coherent.
+        assert!(
+            report.pool_kg_validity > 0.5,
+            "pooled synthetic data mostly satisfies the KG: {report}"
+        );
+        // Every device ships training diagnostics with a probe accuracy.
+        let diags: Vec<_> = report
+            .devices
+            .iter()
+            .filter_map(|d| d.diag.as_ref())
+            .collect();
+        assert_eq!(diags.len(), 4);
+        assert!(diags
+            .iter()
+            .all(|d| d.probe_accuracy.is_some() && d.epochs == 60));
+        let probe = report.mean_probe_accuracy().unwrap();
+        assert!(probe > 0.5, "per-device probe accuracy {probe}: {report}");
+    }
+
+    #[test]
+    fn device_count_respected() {
+        let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
+        cfg.n_devices = 5; // cycles device identities
+        let report = FleetSim::new(cfg).run().unwrap();
+        assert_eq!(report.n_devices, 5);
     }
 
     #[test]

@@ -723,7 +723,7 @@ mod tests {
     #[test]
     fn thread_knob_containment() {
         let src = "fn f() -> usize { std::env::var(\"KINET_THREADS\"); num_threads() }\n";
-        assert_eq!(scan("crates/nids/src/lib.rs", src).len(), 2);
+        assert_eq!(scan("crates/eval/src/lib.rs", src).len(), 2);
         assert!(
             scan("crates/tensor/src/pool.rs", src).is_empty(),
             "owner module"
@@ -733,11 +733,11 @@ mod tests {
             "owner module"
         );
         assert!(
-            scan("crates/nids/tests/t.rs", src).is_empty(),
+            scan("crates/eval/tests/t.rs", src).is_empty(),
             "tests exempt"
         );
         // Comments never fire.
-        assert!(scan("crates/nids/src/lib.rs", "// KINET_THREADS num_threads\n").is_empty());
+        assert!(scan("crates/eval/src/lib.rs", "// KINET_THREADS num_threads\n").is_empty());
     }
 
     #[test]

@@ -19,7 +19,7 @@ struct ParamInner {
 ///
 /// Parameters are intentionally *not* `Send`; training in this workspace is
 /// single-threaded per model, and cross-thread parallelism happens at the
-/// level of whole models (see `kinet-nids`).
+/// level of whole models (see `kinet_fleet::schedule`).
 ///
 /// ```
 /// use kinet_nn::Param;

@@ -6,7 +6,7 @@
 //! cargo run --release --example distributed_sharing
 //! ```
 
-use kinet_nids::{DistributedConfig, DistributedSim, ModelKind, SharingPolicy};
+use kinet_fleet::{FleetConfig, FleetSim, ModelKind, SharingPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("distributed NIDS: 4 devices, one aggregator\n");
@@ -15,13 +15,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SharingPolicy::Synthetic(ModelKind::KinetGan),
         SharingPolicy::LocalOnly,
     ] {
-        let sim = DistributedSim::new(DistributedConfig {
+        let sim = FleetSim::new(FleetConfig {
             n_devices: 4,
-            records_per_device: 500,
+            rows_per_device: 500,
             test_records: 800,
             policy,
             seed: 11,
-            ..DistributedConfig::default()
+            ..FleetConfig::default()
         });
         let report = sim.run().map_err(std::io::Error::other)?;
         println!("{report}");

@@ -11,7 +11,6 @@ pub use kinet_datasets as datasets;
 pub use kinet_eval as eval;
 pub use kinet_fleet as fleet;
 pub use kinet_kg as kg;
-pub use kinet_nids as nids;
 pub use kinet_nn as nn;
 pub use kinet_obs as obs;
 pub use kinet_tensor as tensor;

@@ -1,7 +1,7 @@
 //! Integration test of the distributed NIDS simulation across all three
 //! sharing policies.
 
-use kinet_nids::{DistributedConfig, DistributedSim, ModelKind, SharingPolicy};
+use kinet_fleet::{FleetConfig, FleetSim, ModelKind, SharingPolicy};
 
 #[test]
 fn all_policies_complete_and_report_sane_metrics() {
@@ -11,9 +11,7 @@ fn all_policies_complete_and_report_sane_metrics() {
         SharingPolicy::Synthetic(ModelKind::KinetGan),
         SharingPolicy::LocalOnly,
     ] {
-        let report = DistributedSim::new(DistributedConfig::fast(policy))
-            .run()
-            .unwrap();
+        let report = FleetSim::new(FleetConfig::fast(policy)).run().unwrap();
         assert!((0.0..=1.0).contains(&report.global_accuracy), "{report}");
         assert!((0.0..=1.0).contains(&report.attack_recall), "{report}");
         assert!(report.total_wall_ms > 0.0);
@@ -31,23 +29,25 @@ fn all_policies_complete_and_report_sane_metrics() {
 fn raw_sharing_beats_local_only_on_global_detection() {
     // Pooling data across devices should give the global detector an edge
     // over isolated local detectors facing the full event mix.
-    let raw = DistributedSim::new(DistributedConfig {
+    let raw = FleetSim::new(FleetConfig {
         n_devices: 3,
-        records_per_device: 400,
+        rows_per_device: 400,
         test_records: 600,
         policy: SharingPolicy::Raw,
         model_epochs: 2,
         seed: 5,
+        ..FleetConfig::default()
     })
     .run()
     .unwrap();
-    let local = DistributedSim::new(DistributedConfig {
+    let local = FleetSim::new(FleetConfig {
         n_devices: 3,
-        records_per_device: 400,
+        rows_per_device: 400,
         test_records: 600,
         policy: SharingPolicy::LocalOnly,
         model_epochs: 2,
         seed: 5,
+        ..FleetConfig::default()
     })
     .run()
     .unwrap();
