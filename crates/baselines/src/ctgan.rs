@@ -170,20 +170,24 @@ impl TabularSynthesizer for CtGan {
                 let rows: Vec<usize> = conds.iter().map(|s| s.row).collect();
                 let real = encoded.select_rows(&rows);
 
-                // discriminator step
+                // discriminator step (the fake batch enters detached)
                 {
+                    let fake = {
+                        let gen_tape = Tape::no_grad();
+                        let (fake, _) = self.gen_forward(
+                            &fitted.nets,
+                            &gen_tape,
+                            &c,
+                            &fitted.transformer.head_layout(),
+                            true,
+                            &mut rng,
+                        );
+                        fake.value()
+                    };
                     let tape = Tape::new();
-                    let (fake, _) = self.gen_forward(
-                        &fitted.nets,
-                        &tape,
-                        &c,
-                        &fitted.transformer.head_layout(),
-                        true,
-                        &mut rng,
-                    );
                     let real_in = tape.constant(Matrix::hstack(&[&real, &c]));
                     let d_real = fitted.nets.disc.forward(&tape, real_in, true, &mut rng);
-                    let fake_in = Var::concat_cols(&[fake, tape.constant(c.clone())]);
+                    let fake_in = tape.constant(Matrix::hstack(&[&fake, &c]));
                     let d_fake = fitted.nets.disc.forward(&tape, fake_in, true, &mut rng);
                     let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
                     tape.backward(loss);
@@ -192,7 +196,6 @@ impl TabularSynthesizer for CtGan {
                     }
                     d_opt.step();
                     d_opt.zero_grad();
-                    g_opt.zero_grad();
                 }
                 // generator step
                 {
@@ -270,7 +273,7 @@ impl TabularSynthesizer for CtGan {
                     rng,
                 )?;
                 let c = Matrix::from_fn(want, f.cond_spec.width(), |r, j| conds[r].vector[j]);
-                let tape = Tape::new();
+                let tape = Tape::no_grad();
                 let (fake, _) =
                     self.gen_forward(&f.nets, &tape, &c, &f.transformer.head_layout(), false, rng);
                 f.transformer

@@ -196,11 +196,16 @@ impl TabularSynthesizer for OctGan {
                     .map(|_| rng.random_range(0..table.n_rows()))
                     .collect();
                 let real = encoded.select_rows(&idx);
-                // discriminator
+                // discriminator (the fake batch enters detached)
                 {
-                    let tape = Tape::new();
                     let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake = self.gen_forward(&fitted, &tape, &z, cfg.tau, &mut rng);
+                    let fake = {
+                        let gen_tape = Tape::no_grad();
+                        self.gen_forward(&fitted, &gen_tape, &z, cfg.tau, &mut rng)
+                            .value()
+                    };
+                    let tape = Tape::new();
+                    let fake = tape.constant(fake);
                     let d_real = self.disc_forward(
                         &fitted,
                         &tape,
@@ -216,7 +221,6 @@ impl TabularSynthesizer for OctGan {
                     }
                     d_opt.step();
                     d_opt.zero_grad();
-                    g_opt.zero_grad();
                 }
                 // generator
                 {
@@ -249,7 +253,7 @@ impl TabularSynthesizer for OctGan {
             &mut rng,
             |want, rng| {
                 let z = Matrix::randn(want, self.config.z_dim, 0.0, 1.0, rng);
-                let tape = Tape::new();
+                let tape = Tape::no_grad();
                 let fake = self.gen_forward(f, &tape, &z, self.config.tau, rng);
                 f.transformer
                     .inverse_transform(&fake.value())
@@ -262,7 +266,7 @@ impl TabularSynthesizer for OctGan {
         let f = self.fitted.as_ref()?;
         let encoded = f.transformer.transform_deterministic(table);
         let mut rng = StdRng::seed_from_u64(0);
-        let tape = Tape::new();
+        let tape = Tape::no_grad();
         let s = self
             .disc_forward(f, &tape, tape.constant(encoded), false, &mut rng)
             .value();

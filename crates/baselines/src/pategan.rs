@@ -10,7 +10,7 @@
 
 use crate::common::{apply_heads, fit_transformer, BaselineConfig};
 use kinet_data::synth::{SynthError, TabularSynthesizer};
-use kinet_data::transform::DataTransformer;
+use kinet_data::transform::{DataTransformer, HeadSpec};
 use kinet_data::Table;
 use kinet_nn::layers::{Activation, Mlp, MlpConfig};
 use kinet_nn::optim::{Adam, Optimizer};
@@ -79,6 +79,22 @@ fn laplace(scale: f64, rng: &mut StdRng) -> f64 {
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).max(1e-300).ln()
 }
 
+/// One generator pass from noise `z` on a value-only tape: the encoded fake
+/// batch, with no gradient recorded. The teachers, the student and the
+/// release all consume it as a constant.
+fn generate(
+    gen: &Mlp,
+    z: Matrix,
+    heads: &[HeadSpec],
+    tau: f32,
+    training: bool,
+    rng: &mut StdRng,
+) -> Matrix {
+    let tape = Tape::no_grad();
+    let logits = gen.forward(&tape, tape.constant(z), training, rng);
+    apply_heads(logits, heads, tau, rng).0.value()
+}
+
 impl TabularSynthesizer for PateGan {
     fn name(&self) -> &str {
         "PATEGAN"
@@ -140,25 +156,21 @@ impl TabularSynthesizer for PateGan {
                         .map(|_| part[rng.random_range(0..part.len())])
                         .collect();
                     let real = encoded.select_rows(&idx);
+                    // The fake batch enters the teacher's graph detached.
+                    let fake = generate(&gen, z.clone(), &heads, cfg.tau, true, &mut rng);
                     let tape = Tape::new();
-                    let logits = gen.forward(&tape, tape.constant(z.clone()), true, &mut rng);
-                    let (fake, _) = apply_heads(logits, &heads, cfg.tau, &mut rng);
                     let d_real = teacher.forward(&tape, tape.constant(real), true, &mut rng);
-                    let d_fake = teacher.forward(&tape, fake, true, &mut rng);
+                    let d_fake = teacher.forward(&tape, tape.constant(fake), true, &mut rng);
                     let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 1.0);
                     tape.backward(loss);
                     t_opts[t_idx].step();
                     t_opts[t_idx].zero_grad();
-                    g_params.zero_grad();
                 }
 
                 // --- student: on generated samples with noisy PATE labels ---
                 {
-                    let tape = Tape::new();
                     let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let logits = gen.forward(&tape, tape.constant(z), true, &mut rng);
-                    let (fake, _) = apply_heads(logits, &heads, cfg.tau, &mut rng);
-                    let fake_value = fake.value();
+                    let fake_value = generate(&gen, z, &heads, cfg.tau, true, &mut rng);
                     // PATE vote: each teacher classifies; add Laplace noise
                     let mut votes = vec![0.0f64; cfg.batch_size];
                     for teacher in &teachers {
@@ -177,12 +189,13 @@ impl TabularSynthesizer for PateGan {
                             0.0
                         }
                     });
+                    let tape = Tape::new();
+                    let fake = tape.constant(fake_value);
                     let s_logits = student.forward(&tape, fake, true, &mut rng);
                     let loss = s_logits.bce_with_logits(&target);
                     tape.backward(loss);
                     s_opt.step();
                     s_opt.zero_grad();
-                    g_params.zero_grad();
                 }
 
                 // --- generator: fool the student ---
@@ -223,12 +236,8 @@ impl TabularSynthesizer for PateGan {
             &mut rng,
             |want, rng| {
                 let z = Matrix::randn(want, self.config.z_dim, 0.0, 1.0, rng);
-                let tape = Tape::new();
-                let logits = f.gen.forward(&tape, tape.constant(z), false, rng);
-                let (fake, _) = apply_heads(logits, &heads, self.config.tau, rng);
-                f.transformer
-                    .inverse_transform(&fake.value())
-                    .map_err(Into::into)
+                let fake = generate(&f.gen, z, &heads, self.config.tau, false, rng);
+                f.transformer.inverse_transform(&fake).map_err(Into::into)
             },
         )
     }

@@ -221,11 +221,17 @@ impl TabularSynthesizer for TableGan {
                     c_opt.step();
                     c_opt.zero_grad();
                 }
-                // discriminator step
+                // discriminator step (the fake batch enters detached)
                 {
-                    let tape = Tape::new();
                     let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake = gen.forward(&tape, tape.constant(z), true, &mut rng).tanh();
+                    let fake = {
+                        let gen_tape = Tape::no_grad();
+                        gen.forward(&gen_tape, gen_tape.constant(z), true, &mut rng)
+                            .tanh()
+                            .value()
+                    };
+                    let tape = Tape::new();
+                    let fake = tape.constant(fake);
                     let d_real = disc.forward(&tape, tape.constant(real.clone()), true, &mut rng);
                     let d_fake = disc.forward(&tape, fake, true, &mut rng);
                     let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
@@ -235,7 +241,6 @@ impl TabularSynthesizer for TableGan {
                     }
                     d_opt.step();
                     d_opt.zero_grad();
-                    g_opt.zero_grad();
                 }
                 // generator step: adversarial + information + classification
                 {

@@ -50,7 +50,14 @@ const SERVING_ROWS_PER_SEC_FLOOR: f64 = 20_000.0;
 /// on device 1 (exercises `fleet.retry`) and a NaN-poisoned share from
 /// device 3 (exercises `fleet.quarantine`).
 fn faulted_config(args: &Args) -> FleetConfig {
-    let (rows, epochs) = if args.quick { (220, 2) } else { (400, 8) };
+    // Full scale trains the fleet's default epochs: shorter fits release
+    // shares under the tolerant validity floor and every device is
+    // quarantined.
+    let (rows, epochs) = if args.quick {
+        (220, 2)
+    } else {
+        (400, FleetConfig::default().model_epochs)
+    };
     let mut resilience = ResilienceConfig::tolerant();
     if args.quick {
         // 2-epoch generators emit noise with KG validity under the

@@ -266,18 +266,27 @@ impl KinetGan {
 
                 // ---- discriminator step ----
                 {
+                    // The fake batch enters D's graph detached: the
+                    // generator runs on a value-only tape (same draws,
+                    // same batch-norm updates), so no generator gradient
+                    // is computed only to be thrown away.
+                    let fake = {
+                        let gen_tape = Tape::no_grad();
+                        let out = generator.generate(&gen_tape, &c, cfg.tau, true, &mut rng);
+                        out.output.value()
+                    };
                     let tape = Tape::new();
-                    let fake = generator.generate(&tape, &c, cfg.tau, true, &mut rng);
+                    let fake = tape.constant(fake);
                     let real_node = tape.constant(real_buf.clone());
                     let d_real = d_m.forward(&tape, real_node, &c, true, &mut rng);
-                    let d_fake = d_m.forward(&tape, fake.output, &c, true, &mut rng);
+                    let d_fake = d_m.forward(&tape, fake, &c, true, &mut rng);
                     let mut loss =
                         kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, cfg.real_label);
                     if let (Some(dkg), Some(pipe)) = (&d_kg, kg_pipe.as_mut()) {
                         pipe.fill_positives(&real_idx, &mut pos_buf, &mut rng, 8)?;
                         let kg_pos =
                             dkg.forward(&tape, tape.constant(pos_buf.clone()), true, &mut rng);
-                        let kg_neg = dkg.forward(&tape, fake.output, true, &mut rng);
+                        let kg_neg = dkg.forward(&tape, fake, true, &mut rng);
                         let kg_loss = kinet_nn::loss::gan_discriminator_loss(kg_pos, kg_neg, 1.0);
                         loss = loss.add(kg_loss);
                     }
@@ -296,7 +305,6 @@ impl KinetGan {
                     }
                     d_opt.step();
                     d_opt.zero_grad();
-                    g_opt.zero_grad(); // discard generator grads from this tape
                 }
 
                 // ---- generator step ----
@@ -569,7 +577,7 @@ impl TabularSynthesizer for KinetGan {
                     rng,
                 )?;
                 let c = Matrix::from_fn(want, f.cond_spec.width(), |r, j| conds[r].vector[j]);
-                let tape = Tape::new();
+                let tape = Tape::no_grad();
                 let gen = f.generator.generate(&tape, &c, self.config.tau, false, rng);
                 let mut decoded = f.transformer.inverse_transform(&gen.output.value())?;
                 for _round in 0..self.config.rejection_rounds {
@@ -598,7 +606,7 @@ impl TabularSynthesizer for KinetGan {
                         Matrix::from_fn(invalid_rows.len(), f.cond_spec.width(), |i, j| {
                             retry_conds[i].vector[j]
                         });
-                    let tape = Tape::new();
+                    let tape = Tape::no_grad();
                     let regen = f
                         .generator
                         .generate(&tape, &retry_c, self.config.tau, false, rng);

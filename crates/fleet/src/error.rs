@@ -82,7 +82,8 @@ pub enum FleetError {
         required: usize,
         /// Fleet size.
         n_devices: usize,
-        /// `(device_index, last failure)` for every degraded device.
+        /// `(device_index, last failure)` for every device that did not
+        /// report: degraded, or quarantined (`"quarantined: <reason>"`).
         degraded: Vec<(usize, String)>,
     },
     /// A snapshot could not be encoded, committed, listed, or parsed.

@@ -210,8 +210,9 @@ pub fn validate_share(
 ///
 /// # Errors
 ///
-/// Returns [`FleetError::QuorumLost`] listing every degraded device when
-/// fewer devices reported than the policy requires.
+/// Returns [`FleetError::QuorumLost`] listing every device in `degraded`
+/// (`(device, why it did not report)`: crashed, or quarantined) when fewer
+/// devices reported than the policy requires.
 pub fn check_quorum(
     reported: &[bool],
     degraded: &[(usize, String)],

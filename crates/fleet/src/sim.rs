@@ -910,7 +910,18 @@ impl FleetSim {
             devices.push(report);
         }
 
-        resilience::check_quorum(&reported, &degraded, &cfg.resilience)?;
+        // A lost round names every device that did not report and why:
+        // the degraded ones and the ones whose share was quarantined.
+        let not_reported: Vec<(usize, String)> = degraded
+            .iter()
+            .cloned()
+            .chain(
+                quarantined
+                    .iter()
+                    .map(|(d, why)| (*d, format!("quarantined: {why}"))),
+            )
+            .collect();
+        resilience::check_quorum(&reported, &not_reported, &cfg.resilience)?;
         let devices_reported = reported.iter().filter(|&&r| r).count();
         journal.event(
             "fleet.quorum",
@@ -1319,6 +1330,25 @@ mod tests {
         let err = FleetSim::new(cfg).run().unwrap_err();
         assert_eq!(err.exit_code(), crate::error::EXIT_QUORUM_LOST);
         assert!(err.to_string().contains("quorum lost"), "{err}");
+    }
+
+    #[test]
+    fn quorum_lost_to_quarantine_names_each_device_and_why() {
+        let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
+        cfg.fault = crate::fault::FaultConfig::scripted(vec![
+            DeviceFaultSpec::permanent(0, FaultKind::CrashAcquire),
+            DeviceFaultSpec::permanent(1, FaultKind::PoisonShareNan),
+        ]);
+        cfg.resilience.quorum_frac = 0.5;
+        let err = FleetSim::new(cfg).run().unwrap_err();
+        assert_eq!(err.exit_code(), crate::error::EXIT_QUORUM_LOST);
+        let msg = err.to_string();
+        assert!(msg.contains("0/2 devices reported, 1 required"), "{msg}");
+        assert!(msg.contains("; device 0: "), "the crashed device: {msg}");
+        assert!(
+            msg.contains("; device 1: quarantined: non-finite share"),
+            "the quarantined device and its reason: {msg}"
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! A [`Tape`] records every forward operation as a node; [`Tape::backward`]
 //! walks the nodes in reverse creation order (a valid topological order,
 //! since operands always precede results) and accumulates gradients, finally
-//! writing parameter gradients back into their [`Param`] cells.
+//! writing parameter gradients back into their [`Param`] cells. Only nodes
+//! that depend on a parameter carry a gradient; a [`Tape::no_grad`] tape
+//! records values alone.
 //!
 //! Tapes are intended to be short-lived: build one per training step, run
 //! `backward`, drop it.
@@ -50,9 +52,56 @@ enum Op {
     Mse(usize, Rc<Matrix>),
 }
 
+impl Op {
+    /// The requires-grad rule: a node with this op requires grad when it
+    /// is a parameter or one of its operands requires grad.
+    fn requires_grad(&self, nodes: &[Node]) -> bool {
+        let rg = |i: &usize| nodes[*i].grad.is_some();
+        match self {
+            Op::Leaf => false,
+            Op::Param(_) => true,
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::Matmul(a, b)
+            | Op::AddRow(a, b)
+            | Op::SubRow(a, b)
+            | Op::MulRow(a, b)
+            | Op::DivRow(a, b) => rg(a) || rg(b),
+            Op::Neg(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::AddConst(a)
+            | Op::MulConst(a, _)
+            | Op::MeanRows(a)
+            | Op::Sum(a)
+            | Op::Mean(a)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Sqrt(a)
+            | Op::Softmax(a)
+            | Op::SliceCols(a, _, _)
+            | Op::Reshape(a)
+            | Op::BceWithLogits(a, _)
+            | Op::SoftmaxCrossEntropy(a, _)
+            | Op::Mse(a, _) => rg(a),
+            Op::ConcatCols(parents) => parents.iter().any(rg),
+        }
+    }
+}
+
 struct Node {
     value: Matrix,
-    grad: Matrix,
+    /// The gradient buffer, present exactly when the node requires grad:
+    /// it is a parameter, or one of its operands requires grad. Constants
+    /// and everything computed only from constants carry `None`, so the
+    /// reverse pass neither allocates nor fills gradients for them.
+    grad: Option<Matrix>,
     op: Op,
 }
 
@@ -60,9 +109,16 @@ struct Node {
 /// differentiation.
 ///
 /// See the [crate-level docs](crate) for an end-to-end example.
-#[derive(Default)]
 pub struct Tape {
     nodes: RefCell<Vec<Node>>,
+    /// `false` on a [`Tape::no_grad`] tape: parameters enter as constants.
+    grad_enabled: bool,
+}
+
+impl Default for Tape {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// A handle to a node on a [`Tape`].
@@ -78,9 +134,26 @@ pub struct Var<'t> {
 }
 
 impl Tape {
-    /// Creates an empty tape.
+    /// Creates an empty tape that records gradients for every parameter
+    /// registered on it.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            nodes: RefCell::default(),
+            grad_enabled: true,
+        }
+    }
+
+    /// Creates an empty value-only tape: parameters enter without
+    /// gradients, so no node requires grad and [`Tape::backward`] is a
+    /// no-op. Every forward value is computed by the same code as on a
+    /// [`Tape::new`] tape, so outputs are bit-identical — the tape for a
+    /// forward pass whose gradients would be thrown away (a discriminator
+    /// step's generator batch, sampling).
+    pub fn no_grad() -> Self {
+        Self {
+            nodes: RefCell::default(),
+            grad_enabled: false,
+        }
     }
 
     /// Number of recorded nodes.
@@ -95,7 +168,9 @@ impl Tape {
 
     fn push(&self, value: Matrix, op: Op) -> usize {
         let mut nodes = self.nodes.borrow_mut();
-        let grad = Matrix::zeros(value.rows(), value.cols());
+        let grad = op
+            .requires_grad(&nodes)
+            .then(|| Matrix::zeros(value.rows(), value.cols()));
         nodes.push(Node { value, grad, op });
         nodes.len() - 1
     }
@@ -125,23 +200,31 @@ impl Tape {
     }
 
     /// Registers a trainable parameter; its gradient is filled in by
-    /// [`Tape::backward`].
+    /// [`Tape::backward`]. On a [`Tape::no_grad`] tape the parameter's
+    /// current value enters as a constant.
     pub fn param(&self, p: &Param) -> Var<'_> {
+        let op = if self.grad_enabled {
+            Op::Param(p.clone())
+        } else {
+            Op::Leaf
+        };
         Var {
             tape: self,
-            idx: self.push(p.value(), Op::Param(p.clone())),
+            idx: self.push(p.value(), op),
         }
     }
 
     /// Runs the reverse pass from `loss`, which must be a `1 × 1` scalar
     /// node, accumulating gradients into every [`Param`] on the tape.
     ///
-    /// The pass is allocation-free: every node's gradient buffer was
-    /// preallocated when the node was pushed, and each rule accumulates
-    /// directly into the parents' buffers through fused in-place kernels
-    /// (`add_assign`/`add_assign_zip_map`/`matmul_*_acc`) instead of the
-    /// old clone-then-`add_assign_scaled(…, 1.0)` pattern. Summation order
-    /// per element is unchanged, so fixed-seed trajectories are preserved.
+    /// The pass is allocation-free: every gradient buffer was preallocated
+    /// when its node was pushed, and each rule accumulates directly into
+    /// the parents' buffers through fused in-place kernels
+    /// (`add_assign`/`add_assign_zip_map`/`matmul_*_acc`). Nodes that do
+    /// not require grad are skipped and never accumulated into, so no
+    /// gradient is computed for an input no parameter depends on. Summation
+    /// order per element is unchanged, so fixed-seed trajectories are
+    /// preserved.
     ///
     /// # Panics
     ///
@@ -155,85 +238,92 @@ impl Tape {
                 (1, 1),
                 "backward target must be a 1x1 scalar"
             );
-            l.grad.as_mut_slice().fill(1.0);
+            match l.grad.as_mut() {
+                Some(g) => g.as_mut_slice().fill(1.0),
+                None => return,
+            }
         }
         for i in (0..nodes.len()).rev() {
             // Operands always precede results, so `head` holds every parent
             // of `node` and the borrows are disjoint.
             let (head, tail) = nodes.split_at_mut(i);
             let node = &tail[0];
-            if node.grad.as_slice().iter().all(|&v| v == 0.0) {
+            let Some(g) = &node.grad else {
+                continue;
+            };
+            if g.as_slice().iter().all(|&v| v == 0.0) {
                 continue;
             }
-            let g = &node.grad;
             let out = &node.value;
             match &node.op {
                 Op::Leaf => {}
                 Op::Param(p) => p.accumulate_grad(g),
                 Op::Add(a, b) => {
-                    head[*a].grad.add_assign(g);
-                    head[*b].grad.add_assign(g);
+                    acc(head, *a, |ga| ga.add_assign(g));
+                    acc(head, *b, |gb| gb.add_assign(g));
                 }
                 Op::Sub(a, b) => {
-                    head[*a].grad.add_assign(g);
-                    head[*b].grad.add_assign_scaled(g, -1.0);
+                    acc(head, *a, |ga| ga.add_assign(g));
+                    acc(head, *b, |gb| gb.add_assign_scaled(g, -1.0));
                 }
                 Op::Mul(a, b) => {
-                    let (ga, vb) = grad_value_mut(head, *a, *b);
-                    ga.add_assign_zip_map(g, vb, |gi, vi| gi * vi);
-                    let (gb, va) = grad_value_mut(head, *b, *a);
-                    gb.add_assign_zip_map(g, va, |gi, vi| gi * vi);
+                    acc_with(head, *a, *b, |ga, vb| {
+                        ga.add_assign_zip_map(g, vb, |gi, vi| gi * vi)
+                    });
+                    acc_with(head, *b, *a, |gb, va| {
+                        gb.add_assign_zip_map(g, va, |gi, vi| gi * vi)
+                    });
                 }
                 Op::Div(a, b) => {
-                    let (ga, vb) = grad_value_mut(head, *a, *b);
-                    ga.add_assign_zip_map(g, vb, |gi, vi| gi / vi);
-                    let (gb, vb) = grad_value_mut(head, *b, *b);
-                    gb.add_assign_zip3_map(g, out, vb, |gi, oi, vi| -((gi * oi) / vi));
+                    acc_with(head, *a, *b, |ga, vb| {
+                        ga.add_assign_zip_map(g, vb, |gi, vi| gi / vi)
+                    });
+                    acc_with(head, *b, *b, |gb, vb| {
+                        gb.add_assign_zip3_map(g, out, vb, |gi, oi, vi| -((gi * oi) / vi))
+                    });
                 }
-                Op::Neg(a) => head[*a].grad.add_assign_scaled(g, -1.0),
+                Op::Neg(a) => acc(head, *a, |ga| ga.add_assign_scaled(g, -1.0)),
                 Op::Matmul(a, b) => {
-                    let (ga, vb) = grad_value_mut(head, *a, *b);
-                    ga.matmul_nt_acc(g, vb);
-                    let (gb, va) = grad_value_mut(head, *b, *a);
-                    gb.matmul_tn_acc(va, g);
+                    acc_with(head, *a, *b, |ga, vb| ga.matmul_nt_acc(g, vb));
+                    acc_with(head, *b, *a, |gb, va| gb.matmul_tn_acc(va, g));
                 }
-                Op::Scale(a, s) => head[*a].grad.add_assign_scaled(g, *s),
-                Op::AddScalar(a) => head[*a].grad.add_assign(g),
-                Op::AddConst(a) => head[*a].grad.add_assign(g),
+                Op::Scale(a, s) => acc(head, *a, |ga| ga.add_assign_scaled(g, *s)),
+                Op::AddScalar(a) | Op::AddConst(a) => acc(head, *a, |ga| ga.add_assign(g)),
                 Op::MulConst(a, c) => {
-                    head[*a].grad.add_assign_zip_map(g, c, |gi, ci| gi * ci);
+                    acc(head, *a, |ga| ga.add_assign_zip_map(g, c, |gi, ci| gi * ci));
                 }
                 Op::AddRow(a, r) => {
-                    head[*a].grad.add_assign(g);
-                    acc_col_sums(&mut head[*r].grad, g, 1.0);
+                    acc(head, *a, |ga| ga.add_assign(g));
+                    acc(head, *r, |gr| acc_col_sums(gr, g, 1.0));
                 }
                 Op::SubRow(a, r) => {
-                    head[*a].grad.add_assign(g);
-                    acc_col_sums(&mut head[*r].grad, g, -1.0);
+                    acc(head, *a, |ga| ga.add_assign(g));
+                    acc(head, *r, |gr| acc_col_sums(gr, g, -1.0));
                 }
                 Op::MulRow(a, r) => {
-                    let (ga, vr) = grad_value_mut(head, *a, *r);
-                    acc_row_broadcast(ga, g, vr, |gi, ri| gi * ri);
-                    let (gr, va) = grad_value_mut(head, *r, *a);
-                    acc_col_sums_prod(gr, g, va, 1.0);
+                    acc_with(head, *a, *r, |ga, vr| {
+                        acc_row_broadcast(ga, g, vr, |gi, ri| gi * ri)
+                    });
+                    acc_with(head, *r, *a, |gr, va| acc_col_sums_prod(gr, g, va, 1.0));
                 }
                 Op::DivRow(a, r) => {
-                    let (ga, vr) = grad_value_mut(head, *a, *r);
-                    acc_row_broadcast(ga, g, vr, |gi, ri| gi / ri);
-                    let (gr, vr) = grad_value_mut(head, *r, *r);
-                    // d/dr = -Σ_rows (g ⊙ out) / r, column-wise.
-                    for c in 0..g.cols() {
-                        let rv = vr.as_slice()[c];
-                        let mut sum = 0.0f32;
-                        for row in 0..g.rows() {
-                            let idx = row * g.cols() + c;
-                            sum += (g.as_slice()[idx] * out.as_slice()[idx]) / rv;
+                    acc_with(head, *a, *r, |ga, vr| {
+                        acc_row_broadcast(ga, g, vr, |gi, ri| gi / ri)
+                    });
+                    acc_with(head, *r, *r, |gr, vr| {
+                        // d/dr = -Σ_rows (g ⊙ out) / r, column-wise.
+                        for c in 0..g.cols() {
+                            let rv = vr.as_slice()[c];
+                            let mut sum = 0.0f32;
+                            for row in 0..g.rows() {
+                                let idx = row * g.cols() + c;
+                                sum += (g.as_slice()[idx] * out.as_slice()[idx]) / rv;
+                            }
+                            gr.as_mut_slice()[c] += -sum;
                         }
-                        gr.as_mut_slice()[c] += -sum;
-                    }
+                    });
                 }
-                Op::MeanRows(a) => {
-                    let ga = &mut head[*a].grad;
+                Op::MeanRows(a) => acc(head, *a, |ga| {
                     let inv = 1.0 / ga.rows() as f32;
                     let gs = g.as_slice();
                     for r in 0..ga.rows() {
@@ -241,53 +331,48 @@ impl Tape {
                             *o += gv * inv;
                         }
                     }
-                }
-                Op::Sum(a) => {
+                }),
+                Op::Sum(a) => acc(head, *a, |ga| {
                     let gv = g[(0, 0)];
-                    for o in head[*a].grad.as_mut_slice() {
+                    for o in ga.as_mut_slice() {
                         *o += gv;
                     }
-                }
-                Op::Mean(a) => {
-                    let ga = &mut head[*a].grad;
+                }),
+                Op::Mean(a) => acc(head, *a, |ga| {
                     let gv = g[(0, 0)] / ga.len() as f32;
                     for o in ga.as_mut_slice() {
                         *o += gv;
                     }
-                }
-                Op::Relu(a) => {
-                    let (ga, va) = grad_value_mut(head, *a, *a);
-                    ga.add_assign_zip_map(g, va, |gi, vi| if vi > 0.0 { gi } else { 0.0 });
-                }
+                }),
+                Op::Relu(a) => acc_with(head, *a, *a, |ga, va| {
+                    ga.add_assign_zip_map(g, va, |gi, vi| if vi > 0.0 { gi } else { 0.0 })
+                }),
                 Op::LeakyRelu(a, alpha) => {
                     let alpha = *alpha;
-                    let (ga, va) = grad_value_mut(head, *a, *a);
-                    ga.add_assign_zip_map(g, va, |gi, vi| if vi > 0.0 { gi } else { gi * alpha });
+                    acc_with(head, *a, *a, |ga, va| {
+                        ga.add_assign_zip_map(
+                            g,
+                            va,
+                            |gi, vi| if vi > 0.0 { gi } else { gi * alpha },
+                        )
+                    });
                 }
-                Op::Tanh(a) => {
-                    head[*a]
-                        .grad
-                        .add_assign_zip_map(g, out, |gi, oi| gi * (1.0 - oi * oi));
-                }
-                Op::Sigmoid(a) => {
-                    head[*a]
-                        .grad
-                        .add_assign_zip_map(g, out, |gi, oi| gi * oi * (1.0 - oi));
-                }
-                Op::Exp(a) => {
-                    head[*a].grad.add_assign_zip_map(g, out, |gi, oi| gi * oi);
-                }
-                Op::Ln(a) => {
-                    let (ga, va) = grad_value_mut(head, *a, *a);
-                    ga.add_assign_zip_map(g, va, |gi, vi| gi / vi.max(LN_EPS));
-                }
-                Op::Sqrt(a) => {
-                    head[*a]
-                        .grad
-                        .add_assign_zip_map(g, out, |gi, oi| gi * 0.5 / oi.max(1e-6));
-                }
-                Op::Softmax(a) => {
-                    let ga = &mut head[*a].grad;
+                Op::Tanh(a) => acc(head, *a, |ga| {
+                    ga.add_assign_zip_map(g, out, |gi, oi| gi * (1.0 - oi * oi))
+                }),
+                Op::Sigmoid(a) => acc(head, *a, |ga| {
+                    ga.add_assign_zip_map(g, out, |gi, oi| gi * oi * (1.0 - oi))
+                }),
+                Op::Exp(a) => acc(head, *a, |ga| {
+                    ga.add_assign_zip_map(g, out, |gi, oi| gi * oi)
+                }),
+                Op::Ln(a) => acc_with(head, *a, *a, |ga, va| {
+                    ga.add_assign_zip_map(g, va, |gi, vi| gi / vi.max(LN_EPS))
+                }),
+                Op::Sqrt(a) => acc(head, *a, |ga| {
+                    ga.add_assign_zip_map(g, out, |gi, oi| gi * 0.5 / oi.max(1e-6))
+                }),
+                Op::Softmax(a) => acc(head, *a, |ga| {
                     for r in 0..out.rows() {
                         let orow = out.row(r);
                         let grow = g.row(r);
@@ -296,81 +381,95 @@ impl Tape {
                             *o += orow[c] * (grow[c] - dot);
                         }
                     }
-                }
+                }),
                 Op::ConcatCols(parents) => {
                     let mut offset = 0;
                     for &p in parents.iter() {
-                        let w = head[p].value.cols();
-                        let pg = &mut head[p].grad;
-                        for r in 0..pg.rows() {
-                            let gsrc = &g.row(r)[offset..offset + w];
-                            for (o, &gv) in pg.row_mut(r).iter_mut().zip(gsrc) {
-                                *o += gv;
+                        acc_with(head, p, p, |pg, pv| {
+                            let w = pv.cols();
+                            for r in 0..pg.rows() {
+                                let gsrc = &g.row(r)[offset..offset + w];
+                                for (o, &gv) in pg.row_mut(r).iter_mut().zip(gsrc) {
+                                    *o += gv;
+                                }
                             }
-                        }
-                        offset += w;
+                        });
+                        offset += head[p].value.cols();
                     }
                 }
-                Op::SliceCols(a, start, end) => {
-                    let ga = &mut head[*a].grad;
+                Op::SliceCols(a, start, end) => acc(head, *a, |ga| {
                     for r in 0..ga.rows() {
                         let dst = &mut ga.row_mut(r)[*start..*end];
                         for (o, &gv) in dst.iter_mut().zip(g.row(r)) {
                             *o += gv;
                         }
                     }
-                }
-                Op::Reshape(a) => {
+                }),
+                Op::Reshape(a) => acc(head, *a, |ga| {
                     // Same element order, different shape: accumulate
                     // buffer-to-buffer.
-                    let ga = &mut head[*a].grad;
                     for (o, &gv) in ga.as_mut_slice().iter_mut().zip(g.as_slice()) {
                         *o += gv;
                     }
-                }
+                }),
                 Op::BceWithLogits(a, target) => {
                     let gv = g[(0, 0)];
-                    let (ga, va) = grad_value_mut(head, *a, *a);
-                    let n = va.len() as f32;
-                    ga.add_assign_zip_map(va, target, |x, t| (sigmoid_scalar(x) - t) * gv / n);
+                    acc_with(head, *a, *a, |ga, va| {
+                        let n = va.len() as f32;
+                        ga.add_assign_zip_map(va, target, |x, t| (sigmoid_scalar(x) - t) * gv / n)
+                    });
                 }
                 Op::SoftmaxCrossEntropy(a, target) => {
                     let gv = g[(0, 0)];
-                    let (ga, va) = grad_value_mut(head, *a, *a);
-                    let n = va.rows() as f32;
-                    for r in 0..va.rows() {
-                        let varow = va.row(r);
-                        let (max, sum) = softmax_row_max_sum(varow);
-                        let trow = target.row(r);
-                        for (c, o) in ga.row_mut(r).iter_mut().enumerate() {
-                            let p = (varow[c] - max).exp() / sum;
-                            *o += (p - trow[c]) * gv / n;
+                    acc_with(head, *a, *a, |ga, va| {
+                        let n = va.rows() as f32;
+                        for r in 0..va.rows() {
+                            let varow = va.row(r);
+                            let (max, sum) = softmax_row_max_sum(varow);
+                            let trow = target.row(r);
+                            for (c, o) in ga.row_mut(r).iter_mut().enumerate() {
+                                let p = (varow[c] - max).exp() / sum;
+                                *o += (p - trow[c]) * gv / n;
+                            }
                         }
-                    }
+                    });
                 }
                 Op::Mse(a, target) => {
                     let gv = g[(0, 0)];
-                    let (ga, va) = grad_value_mut(head, *a, *a);
-                    let n = va.len() as f32;
-                    ga.add_assign_zip_map(va, target, |x, t| 2.0 * (x - t) * gv / n);
+                    acc_with(head, *a, *a, |ga, va| {
+                        let n = va.len() as f32;
+                        ga.add_assign_zip_map(va, target, |x, t| 2.0 * (x - t) * gv / n)
+                    });
                 }
             }
         }
     }
 }
 
-/// Disjoint borrows of `nodes[gi].grad` (mutable) and `nodes[vi].value`
-/// (shared); `gi == vi` is legal because the fields are distinct.
-fn grad_value_mut(nodes: &mut [Node], gi: usize, vi: usize) -> (&mut Matrix, &Matrix) {
-    if gi == vi {
+/// Runs `f` on `nodes[i]`'s gradient buffer; a no-op when that node does
+/// not require grad.
+fn acc(nodes: &mut [Node], i: usize, f: impl FnOnce(&mut Matrix)) {
+    if let Some(grad) = nodes.get_mut(i).and_then(|n| n.grad.as_mut()) {
+        f(grad);
+    }
+}
+
+/// Runs `f` on `nodes[gi]`'s gradient buffer (mutable) and `nodes[vi]`'s
+/// value (shared); a no-op when `nodes[gi]` does not require grad.
+/// `gi == vi` is legal because the fields are distinct.
+fn acc_with(nodes: &mut [Node], gi: usize, vi: usize, f: impl FnOnce(&mut Matrix, &Matrix)) {
+    let (grad, value) = if gi == vi {
         let Node { grad, value, .. } = &mut nodes[gi];
-        (grad, value)
+        (grad, &*value)
     } else if gi < vi {
         let (l, r) = nodes.split_at_mut(vi);
         (&mut l[gi].grad, &r[0].value)
     } else {
         let (l, r) = nodes.split_at_mut(gi);
         (&mut r[0].grad, &l[vi].value)
+    };
+    if let Some(grad) = grad.as_mut() {
+        f(grad, value);
     }
 }
 
@@ -465,9 +564,15 @@ impl<'t> Var<'t> {
     }
 
     /// Clones this node's accumulated gradient (meaningful after
-    /// [`Tape::backward`]).
-    pub fn grad(&self) -> Matrix {
+    /// [`Tape::backward`]); `None` when the node does not require grad.
+    pub fn grad(&self) -> Option<Matrix> {
         self.tape.nodes.borrow()[self.idx].grad.clone()
+    }
+
+    /// `true` when this node is a parameter or depends on one (on a
+    /// gradient-recording tape).
+    pub fn requires_grad(&self) -> bool {
+        self.tape.nodes.borrow()[self.idx].grad.is_some()
     }
 
     fn unary(self, value: Matrix, op: Op) -> Var<'t> {
@@ -911,8 +1016,71 @@ mod tests {
         let loss = tape.param(&p).mul(c).sum();
         tape.backward(loss);
         assert_eq!(p.grad()[(0, 0)], 10.0);
-        assert_eq!(c.grad()[(0, 0)], 10.0 - 10.0 + 2.0); // constant grad is tracked on-tape…
-                                                         // …but constants have no Param cell, so nothing persists beyond the tape.
+        // A constant requires no grad, so it has no buffer to fill.
+        assert!(!c.requires_grad());
+        assert!(c.grad().is_none());
+    }
+
+    #[test]
+    fn constant_only_nodes_get_no_gradient_buffer() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let pw = Param::new(Matrix::randn(3, 4, 0.0, 0.5, &mut rng));
+        let x = Matrix::randn(5, 3, 0.0, 1.0, &mut rng);
+        let t = Matrix::randn(5, 4, 0.0, 1.0, &mut rng);
+        let loss_value = |backward: bool| -> f32 {
+            let tape = Tape::new();
+            // `xs` is computed from constants only; `h` mixes in the param.
+            let xc = tape.constant(x.clone());
+            let xs = xc.tanh().scale(2.0);
+            let h = Var::concat_cols(&[xs, xc])
+                .slice_cols(0, 3)
+                .matmul(tape.param(&pw));
+            let loss = h.sigmoid().mse(&t);
+            assert!(!xc.requires_grad() && !xs.requires_grad());
+            assert!(h.requires_grad() && loss.requires_grad());
+            if backward {
+                tape.backward(loss);
+                assert!(xc.grad().is_none() && xs.grad().is_none());
+                assert!(h.grad().is_some_and(|g| g.sum() != 0.0));
+            }
+            loss.value()[(0, 0)]
+        };
+        let _ = loss_value(true);
+        let analytic = pw.grad();
+        pw.zero_grad();
+        let max_diff = crate::gradient_check(&pw, || loss_value(false), &analytic, 1e-2);
+        assert!(
+            max_diff < 2e-2,
+            "numeric vs analytic gradient diff {max_diff}"
+        );
+    }
+
+    #[test]
+    fn backward_from_a_constant_loss_is_a_no_op() {
+        let tape = Tape::new();
+        let loss = tape.constant(Matrix::ones(2, 2)).sum();
+        tape.backward(loss);
+        assert!(loss.grad().is_none());
+    }
+
+    #[test]
+    fn no_grad_tape_records_values_but_no_gradients() {
+        let p = Param::new(Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]));
+        let x = Matrix::from_rows(&[&[1.0, 2.0], &[-1.0, 0.5], &[0.0, 1.0]]);
+        let run = |tape: &Tape| -> Matrix {
+            let y = tape.constant(x.clone()).matmul(tape.param(&p)).tanh();
+            let loss = y.mse(&Matrix::zeros(3, 2));
+            tape.backward(loss);
+            y.value()
+        };
+        let no_grad = Tape::no_grad();
+        let value = run(&no_grad);
+        assert_eq!(p.grad(), Matrix::zeros(2, 2), "no-grad tape filled a param");
+        assert_eq!(value, run(&Tape::new()), "values must match a normal tape");
+        assert!(
+            p.grad().sum() != 0.0,
+            "a normal tape still reaches the param"
+        );
     }
 
     #[test]
