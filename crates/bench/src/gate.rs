@@ -288,8 +288,9 @@ pub fn baseline_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benches/baseline")
 }
 
-/// The fresh-summary directory: `KINET_EXPERIMENTS_DIR` or
-/// `target/experiments` at the workspace root.
+/// The experiments directory that [`crate::write_json`] writes to and the
+/// gates read their previous snapshots and fresh bench summaries from:
+/// `KINET_EXPERIMENTS_DIR` or `target/experiments` at the workspace root.
 pub fn fresh_dir() -> PathBuf {
     match std::env::var("KINET_EXPERIMENTS_DIR") {
         Ok(d) => PathBuf::from(d),

@@ -1,9 +1,11 @@
-//! Experiment harness shared by the `table1`/`figure*` binaries and the
-//! Criterion benches: dataset loading, the six-model roster, and runners
-//! for every table and figure in the paper's evaluation (§V).
+//! Experiment harness: what the `paper` binary (`paper [TARGET...]`,
+//! one target per table or figure of the paper's evaluation, §V) needs —
+//! dataset loading and the six-model roster, fitted once per dataset —
+//! plus the gates' shared plumbing ([`gate`], [`write_json`]).
 //!
-//! Scale is controlled by environment variables so the same binaries serve
-//! CI smoke runs and full regenerations:
+//! Scale is controlled by environment variables so the same binary serves
+//! CI smoke runs and full regenerations; an unparsable value, or a zero
+//! row, epoch or probe count, is an error rather than a fallback:
 //!
 //! | variable | default | meaning |
 //! |---|---|---|
@@ -15,7 +17,7 @@
 pub mod gate;
 
 use kinet_baselines::{common::BaselineConfig, CtGan, OctGan, PateGan, TableGan, Tvae};
-use kinet_data::synth::{SynthError, TabularSynthesizer};
+use kinet_data::synth::TabularSynthesizer;
 use kinet_data::Table;
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 use kinet_datasets::unsw::{UnswSimConfig, UnswSimulator};
@@ -51,29 +53,38 @@ impl Default for ExpConfig {
 
 impl ExpConfig {
     /// Reads the scale from the `KINET_EXP_*` environment variables.
-    pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        Self {
-            rows: get("KINET_EXP_ROWS", 2000),
-            epochs: get("KINET_EXP_EPOCHS", 40),
-            seed: get("KINET_EXP_SEED", 7) as u64,
-            probes: get("KINET_EXP_PROBES", 300),
-        }
+    ///
+    /// # Errors
+    ///
+    /// See [`ExpConfig::from_lookup`].
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_lookup(|k| std::env::var_os(k).map(|v| v.to_string_lossy().into_owned()))
     }
 
-    /// A tiny configuration for unit tests of the harness itself.
-    pub fn smoke() -> Self {
-        Self {
-            rows: 250,
-            epochs: 2,
-            seed: 3,
-            probes: 40,
-        }
+    /// Reads the scale through `lookup` (variable name to value); an unset
+    /// variable keeps its default.
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and its value when the value is not an unsigned
+    /// integer, or is zero for `KINET_EXP_ROWS`, `KINET_EXP_EPOCHS` or
+    /// `KINET_EXP_PROBES`.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let get = |k: &str, default: usize, min: usize| match lookup(k) {
+            None => Ok(default),
+            Some(v) => match v.parse::<usize>() {
+                Ok(n) if n >= min => Ok(n),
+                Ok(_) => Err(format!("{k}={v:?}: must be at least {min}")),
+                Err(_) => Err(format!("{k}={v:?}: not an unsigned integer")),
+            },
+        };
+        let d = Self::default();
+        Ok(Self {
+            rows: get("KINET_EXP_ROWS", d.rows, 1)?,
+            epochs: get("KINET_EXP_EPOCHS", d.epochs, 1)?,
+            seed: get("KINET_EXP_SEED", d.seed as usize, 0)? as u64,
+            probes: get("KINET_EXP_PROBES", d.probes, 1)?,
+        })
     }
 }
 
@@ -156,16 +167,6 @@ pub fn model_roster(dataset: Dataset, cfg: &ExpConfig) -> Vec<NamedModel> {
         seed: cfg.seed,
         ..BaselineConfig::default()
     };
-    let kcfg = KinetGanConfig {
-        epochs: cfg.epochs,
-        batch_size: 128,
-        z_dim: 64,
-        gen_hidden: vec![64, 64],
-        disc_hidden: vec![64, 64],
-        max_modes: 6,
-        seed: cfg.seed,
-        ..KinetGanConfig::default()
-    };
     vec![
         NamedModel {
             name: "CTGAN",
@@ -192,32 +193,86 @@ pub fn model_roster(dataset: Dataset, cfg: &ExpConfig) -> Vec<NamedModel> {
         },
         NamedModel {
             name: "KiNETGAN",
-            model: Box::new(KinetGan::new(kcfg, dataset.knowledge_graph())),
+            model: Box::new(KinetGan::new(
+                kinetgan_config(cfg),
+                dataset.knowledge_graph(),
+            )),
         },
     ]
 }
 
-/// Fits a model and samples a release the size of the training set.
-///
-/// # Errors
-///
-/// Propagates training/sampling failures.
-pub fn fit_and_release(
-    named: &mut NamedModel,
-    train: &Table,
-    seed: u64,
-) -> Result<Table, SynthError> {
-    named.model.fit(train)?;
-    named.model.sample(train.n_rows(), seed)
+/// The roster's KiNETGAN schedule at `cfg`'s scale (stock guidance and
+/// balancing modes).
+pub fn kinetgan_config(cfg: &ExpConfig) -> KinetGanConfig {
+    KinetGanConfig {
+        epochs: cfg.epochs,
+        batch_size: 128,
+        z_dim: 64,
+        gen_hidden: vec![64, 64],
+        disc_hidden: vec![64, 64],
+        max_modes: 6,
+        seed: cfg.seed,
+        ..KinetGanConfig::default()
+    }
 }
 
-/// Writes an experiment result as JSON under `target/experiments/`.
+/// A dataset's train/test split and the roster models fitted on its
+/// training half, fitted once ([`fit_roster`]) and sampled per artifact.
+pub struct RosterFits {
+    /// The dataset the roster was fitted on.
+    pub dataset: Dataset,
+    /// Training half of the split (the fitted data).
+    pub train: Table,
+    /// Held-out half of the split.
+    pub test: Table,
+    /// The models whose fit succeeded, in roster order; a failed fit is
+    /// reported on stderr and leaves its model out of every artifact.
+    pub models: Vec<NamedModel>,
+}
+
+/// Loads `dataset` at `cfg`'s scale and fits its [`model_roster`] once.
+pub fn fit_roster(dataset: Dataset, cfg: &ExpConfig) -> RosterFits {
+    let (train, test) = dataset.load(cfg);
+    let models = model_roster(dataset, cfg)
+        .into_iter()
+        .filter_map(|mut named| match named.model.fit(&train) {
+            Ok(()) => Some(named),
+            Err(e) => {
+                eprintln!("{} on {}: training failed: {e}", named.name, dataset.name());
+                None
+            }
+        })
+        .collect();
+    RosterFits {
+        dataset,
+        train,
+        test,
+        models,
+    }
+}
+
+impl RosterFits {
+    /// Each fitted model with its release at `seed`, sized like the
+    /// training set; a failed sample is reported on stderr and skipped.
+    pub fn releases(&self, seed: u64) -> Vec<(&NamedModel, Table)> {
+        let mut releases = Vec::new();
+        for named in &self.models {
+            match named.model.sample(self.train.n_rows(), seed) {
+                Ok(release) => releases.push((named, release)),
+                Err(e) => eprintln!("{}: sampling failed: {e}", named.name),
+            }
+        }
+        releases
+    }
+}
+
+/// Writes an experiment result as JSON under [`gate::fresh_dir`].
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
 pub fn write_json<T: Serialize>(id: &str, value: &T) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/experiments");
+    let dir = gate::fresh_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{id}.json"));
     std::fs::write(&path, serde_json::to_string_pretty(value)?)?;
@@ -238,57 +293,73 @@ pub fn obs_wrapup(gate: &str, journal: &kinet_obs::Recorder) {
     }
 }
 
-/// One row of Table I.
-#[derive(Clone, Debug, Serialize)]
-pub struct FidelityRow {
-    /// Model name.
-    pub model: String,
-    /// Dataset name.
-    pub dataset: String,
-    /// Mean per-column EMD.
-    pub emd: f64,
-    /// Combined L1/L2 distance.
-    pub combined: f64,
-}
-
-/// One bar of Figures 3–4.
-#[derive(Clone, Debug, Serialize)]
-pub struct UtilityRow {
-    /// Training source (model or Baseline).
-    pub source: String,
-    /// Dataset name.
-    pub dataset: String,
-    /// Mean accuracy over the classifier panel.
-    pub mean_accuracy: f64,
-    /// Per-classifier accuracies.
-    pub per_classifier: Vec<(String, f64)>,
-}
-
-/// One bar group of Figures 5–7.
-#[derive(Clone, Debug, Serialize)]
-pub struct PrivacyRow {
-    /// Model name.
-    pub model: String,
-    /// Attack label (e.g. `reid@30`, `attr-inf`, `mi-wb`).
-    pub attack: String,
-    /// Attack accuracy (lower is more private, except where noted).
-    pub accuracy: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A tiny configuration for unit tests of the harness itself.
+    fn smoke() -> ExpConfig {
+        ExpConfig {
+            rows: 250,
+            epochs: 2,
+            seed: 3,
+            probes: 40,
+        }
+    }
 
     #[test]
     fn env_config_defaults() {
         let cfg = ExpConfig::default();
         assert_eq!(cfg.rows, 2000);
         assert_eq!(cfg.epochs, 40);
+        let unset = ExpConfig::from_lookup(|_| None).unwrap();
+        assert_eq!(
+            (unset.rows, unset.epochs, unset.seed, unset.probes),
+            (2000, 40, 7, 300)
+        );
+    }
+
+    #[test]
+    fn env_config_rejects_unparsable_and_zero_values() {
+        let with = |key: &'static str, value: &'static str| {
+            ExpConfig::from_lookup(move |k| (k == key).then(|| value.to_string()))
+        };
+        let cfg = with("KINET_EXP_SEED", "0").unwrap();
+        assert_eq!(cfg.seed, 0);
+        assert_eq!(with("KINET_EXP_ROWS", "250").unwrap().rows, 250);
+        for key in [
+            "KINET_EXP_ROWS",
+            "KINET_EXP_EPOCHS",
+            "KINET_EXP_PROBES",
+            "KINET_EXP_SEED",
+        ] {
+            for bad in ["abc", "-1", "", "2.5"] {
+                let err = with(key, bad).unwrap_err();
+                assert!(
+                    err.contains(key) && err.contains(&format!("{bad:?}")),
+                    "{err}"
+                );
+            }
+        }
+        for key in ["KINET_EXP_ROWS", "KINET_EXP_EPOCHS", "KINET_EXP_PROBES"] {
+            let err = with(key, "0").unwrap_err();
+            assert!(err.contains(key) && err.contains("\"0\""), "{err}");
+        }
+    }
+
+    #[test]
+    fn write_json_writes_under_the_fresh_dir() {
+        let path = write_json("write_json_test", &[1, 2, 3]).unwrap();
+        assert_eq!(path.parent(), Some(gate::fresh_dir().as_path()));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "[\n  1,\n  2,\n  3\n]"
+        );
     }
 
     #[test]
     fn datasets_load_and_split() {
-        let cfg = ExpConfig::smoke();
+        let cfg = smoke();
         for ds in [Dataset::Lab, Dataset::Unsw] {
             let (train, test) = ds.load(&cfg);
             assert!(train.n_rows() > test.n_rows());
@@ -298,18 +369,19 @@ mod tests {
 
     #[test]
     fn roster_has_six_models_ending_with_kinetgan() {
-        let roster = model_roster(Dataset::Lab, &ExpConfig::smoke());
+        let roster = model_roster(Dataset::Lab, &smoke());
         assert_eq!(roster.len(), 6);
         assert_eq!(roster.last().unwrap().name, "KiNETGAN");
     }
 
     #[test]
     fn smoke_fit_and_release() {
-        let cfg = ExpConfig::smoke();
-        let (train, _) = Dataset::Lab.load(&cfg);
-        let mut roster = model_roster(Dataset::Lab, &cfg);
-        // just the first model in smoke mode; the bins cover the rest
-        let release = fit_and_release(&mut roster[0], &train, 1).unwrap();
-        assert_eq!(release.n_rows(), train.n_rows());
+        let fits = fit_roster(Dataset::Lab, &smoke());
+        assert_eq!(fits.models.len(), 6, "every roster model fits");
+        let releases = fits.releases(1);
+        assert_eq!(releases.len(), 6);
+        for (named, release) in &releases {
+            assert_eq!(release.n_rows(), fits.train.n_rows(), "{}", named.name);
+        }
     }
 }

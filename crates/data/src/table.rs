@@ -345,7 +345,9 @@ impl Table {
     }
 
     /// Deterministic shuffled split into `(train, test)` with `test_frac`
-    /// of rows in the test set.
+    /// of rows in the test set. Each side gets at least one row; a table
+    /// of fewer than two rows cannot be split that way and comes back as
+    /// `(the table, an empty table)`.
     ///
     /// # Panics
     ///
@@ -355,10 +357,13 @@ impl Table {
             test_frac > 0.0 && test_frac < 1.0,
             "test_frac must be in (0, 1), got {test_frac}"
         );
+        if self.n_rows() < 2 {
+            return (self.clone(), Table::empty(self.schema.clone()));
+        }
         let mut idx: Vec<usize> = (0..self.n_rows()).collect();
         idx.shuffle(rng);
         let n_test = ((self.n_rows() as f64) * test_frac).round() as usize;
-        let n_test = n_test.clamp(1, self.n_rows().saturating_sub(1));
+        let n_test = n_test.clamp(1, self.n_rows() - 1);
         let (test_idx, train_idx) = idx.split_at(n_test);
         (self.select_rows(train_idx), self.select_rows(test_idx))
     }
@@ -543,6 +548,18 @@ mod tests {
         assert_eq!(te1, te2);
         assert_eq!(tr1.n_rows() + te1.n_rows(), 4);
         assert_eq!(te1.n_rows(), 1);
+    }
+
+    #[test]
+    fn split_of_fewer_than_two_rows_keeps_them_all_for_training() {
+        let t = small_table();
+        for n in [0, 1] {
+            let idx: Vec<usize> = (0..n).collect();
+            let small = t.select_rows(&idx);
+            let (train, test) = small.train_test_split(0.25, &mut StdRng::seed_from_u64(9));
+            assert_eq!(train, small);
+            assert_eq!(test, Table::empty(t.schema().clone()));
+        }
     }
 
     #[test]

@@ -1090,7 +1090,7 @@ mod tests {
 
     #[test]
     fn raw_sharing_end_to_end() {
-        // The round as the `distributed` bin and `sim_gate` spell it: a
+        // The round as `paper distributed` and `sim_gate` spell it: a
         // struct literal over `FleetConfig::default()`.
         let report = FleetSim::new(FleetConfig {
             n_devices: 2,

@@ -82,6 +82,13 @@ fn every_model_samples_deterministically_per_seed() {
         );
         let c = model.sample(32, 12).unwrap();
         assert_ne!(a, c, "{} must vary across seeds", model.name());
+        let again = model.sample(32, 11).unwrap();
+        assert_eq!(
+            a,
+            again,
+            "{} must not carry state from one release into the next",
+            model.name()
+        );
     }
 }
 
