@@ -2,7 +2,7 @@
 
 use kinet_data::synth::SynthError;
 use kinet_data::transform::{DataTransformer, HeadKind, HeadSpec};
-use kinet_nn::layers::gumbel_softmax;
+use kinet_nn::layers::{head_logits, output_heads, OutputHead};
 use kinet_nn::Var;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -18,19 +18,17 @@ pub fn apply_heads<'t>(
     tau: f32,
     rng: &mut impl Rng,
 ) -> (Var<'t>, Vec<Var<'t>>) {
-    let mut activated = Vec::with_capacity(heads.len());
-    let mut slices = Vec::with_capacity(heads.len());
-    let mut offset = 0;
-    for head in heads {
-        let slice = logits.slice_cols(offset, offset + head.width);
-        slices.push(slice);
-        activated.push(match head.kind {
-            HeadKind::Tanh => slice.tanh(),
-            HeadKind::Softmax => gumbel_softmax(slice, tau, rng),
-        });
-        offset += head.width;
-    }
-    (Var::concat_cols(&activated), slices)
+    let layout: Vec<OutputHead> = heads
+        .iter()
+        .map(|h| match h.kind {
+            HeadKind::Tanh => OutputHead::Tanh(h.width),
+            HeadKind::Softmax => OutputHead::GumbelSoftmax(h.width),
+        })
+        .collect();
+    (
+        output_heads(logits, &layout, tau, rng),
+        head_logits(logits, &layout),
+    )
 }
 
 /// Reconstruction loss in encoded space: MSE on tanh (alpha) blocks plus

@@ -104,7 +104,7 @@ impl TabularSynthesizer for Tvae {
                 let logvar = logvar_head.forward(&tape, h);
                 // reparameterization: z = mu + exp(0.5 logvar) * eps
                 let eps = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                let z = mu.add(logvar.scale(0.5).exp().mul_const(&eps));
+                let z = mu.add(logvar.scale(0.5).exp().mul_const(eps));
                 let logits = decoder.forward(&tape, z, true, &mut rng);
                 let recon = reconstruction_loss(logits, &batch, &heads);
                 let kl = gaussian_kl(mu, logvar);

@@ -13,6 +13,7 @@
 use kinet_bench::{fit_roster, kinetgan_config, write_json, Dataset, ExpConfig, RosterFits};
 use kinet_data::sampler::BalanceMode;
 use kinet_data::synth::TabularSynthesizer;
+use kinet_data::DataError;
 use kinet_eval::metrics;
 use kinet_eval::privacy::{
     attribute_inference_attack, membership_inference_attack, reidentification_attack,
@@ -66,8 +67,11 @@ fn main() {
         println!("── {target}");
         let written = match target {
             "table1" => write_json(target, &table1(&[&*lab, &*unsw], cfg.seed ^ 0x11)),
-            "figure3" => write_json(target, &utility(&lab, cfg.seed ^ 0x22)),
-            "figure4" => write_json(target, &utility(&unsw, cfg.seed ^ 0x33)),
+            "figure3" => write_json(target, &utility(&lab, cfg.seed ^ 0x22).unwrap_or_else(fail)),
+            "figure4" => write_json(
+                target,
+                &utility(&unsw, cfg.seed ^ 0x33).unwrap_or_else(fail),
+            ),
             "figure5" => write_json(target, &figure5(&lab, &cfg)),
             "figure6" => write_json(target, &figure6(&lab, &cfg)),
             "figure7" => write_json(target, &figure7(&lab, &cfg)),
@@ -79,6 +83,12 @@ fn main() {
             Err(e) => eprintln!("could not write {target}.json: {e}\n"),
         }
     }
+}
+
+/// Reports an evaluation that cannot run at this scale and exits 1.
+fn fail<T>(e: DataError) -> T {
+    eprintln!("paper: {e}");
+    std::process::exit(1);
 }
 
 /// One row of Table I.
@@ -146,12 +156,11 @@ fn table1(fits: &[&RosterFits], seed: u64) -> Vec<FidelityRow> {
 
 /// Figures 3–4: NIDS accuracy of the classifier panel trained on real
 /// data (the Baseline bar) and on each model's release.
-fn utility(fit: &RosterFits, seed: u64) -> Vec<UtilityRow> {
+fn utility(fit: &RosterFits, seed: u64) -> Result<Vec<UtilityRow>, DataError> {
     let (train, test) = (&fit.train, &fit.test);
     let label = fit.dataset.label_column();
     println!("NIDS accuracy on {}", fit.dataset.name());
-    let baseline =
-        evaluate_tstr("Baseline", train, test, train, label).expect("baseline evaluation");
+    let baseline = evaluate_tstr("Baseline", train, test, train, label)?;
     let mut rows = Vec::new();
     let mut push = |source: &str, mean_accuracy: f64, per_classifier| {
         println!("{source:<10} mean accuracy {mean_accuracy:.3}");
@@ -169,7 +178,7 @@ fn utility(fit: &RosterFits, seed: u64) -> Vec<UtilityRow> {
             Err(e) => eprintln!("{}: evaluation failed: {e}", named.name),
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Figure 5: re-identification attack accuracy at 30/60/90 % attacker

@@ -11,7 +11,7 @@
 //! matching [`DataTransformer::head_layout`].
 
 use kinet_data::transform::{DataTransformer, HeadKind, HeadSpec};
-use kinet_nn::layers::{gumbel_softmax, Linear, ResidualBlock};
+use kinet_nn::layers::{head_logits, output_heads, Linear, OutputHead, ResidualBlock};
 use kinet_nn::{ParamSet, Tape, Var};
 use kinet_tensor::{Matrix, MatrixRandomExt};
 use rand::Rng;
@@ -22,8 +22,20 @@ pub struct GeneratorOutput<'t> {
     /// discriminators or for decoding.
     pub output: Var<'t>,
     /// Pre-activation logits per head, in head order (used by the
-    /// condition-consistency and mask losses).
+    /// condition-consistency and mask losses): column slices of the
+    /// logits node.
     pub head_logits: Vec<Var<'t>>,
+}
+
+/// The `kinet_nn` head layout for an encoded layout.
+fn output_layout(heads: &[HeadSpec]) -> Vec<OutputHead> {
+    heads
+        .iter()
+        .map(|h| match h.kind {
+            HeadKind::Tanh => OutputHead::Tanh(h.width),
+            HeadKind::Softmax => OutputHead::GumbelSoftmax(h.width),
+        })
+        .collect()
 }
 
 /// The KiNETGAN conditional generator network.
@@ -31,6 +43,7 @@ pub struct ConditionalGenerator {
     blocks: Vec<ResidualBlock>,
     output: Linear,
     heads: Vec<HeadSpec>,
+    layout: Vec<OutputHead>,
     z_dim: usize,
     cond_dim: usize,
 }
@@ -56,6 +69,7 @@ impl ConditionalGenerator {
         Self {
             blocks,
             output,
+            layout: output_layout(&heads),
             heads,
             z_dim,
             cond_dim,
@@ -103,23 +117,9 @@ impl ConditionalGenerator {
             h = block.forward(tape, h, training);
         }
         let logits = self.output.forward(tape, h);
-
-        let mut head_logits = Vec::with_capacity(self.heads.len());
-        let mut activated = Vec::with_capacity(self.heads.len());
-        let mut offset = 0;
-        for head in &self.heads {
-            let slice = logits.slice_cols(offset, offset + head.width);
-            head_logits.push(slice);
-            let out = match head.kind {
-                HeadKind::Tanh => slice.tanh(),
-                HeadKind::Softmax => gumbel_softmax(slice, tau, rng),
-            };
-            activated.push(out);
-            offset += head.width;
-        }
         GeneratorOutput {
-            output: Var::concat_cols(&activated),
-            head_logits,
+            output: output_heads(logits, &self.layout, tau, rng),
+            head_logits: head_logits(logits, &self.layout),
         }
     }
 

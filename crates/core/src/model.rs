@@ -309,7 +309,10 @@ impl KinetGan {
 
                 // ---- generator step ----
                 {
-                    let tape = Tape::new();
+                    // D's parameters enter as constants: the gradient flows
+                    // through D into the fake batch, but no D weight
+                    // gradient is computed.
+                    let tape = Tape::frozen(&d_params);
                     let fake = generator.generate(&tape, &c, cfg.tau, true, &mut rng);
                     let d_fake = d_m.forward(&tape, fake.output, &c, true, &mut rng);
                     // Eq. 3: D_C = D_KG + D_M (λ_kg scales the KG term)
@@ -330,7 +333,6 @@ impl KinetGan {
                     }
                     if use_mask {
                         if let Some(pen) = self.mask_penalty(
-                            &tape,
                             &fake.head_logits,
                             &conditions,
                             &cond_spec,
@@ -355,7 +357,6 @@ impl KinetGan {
                     }
                     g_opt.step();
                     g_opt.zero_grad();
-                    d_opt.zero_grad(); // discard discriminator grads
                 }
             }
             report.d_loss.push(d_epoch / steps as f32);
@@ -380,7 +381,6 @@ impl KinetGan {
     /// class. Returns `None` when no mass is constrained.
     fn mask_penalty<'t>(
         &self,
-        tape: &'t Tape,
         head_logits: &[Var<'t>],
         conditions: &[kinet_data::sampler::SampledCondition],
         cond_spec: &ConditionVectorSpec,
@@ -420,13 +420,12 @@ impl KinetGan {
                 }
             }
             let probs = head_logits[head_idx].softmax();
-            let masked = probs.mul_const(&invalid).sum().scale(1.0 / batch as f32);
+            let masked = probs.mul_const(invalid).sum().scale(1.0 / batch as f32);
             penalty = Some(match penalty {
                 Some(p) => p.add(masked),
                 None => masked,
             });
         }
-        let _ = tape;
         if any {
             penalty
         } else {

@@ -21,6 +21,8 @@ pub enum DataError {
     Parse(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
+    /// A table that must hold rows holds none.
+    EmptyTable(String),
 }
 
 impl fmt::Display for DataError {
@@ -30,6 +32,7 @@ impl fmt::Display for DataError {
             DataError::UnknownColumn(c) => write!(f, "unknown column {c:?}"),
             DataError::Parse(m) => write!(f, "parse error: {m}"),
             DataError::Io(e) => write!(f, "io error: {e}"),
+            DataError::EmptyTable(m) => write!(f, "empty table: {m}"),
         }
     }
 }

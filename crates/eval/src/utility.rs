@@ -27,7 +27,9 @@ pub struct UtilityReport {
 ///
 /// # Errors
 ///
-/// Propagates encoding failures ([`DataError`]).
+/// Propagates encoding failures ([`DataError`]); returns
+/// [`DataError::EmptyTable`] when `train` or `test` has no rows (no
+/// classifier can be fitted or scored).
 pub fn evaluate_tstr(
     source_name: &str,
     train: &Table,
@@ -35,6 +37,13 @@ pub fn evaluate_tstr(
     real_reference: &Table,
     label_column: &str,
 ) -> Result<UtilityReport, DataError> {
+    for (split, table) in [("train", train), ("test", test)] {
+        if table.is_empty() {
+            return Err(DataError::EmptyTable(format!(
+                "the {split} split of the {source_name} utility evaluation has no rows"
+            )));
+        }
+    }
     let encoder = MlEncoder::fit(real_reference, label_column)?;
     let (xtr, ytr) = encoder.encode(train)?;
     let (xte, yte) = encoder.encode(test)?;
@@ -173,6 +182,18 @@ mod tests {
             report.mean_accuracy
         );
         assert!(report.mean_macro_f1 > 0.3);
+    }
+
+    #[test]
+    fn empty_split_is_a_typed_error_not_a_panic() {
+        let data = LabSimulator::new(LabSimConfig::small(40, 5))
+            .generate()
+            .unwrap();
+        let empty = data.select_rows(&[]);
+        for (train, test) in [(&data, &empty), (&empty, &data)] {
+            let err = evaluate_tstr("Baseline", train, test, &data, "event").unwrap_err();
+            assert!(matches!(err, DataError::EmptyTable(_)), "{err}");
+        }
     }
 
     #[test]

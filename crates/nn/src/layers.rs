@@ -1,7 +1,7 @@
 //! Neural-network building blocks: linear layers, batch normalization,
 //! dropout, residual blocks and a configurable [`Mlp`].
 
-use crate::{Param, ParamSet, Tape, Var};
+use crate::{fused, Param, ParamSet, Tape, Var};
 use kinet_tensor::{Matrix, MatrixRandomExt};
 use rand::Rng;
 use std::cell::RefCell;
@@ -84,9 +84,10 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to a batch (`batch × fan_in`).
+    /// Applies the layer to a batch (`batch × fan_in`) as one node on
+    /// `x`'s tape, bit-identical to `x.matmul(w).add_row(b)`.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
-        x.matmul(tape.param(&self.w)).add_row(tape.param(&self.b))
+        fused::linear(tape, x, &self.w, &self.b)
     }
 
     /// The weight parameter (`fan_in × fan_out`).
@@ -140,40 +141,36 @@ impl BatchNorm1d {
         }
     }
 
-    /// Applies batch norm. In training mode the batch statistics are used
-    /// and folded into the running averages; in eval mode the running
-    /// statistics are used.
+    /// Applies batch norm as one tape node. In training mode the batch
+    /// statistics are used and folded into the running averages; in eval
+    /// mode the running statistics are used.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>, training: bool) -> Var<'t> {
-        let gamma = tape.param(&self.gamma);
-        let beta = tape.param(&self.beta);
         if training {
-            let mu = x.mean_rows();
-            let centered = x.sub_row(mu);
-            let var = centered.mul(centered).mean_rows();
-            let std = var.add_scalar(self.eps).sqrt();
-            let xn = centered.div_row(std);
-            {
-                let mut rm = self.running_mean.borrow_mut();
-                let mut rv = self.running_var.borrow_mut();
-                *rm = rm
-                    .scale(1.0 - self.momentum)
-                    .add(&mu.value().scale(self.momentum));
-                *rv = rv
-                    .scale(1.0 - self.momentum)
-                    .add(&var.value().scale(self.momentum));
-            }
-            xn.mul_row(gamma).add_row(beta)
+            let (y, mu, var) = fused::batch_norm_train(tape, x, &self.gamma, &self.beta, self.eps);
+            let mut rm = self.running_mean.borrow_mut();
+            let mut rv = self.running_var.borrow_mut();
+            *rm = rm.scale(1.0 - self.momentum).add(&mu.scale(self.momentum));
+            *rv = rv.scale(1.0 - self.momentum).add(&var.scale(self.momentum));
+            y
         } else {
-            let rm = self.running_mean.borrow().clone();
-            let rv = self.running_var.borrow().clone();
-            let std = rv.map(|v| (v + self.eps).sqrt());
-            let xn = x
-                .add_const(&rm.scale(-1.0).into_row_pad(x.shape().0))
-                .mul_const(
-                    &Matrix::ones(x.shape().0, std.cols()).mul_row_broadcast(&std.map(|s| 1.0 / s)),
-                );
-            xn.mul_row(gamma).add_row(beta)
+            fused::batch_norm_eval(
+                tape,
+                x,
+                &self.gamma,
+                &self.beta,
+                &self.running_mean.borrow(),
+                &self.running_var.borrow(),
+                self.eps,
+            )
         }
+    }
+
+    /// Copies of the running mean and variance (`1 × dim` each).
+    pub fn running_stats(&self) -> (Matrix, Matrix) {
+        (
+            self.running_mean.borrow().clone(),
+            self.running_var.borrow().clone(),
+        )
     }
 
     /// This layer's trainable parameters.
@@ -181,17 +178,6 @@ impl BatchNorm1d {
         [self.gamma.clone(), self.beta.clone()]
             .into_iter()
             .collect()
-    }
-}
-
-trait RowPad {
-    fn into_row_pad(self, rows: usize) -> Matrix;
-}
-
-impl RowPad for Matrix {
-    /// Replicates a `1 × n` row into `rows × n`.
-    fn into_row_pad(self, rows: usize) -> Matrix {
-        Matrix::zeros(rows, self.cols()).add_row_broadcast(&self)
     }
 }
 
@@ -221,8 +207,7 @@ impl Dropout {
             return x;
         }
         let (r, c) = x.shape();
-        let mask = Matrix::dropout_mask(r, c, 1.0 - self.p, rng);
-        x.mul_const(&mask)
+        x.mul_const(Matrix::dropout_mask(r, c, 1.0 - self.p, rng))
     }
 }
 
@@ -388,18 +373,63 @@ impl Mlp {
     }
 }
 
+/// One generator output head: how a block of logit columns is activated,
+/// and the block's width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OutputHead {
+    /// `tanh` (a continuous column's normalized alpha).
+    Tanh(usize),
+    /// Gumbel-Softmax (a mode or category one-hot block).
+    GumbelSoftmax(usize),
+}
+
+impl OutputHead {
+    /// Number of logit columns the head covers.
+    pub fn width(self) -> usize {
+        match self {
+            OutputHead::Tanh(w) | OutputHead::GumbelSoftmax(w) => w,
+        }
+    }
+}
+
+/// Applies each output head to its block of `logits` columns, in layout
+/// order, as one tape node: bit-identical to slicing each block, applying
+/// `tanh` or [`gumbel_softmax`] and concatenating the results, with the
+/// Gumbel noise drawn per head in the same order.
+///
+/// # Panics
+///
+/// Panics if the layout's total width differs from `logits`' width, or if
+/// a Gumbel-Softmax head is present and `tau <= 0`.
+pub fn output_heads<'t>(
+    logits: Var<'t>,
+    heads: &[OutputHead],
+    tau: f32,
+    rng: &mut impl Rng,
+) -> Var<'t> {
+    fused::output_heads(logits, heads, tau, rng)
+}
+
+/// Column slices of `logits`, one per head of `heads`, in layout order —
+/// the per-head pre-activation logits that conditional losses read.
+pub fn head_logits<'t>(logits: Var<'t>, heads: &[OutputHead]) -> Vec<Var<'t>> {
+    let mut offset = 0;
+    heads
+        .iter()
+        .map(|h| {
+            offset += h.width();
+            logits.slice_cols(offset - h.width(), offset)
+        })
+        .collect()
+}
+
 /// Samples from `logits + Gumbel noise` with temperature `tau` via softmax —
 /// the differentiable relaxation of categorical sampling used by the
 /// generator output heads (soft one-hot during training; take `argmax` of
 /// the result when materializing synthetic rows).
 pub fn gumbel_softmax<'t>(logits: Var<'t>, tau: f32, rng: &mut impl Rng) -> Var<'t> {
-    assert!(
-        tau > 0.0,
-        "gumbel-softmax temperature must be positive, got {tau}"
-    );
-    let (r, c) = logits.shape();
-    let noise = Matrix::gumbel(r, c, rng);
-    logits.add_const(&noise).scale(1.0 / tau).softmax()
+    let width = logits.shape().1;
+    output_heads(logits, &[OutputHead::GumbelSoftmax(width)], tau, rng)
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@
 //! assert!((w[(0, 0)] - 2.0).abs() < 0.05);
 //! ```
 
+mod fused;
 mod param;
 mod tape;
 

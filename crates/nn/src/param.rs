@@ -91,6 +91,12 @@ impl Param {
         self.inner.borrow_mut().grad.add_assign_scaled(delta, 1.0);
     }
 
+    /// Accumulates into the gradient in place: the fused layer nodes'
+    /// backward writes weight gradients without a staging buffer.
+    pub(crate) fn with_grad_mut(&self, f: impl FnOnce(&mut Matrix)) {
+        f(&mut self.inner.borrow_mut().grad);
+    }
+
     /// Resets the gradient to zero, reusing the existing buffer.
     pub fn zero_grad(&self) {
         self.inner.borrow_mut().grad.as_mut_slice().fill(0.0);

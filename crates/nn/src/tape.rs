@@ -8,15 +8,16 @@
 //! records values alone.
 //!
 //! Tapes are intended to be short-lived: build one per training step, run
-//! `backward`, drop it.
+//! `backward`, drop it. The layers in [`crate::layers`] record one fused
+//! node each (see the `fused` module).
 
-use crate::param::Param;
+use crate::fused::{self, BatchNormOp, HeadsOp, LinearOp};
+use crate::param::{Param, ParamSet};
 use kinet_tensor::Matrix;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-#[derive(Clone)]
-enum Op {
+pub(crate) enum Op {
     Leaf,
     Param(Param),
     Add(usize, usize),
@@ -28,7 +29,7 @@ enum Op {
     Scale(usize, f32),
     AddScalar(usize),
     AddConst(usize),
-    MulConst(usize, Rc<Matrix>),
+    MulConst(usize, Matrix),
     AddRow(usize, usize),
     SubRow(usize, usize),
     MulRow(usize, usize),
@@ -50,6 +51,9 @@ enum Op {
     BceWithLogits(usize, Rc<Matrix>),
     SoftmaxCrossEntropy(usize, Rc<Matrix>),
     Mse(usize, Rc<Matrix>),
+    Linear(LinearOp),
+    BatchNorm(Box<BatchNormOp>),
+    Heads(HeadsOp),
 }
 
 impl Op {
@@ -91,17 +95,20 @@ impl Op {
             | Op::SoftmaxCrossEntropy(a, _)
             | Op::Mse(a, _) => rg(a),
             Op::ConcatCols(parents) => parents.iter().any(rg),
+            Op::Linear(op) => rg(&op.x) || op.w.trains || op.b.trains,
+            Op::BatchNorm(op) => rg(&op.x) || op.gamma.trains || op.beta.trains,
+            Op::Heads(op) => rg(&op.x),
         }
     }
 }
 
-struct Node {
-    value: Matrix,
+pub(crate) struct Node {
+    pub(crate) value: Matrix,
     /// The gradient buffer, present exactly when the node requires grad:
     /// it is a parameter, or one of its operands requires grad. Constants
     /// and everything computed only from constants carry `None`, so the
     /// reverse pass neither allocates nor fills gradients for them.
-    grad: Option<Matrix>,
+    pub(crate) grad: Option<Matrix>,
     op: Op,
 }
 
@@ -113,6 +120,8 @@ pub struct Tape {
     nodes: RefCell<Vec<Node>>,
     /// `false` on a [`Tape::no_grad`] tape: parameters enter as constants.
     grad_enabled: bool,
+    /// Parameters that enter as constants on this tape ([`Tape::frozen`]).
+    frozen: Vec<Param>,
 }
 
 impl Default for Tape {
@@ -129,8 +138,8 @@ impl Default for Tape {
 /// training step should use exactly one tape.
 #[derive(Clone, Copy)]
 pub struct Var<'t> {
-    tape: &'t Tape,
-    idx: usize,
+    pub(crate) tape: &'t Tape,
+    pub(crate) idx: usize,
 }
 
 impl Tape {
@@ -140,6 +149,7 @@ impl Tape {
         Self {
             nodes: RefCell::default(),
             grad_enabled: true,
+            frozen: Vec::new(),
         }
     }
 
@@ -153,7 +163,27 @@ impl Tape {
         Self {
             nodes: RefCell::default(),
             grad_enabled: false,
+            frozen: Vec::new(),
         }
+    }
+
+    /// Creates an empty tape on which every parameter in `frozen` enters
+    /// as a constant. Gradients still flow *through* a frozen layer into
+    /// its input, but none is computed for its parameters — the tape for a
+    /// generator step, whose discriminator weights the step leaves alone.
+    /// Every other parameter trains as on a [`Tape::new`] tape, with
+    /// bit-identical gradients.
+    pub fn frozen(frozen: &ParamSet) -> Self {
+        Self {
+            nodes: RefCell::default(),
+            grad_enabled: true,
+            frozen: frozen.iter().cloned().collect(),
+        }
+    }
+
+    /// `true` when [`Tape::backward`] computes `p`'s gradient on this tape.
+    pub(crate) fn trains(&self, p: &Param) -> bool {
+        self.grad_enabled && !self.frozen.iter().any(|f| f.same_as(p))
     }
 
     /// Number of recorded nodes.
@@ -164,6 +194,14 @@ impl Tape {
     /// `true` when no node has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.nodes.borrow().is_empty()
+    }
+
+    /// Pushes a node and returns its handle.
+    pub(crate) fn push_var(&self, value: Matrix, op: Op) -> Var<'_> {
+        Var {
+            tape: self,
+            idx: self.push(value, op),
+        }
     }
 
     fn push(&self, value: Matrix, op: Op) -> usize {
@@ -181,7 +219,7 @@ impl Tape {
     }
 
     /// Computes a new value from one node's value without cloning it.
-    fn with_value<R>(&self, idx: usize, f: impl FnOnce(&Matrix) -> R) -> R {
+    pub(crate) fn with_value<R>(&self, idx: usize, f: impl FnOnce(&Matrix) -> R) -> R {
         f(&self.nodes.borrow()[idx].value)
     }
 
@@ -200,10 +238,11 @@ impl Tape {
     }
 
     /// Registers a trainable parameter; its gradient is filled in by
-    /// [`Tape::backward`]. On a [`Tape::no_grad`] tape the parameter's
-    /// current value enters as a constant.
+    /// [`Tape::backward`]. On a [`Tape::no_grad`] tape, or when the tape
+    /// was built [`Tape::frozen`] over it, the parameter's current value
+    /// enters as a constant.
     pub fn param(&self, p: &Param) -> Var<'_> {
-        let op = if self.grad_enabled {
+        let op = if self.trains(p) {
             Op::Param(p.clone())
         } else {
             Op::Leaf
@@ -292,6 +331,9 @@ impl Tape {
                 Op::MulConst(a, c) => {
                     acc(head, *a, |ga| ga.add_assign_zip_map(g, c, |gi, ci| gi * ci));
                 }
+                Op::Linear(op) => fused::linear_backward(head, g, op),
+                Op::BatchNorm(op) => fused::batch_norm_backward(head, g, op),
+                Op::Heads(op) => fused::heads_backward(head, g, out, op),
                 Op::AddRow(a, r) => {
                     acc(head, *a, |ga| ga.add_assign(g));
                     acc(head, *r, |gr| acc_col_sums(gr, g, 1.0));
@@ -448,7 +490,7 @@ impl Tape {
 
 /// Runs `f` on `nodes[i]`'s gradient buffer; a no-op when that node does
 /// not require grad.
-fn acc(nodes: &mut [Node], i: usize, f: impl FnOnce(&mut Matrix)) {
+pub(crate) fn acc(nodes: &mut [Node], i: usize, f: impl FnOnce(&mut Matrix)) {
     if let Some(grad) = nodes.get_mut(i).and_then(|n| n.grad.as_mut()) {
         f(grad);
     }
@@ -475,7 +517,7 @@ fn acc_with(nodes: &mut [Node], gi: usize, vi: usize, f: impl FnOnce(&mut Matrix
 
 /// `dst[0][c] += s * Σ_r g[r][c]`, rows summed in ascending order — the
 /// fused form of `dst.add_assign_scaled(&g.sum_rows(), s)`.
-fn acc_col_sums(dst: &mut Matrix, g: &Matrix, s: f32) {
+pub(crate) fn acc_col_sums(dst: &mut Matrix, g: &Matrix, s: f32) {
     let cols = g.cols();
     let gs = g.as_slice();
     for (c, o) in dst.as_mut_slice().iter_mut().enumerate() {
@@ -489,7 +531,7 @@ fn acc_col_sums(dst: &mut Matrix, g: &Matrix, s: f32) {
 
 /// `dst[0][c] += s * Σ_r g[r][c] * x[r][c]` — the fused form of
 /// `dst.add_assign_scaled(&g.mul(&x).sum_rows(), s)`.
-fn acc_col_sums_prod(dst: &mut Matrix, g: &Matrix, x: &Matrix, s: f32) {
+pub(crate) fn acc_col_sums_prod(dst: &mut Matrix, g: &Matrix, x: &Matrix, s: f32) {
     let cols = g.cols();
     let (gs, xs) = (g.as_slice(), x.as_slice());
     for (c, o) in dst.as_mut_slice().iter_mut().enumerate() {
@@ -527,7 +569,7 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 /// in this module. [`softmax_forward`] and the `SoftmaxCrossEntropy`
 /// backward rule both derive probabilities as `(x - max).exp() / sum` from
 /// this helper, keeping the two paths in bitwise lockstep.
-fn softmax_row_max_sum(row: &[f32]) -> (f32, f32) {
+pub(crate) fn softmax_row_max_sum(row: &[f32]) -> (f32, f32) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
     for &x in row {
@@ -638,10 +680,11 @@ impl<'t> Var<'t> {
         self.unary(v, Op::AddConst(self.idx))
     }
 
-    /// Multiplies element-wise by a constant matrix (e.g. a dropout mask).
-    pub fn mul_const(self, c: &Matrix) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.mul(c));
-        self.unary(v, Op::MulConst(self.idx, Rc::new(c.clone())))
+    /// Multiplies element-wise by a constant matrix (e.g. a dropout mask),
+    /// which the node keeps for the backward pass.
+    pub fn mul_const(self, c: Matrix) -> Var<'t> {
+        let v = self.tape.with_value(self.idx, |a| a.mul(&c));
+        self.unary(v, Op::MulConst(self.idx, c))
     }
 
     /// Adds a `1 × cols` row node to every row.
