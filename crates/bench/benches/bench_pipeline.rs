@@ -33,7 +33,7 @@ fn bench_fit(c: &mut Criterion) {
         b.iter(|| {
             let mut model = KinetGan::new(config(), LabSimulator::knowledge_graph());
             model.fit(&data).expect("training succeeds");
-            criterion::black_box(model.report().map(|r| r.final_validity))
+            criterion::black_box(model.report().map(|r| r.g_loss.len()))
         });
     });
     // The floor: no knowledge guidance at all (pure conditional GAN).
@@ -44,7 +44,7 @@ fn bench_fit(c: &mut Criterion) {
                 LabSimulator::knowledge_graph(),
             );
             model.fit(&data).expect("training succeeds");
-            criterion::black_box(model.report().map(|r| r.final_validity))
+            criterion::black_box(model.report().map(|r| r.g_loss.len()))
         });
     });
     group.finish();

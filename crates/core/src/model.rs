@@ -34,13 +34,6 @@ pub struct TrainingReport {
     /// exactly the class-collapse signature the balance modes exist to
     /// prevent.
     pub epoch_class_counts: Vec<Vec<u64>>,
-    /// Downstream utility probe: accuracy of a softmax classifier trained
-    /// on a post-fit synthetic sample to predict the scope class, evaluated
-    /// against the real training rows (train-on-synthetic/test-on-real).
-    /// `None` when the scope column is unavailable.
-    pub probe_accuracy: Option<f64>,
-    /// KG-validity rate of a probe sample drawn after training.
-    pub final_validity: f64,
 }
 
 struct Fitted {
@@ -432,103 +425,6 @@ impl KinetGan {
             None
         }
     }
-
-    /// Draws a probe sample and records its KG-validity and downstream
-    /// utility (train-on-synthetic/test-on-real probe accuracy) in the
-    /// report.
-    fn finalize_report(&mut self, probe: usize, seed: u64) {
-        let (validity, probe_acc) = match self.sample(probe, seed) {
-            Ok(t) => (
-                self.validity_rate(&t),
-                self.fitted
-                    .as_ref()
-                    .and_then(|f| probe_accuracy(f, &t, self.kg.scope_field())),
-            ),
-            Err(_) => (0.0, None),
-        };
-        if let Some(f) = self.fitted.as_mut() {
-            f.report.final_validity = validity;
-            f.report.probe_accuracy = probe_acc;
-        }
-    }
-}
-
-/// Trains a small multinomial-logistic probe on `synth` to predict the
-/// scope class from the other encoded columns and scores it against the
-/// real training rows. A cheap, self-contained stand-in for the full
-/// `kinet_eval` TSTR panel — enough to see *during training experiments*
-/// whether the release carries any label signal at all.
-fn probe_accuracy(f: &Fitted, synth: &Table, scope: &str) -> Option<f64> {
-    let col = f.table.schema().index_of(scope)?;
-    if f.table.schema().column(col).kind() != ColumnKind::Categorical {
-        return None;
-    }
-    let name = scope.to_string();
-    let enc = f.transformer.categorical_encoder(&name)?;
-    let span = f.transformer.spans()[col];
-    let k = enc.n_categories();
-    if k < 2 || synth.is_empty() {
-        return None;
-    }
-
-    // Encode a table: deterministic CTGAN transform with the label block
-    // zeroed out of the features, label codes as targets. Rows whose label
-    // is outside the training dictionary are dropped.
-    let encode = |t: &Table| -> Option<(Matrix, Vec<usize>)> {
-        let x = f.transformer.transform_deterministic(t);
-        let labels = t.cat_column(&name).ok()?;
-        let keep: Vec<(usize, usize)> = labels
-            .iter()
-            .enumerate()
-            .filter_map(|(r, v)| enc.encode(v).map(|code| (r, code)))
-            .collect();
-        if keep.is_empty() {
-            return None;
-        }
-        let mut xm = Matrix::from_fn(keep.len(), x.cols(), |r, c| x[(keep[r].0, c)]);
-        for r in 0..xm.rows() {
-            xm.row_mut(r)[span.start..span.start + span.width].fill(0.0);
-        }
-        Some((xm, keep.iter().map(|&(_, code)| code).collect()))
-    };
-    let (xtr, ytr) = encode(synth)?;
-    let (xte, yte) = encode(&f.table)?;
-
-    // Full-batch softmax regression; encoded features are one-hots and
-    // tanh-range alphas, so no standardization is needed.
-    let (n, d) = xtr.shape();
-    let mut w = Matrix::zeros(d, k);
-    let mut b = Matrix::zeros(1, k);
-    let onehot = Matrix::from_fn(n, k, |r, c| if ytr[r] == c { 1.0 } else { 0.0 });
-    for _ in 0..150 {
-        let logits = xtr.matmul(&w).add_row_broadcast(&b);
-        let mut err = softmax_rows(&logits).sub(&onehot);
-        err.scale_inplace(1.0 / n as f32);
-        let gw = xtr.matmul_tn(&err);
-        let gb = err.sum_rows();
-        w.add_assign_scaled(&gw, -0.5);
-        b.add_assign_scaled(&gb, -0.5);
-    }
-    let pred = xte.matmul(&w).add_row_broadcast(&b).argmax_rows();
-    let hits = pred.iter().zip(&yte).filter(|(p, t)| p == t).count();
-    Some(hits as f64 / yte.len() as f64)
-}
-
-fn softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
-    out
 }
 
 fn c_block(c: &Matrix, offset: usize, width: usize) -> Matrix {
@@ -541,9 +437,7 @@ impl TabularSynthesizer for KinetGan {
     }
 
     fn fit(&mut self, table: &Table) -> Result<(), SynthError> {
-        let fitted = self.train(table)?;
-        self.fitted = Some(fitted);
-        self.finalize_report(256, self.config.seed ^ 0x5eed);
+        self.fitted = Some(self.train(table)?);
         Ok(())
     }
 
@@ -786,9 +680,6 @@ mod tests {
             let total: u64 = counts.iter().sum();
             assert_eq!(total as usize, steps * model.config().batch_size);
         }
-        // the probe is a real accuracy
-        let probe = report.probe_accuracy.expect("scope column is categorical");
-        assert!((0.0..=1.0).contains(&probe), "{probe}");
     }
 
     #[test]

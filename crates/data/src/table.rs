@@ -404,7 +404,8 @@ impl Table {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::Parse`] on malformed input.
+    /// Returns [`DataError::Parse`] on malformed input, including a
+    /// non-finite (`NaN`, `inf`) continuous cell.
     pub fn read_csv<R: BufRead>(schema: Schema, r: R) -> Result<Table, DataError> {
         let mut lines = r.lines();
         let header = lines
@@ -444,10 +445,15 @@ impl Table {
                 .zip(t.schema.clone().iter())
                 .map(|(f, c)| match c.kind() {
                     ColumnKind::Categorical => Ok(Value::cat(*f)),
-                    ColumnKind::Continuous => f
-                        .parse::<f64>()
-                        .map(Value::Num)
-                        .map_err(|e| DataError::Parse(format!("line {}: {e}", lineno + 2))),
+                    ColumnKind::Continuous => match f.parse::<f64>() {
+                        Ok(v) if v.is_finite() => Ok(Value::Num(v)),
+                        Ok(_) => Err(DataError::Parse(format!(
+                            "line {}: column {:?}: non-finite value {f:?}",
+                            lineno + 2,
+                            c.name()
+                        ))),
+                        Err(e) => Err(DataError::Parse(format!("line {}: {e}", lineno + 2))),
+                    },
                 })
                 .collect();
             t.push_row(row?)?;
@@ -601,6 +607,21 @@ mod tests {
             Table::read_csv(t.schema().clone(), csv.as_bytes()),
             Err(DataError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn csv_rejects_non_finite_numbers() {
+        let t = small_table();
+        for bad in ["NaN", "inf", "-inf"] {
+            let csv = format!("proto,port,event\nudp,53,dns\nudp,{bad},dns\n");
+            match Table::read_csv(t.schema().clone(), csv.as_bytes()) {
+                Err(DataError::Parse(msg)) => {
+                    assert!(msg.contains("line 3"), "{bad}: {msg}");
+                    assert!(msg.contains("\"port\""), "{bad}: {msg}");
+                }
+                other => panic!("{bad} accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]

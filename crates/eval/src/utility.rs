@@ -138,31 +138,9 @@ pub fn attack_recall(pred: &[usize], truth: &[usize], attack_codes: &[usize]) ->
     }
 }
 
-/// Trains a single classifier on `train` and reports accuracy on `test`
-/// (used by the distributed NIDS simulation, where the panel would be
-/// overkill per round).
-///
-/// # Errors
-///
-/// Propagates encoding failures.
-pub fn evaluate_single(
-    clf: &mut dyn Classifier,
-    train: &Table,
-    test: &Table,
-    real_reference: &Table,
-    label_column: &str,
-) -> Result<f64, DataError> {
-    let encoder = MlEncoder::fit(real_reference, label_column)?;
-    let (xtr, ytr) = encoder.encode(train)?;
-    let (xte, yte) = encoder.encode(test)?;
-    clf.fit(&xtr, &ytr, encoder.n_classes());
-    Ok(accuracy(&clf.predict(&xte), &yte))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifiers::RandomForest;
     use kinet_datasets::lab::{LabSimConfig, LabSimulator};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -244,17 +222,5 @@ mod tests {
         assert!((recall - 2.0 / 3.0).abs() < 1e-12, "{recall}");
         // no attacks in truth → vacuous recall of 1.0
         assert_eq!(attack_recall(&[0, 0], &[0, 0], &[1]), 1.0);
-    }
-
-    #[test]
-    fn single_classifier_path() {
-        let data = LabSimulator::new(LabSimConfig::small(600, 5))
-            .generate()
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let (train, test) = data.train_test_split(0.3, &mut rng);
-        let mut rf = RandomForest::new(8, 8);
-        let acc = evaluate_single(&mut rf, &train, &test, &train, "event").unwrap();
-        assert!(acc > 0.6, "{acc}");
     }
 }

@@ -13,8 +13,6 @@ pub enum ModelKind {
     KinetGan,
     /// The CTGAN baseline.
     CtGan,
-    /// The TVAE baseline.
-    Tvae,
 }
 
 impl ModelKind {
@@ -23,7 +21,6 @@ impl ModelKind {
         match self {
             ModelKind::KinetGan => "KiNETGAN",
             ModelKind::CtGan => "CTGAN",
-            ModelKind::Tvae => "TVAE",
         }
     }
 }
@@ -330,7 +327,6 @@ mod tests {
         );
         assert_eq!(SharingPolicy::LocalOnly.label(), "local-only");
         assert_eq!(ModelKind::CtGan.label(), "CTGAN");
-        assert_eq!(ModelKind::Tvae.label(), "TVAE");
     }
 
     #[test]

@@ -19,11 +19,11 @@ pub struct DeviceTrainingDiag {
     pub final_d_loss: f64,
     /// Final-epoch mean generator loss.
     pub final_g_loss: f64,
-    /// Train-on-synthetic/test-on-real probe accuracy of the device's own
-    /// release (see `kinetgan::TrainingReport::probe_accuracy`).
-    pub probe_accuracy: Option<f64>,
-    /// KG-validity rate of the device's post-fit probe sample.
-    pub final_validity: f64,
+    /// KG-validity rate of the device's pooled release, as the
+    /// aggregator's share validation scored it. `None` for a quarantined
+    /// share: its status names the reason, and the rate when validity was
+    /// the reason.
+    pub final_validity: Option<f64>,
     /// Epochs actually trained.
     pub epochs: usize,
 }
@@ -177,20 +177,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Mean per-device probe accuracy, when any device reported one.
-    pub fn mean_probe_accuracy(&self) -> Option<f64> {
-        let probes: Vec<f64> = self
-            .devices
-            .iter()
-            .filter_map(|d| d.diag.as_ref().and_then(|g| g.probe_accuracy))
-            .collect();
-        if probes.is_empty() {
-            None
-        } else {
-            Some(probes.iter().sum::<f64>() / probes.len() as f64)
-        }
-    }
-
     /// Pooled count of rows whose label is one of `attack_events`.
     pub fn pool_attack_count(&self, attack_events: &[&str]) -> usize {
         self.pool_class_counts
@@ -276,7 +262,7 @@ impl FleetReport {
             let _ = writeln!(
                 out,
                 "device {} {} status={} retries={} shard={} classes={:?} seeded={:?} share={} \
-                 local={:?}/{:?} probe={:?}",
+                 local={:?}/{:?}",
                 d.device_index,
                 d.device,
                 d.status,
@@ -287,7 +273,6 @@ impl FleetReport {
                 d.share_rows,
                 d.local_accuracy,
                 d.local_attack_recall,
-                d.diag.as_ref().and_then(|g| g.probe_accuracy),
             );
         }
         out
@@ -320,9 +305,6 @@ impl fmt::Display for FleetReport {
                 self.union.coverage_before,
                 self.union.coverage_after
             )?;
-        }
-        if let Some(probe) = self.mean_probe_accuracy() {
-            write!(f, " probe={probe:.3}")?;
         }
         if self.fault.enabled {
             write!(
@@ -612,8 +594,7 @@ mod tests {
                     device: "blink_camera".into(),
                     final_d_loss: 1.0,
                     final_g_loss: 2.0,
-                    probe_accuracy: Some(0.8),
-                    final_validity: 0.95,
+                    final_validity: Some(0.95),
                     epochs: 60,
                 }),
             }],
@@ -624,13 +605,11 @@ mod tests {
     #[test]
     fn accessors_and_display() {
         let r = sample_report();
-        assert_eq!(r.mean_probe_accuracy(), Some(0.8));
         assert_eq!(r.pool_attack_count(&["port_scan"]), 30);
         assert_eq!(r.pool_attack_count(&["traffic_flooding"]), 0);
         let s = r.to_string();
         assert!(s.contains("synthetic:KiNETGAN"));
         assert!(s.contains("union["));
-        assert!(s.contains("probe=0.800"));
     }
 
     #[test]
@@ -642,10 +621,7 @@ mod tests {
         assert!(s.contains("acc=0.800"));
         assert!(s.contains("kg-valid=0.900"));
         assert!(s.contains("2048"));
-        assert!(
-            !s.contains("probe="),
-            "no probe summary without device diagnostics: {s}"
-        );
+        assert!(!s.contains("NaN"), "no devices renders no NaN: {s}");
     }
 
     #[test]
@@ -680,28 +656,21 @@ mod tests {
     }
 
     #[test]
-    fn mean_probe_accuracy_is_well_defined_with_no_devices() {
-        let mut r = sample_report();
-        r.devices.clear();
-        assert_eq!(r.mean_probe_accuracy(), None, "absent, never NaN");
-        assert!(!r.to_string().contains("NaN"));
-    }
-
-    #[test]
     fn probe_mean_and_attack_counts() {
         let mut r = sample_report();
         let mut second = r.devices[0].clone();
         second.device_index = 1;
-        if let Some(diag) = second.diag.as_mut() {
-            diag.probe_accuracy = Some(0.6);
-        }
+        second.diag = None;
         r.devices.push(second);
-        let mean = r.mean_probe_accuracy().unwrap();
-        assert!((mean - 0.7).abs() < 1e-12, "{mean}");
-        assert!(r.to_string().contains("probe=0.700"));
-        // A device without diagnostics does not drag the mean.
-        r.devices[1].diag = None;
-        assert_eq!(r.mean_probe_accuracy(), Some(0.8));
+        r.pool_class_counts.push(("traffic_flooding".into(), 12));
+        // Attack counts sum exactly the listed classes.
+        assert_eq!(r.pool_attack_count(&["port_scan", "traffic_flooding"]), 42);
+        assert_eq!(r.pool_attack_count(&["heartbeat"]), 700);
+        assert_eq!(r.pool_attack_count(&[]), 0);
+        // Training diagnostics carry no probe: neither the summary line
+        // nor the fingerprint renders one, with or without a diag.
+        assert!(!r.to_string().contains("probe="));
+        assert!(!r.deterministic_fingerprint().contains("probe="));
     }
 
     #[test]

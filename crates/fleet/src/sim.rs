@@ -33,7 +33,7 @@ use crate::report::{
 };
 use crate::resilience::{self, backoff_ticks};
 use crate::{schedule, union};
-use kinet_baselines::{common::BaselineConfig, CtGan, Tvae};
+use kinet_baselines::{common::BaselineConfig, CtGan};
 use kinet_data::stream::{
     ChunkFaultSpec, FaultedSource, PeakRows, Reservoir, StreamValidity, StreamingShard,
 };
@@ -683,8 +683,7 @@ impl FleetSim {
                             device: device.clone(),
                             final_d_loss: r.d_loss.last().copied().unwrap_or(0.0) as f64,
                             final_g_loss: r.g_loss.last().copied().unwrap_or(0.0) as f64,
-                            probe_accuracy: r.probe_accuracy,
-                            final_validity: r.final_validity,
+                            final_validity: None,
                             epochs: r.d_loss.len(),
                         });
                         model
@@ -696,18 +695,6 @@ impl FleetSim {
                             .with_epochs(cfg.model_epochs)
                             .with_seed(seed);
                         let mut model = CtGan::new(mcfg);
-                        model
-                            .fit(&train_table)
-                            .map_err(|e| training(e.to_string()))?;
-                        model
-                            .sample(n_release, seed ^ 1)
-                            .map_err(|e| training(e.to_string()))?
-                    }
-                    ModelKind::Tvae => {
-                        let mcfg = BaselineConfig::fast_demo()
-                            .with_epochs(cfg.model_epochs)
-                            .with_seed(seed);
-                        let mut model = Tvae::new(mcfg);
                         model
                             .fit(&train_table)
                             .map_err(|e| training(e.to_string()))?;
@@ -838,6 +825,9 @@ impl FleetSim {
                                     cfg.chunk_rows,
                                 ) {
                                     Ok(share_validity) => {
+                                        if let Some(diag) = report.diag.as_mut() {
+                                            diag.final_validity = Some(share_validity.rate());
+                                        }
                                         report.share_rows = share.n_rows();
                                         let mut wire = Vec::new();
                                         share.write_csv(&mut wire).map_err(|e| {
@@ -1193,18 +1183,31 @@ mod tests {
             report.pool_kg_validity > 0.5,
             "pooled synthetic data mostly satisfies the KG: {report}"
         );
-        // Every device ships training diagnostics with a probe accuracy.
+        // Every device ships training diagnostics, and its release
+        // validity is the share-validation tally: weighted by share rows,
+        // the per-device rates give back the pool's validity exactly.
         let diags: Vec<_> = report
             .devices
             .iter()
             .filter_map(|d| d.diag.as_ref())
             .collect();
         assert_eq!(diags.len(), 4);
-        assert!(diags
+        assert!(diags.iter().all(|d| d.epochs == 60));
+        let weighted: f64 = report
+            .devices
             .iter()
-            .all(|d| d.probe_accuracy.is_some() && d.epochs == 60));
-        let probe = report.mean_probe_accuracy().unwrap();
-        assert!(probe > 0.5, "per-device probe accuracy {probe}: {report}");
+            .map(|d| {
+                let rate = d.diag.as_ref().and_then(|g| g.final_validity);
+                rate.expect("every pooled share is scored") * d.share_rows as f64
+            })
+            .sum();
+        let rows: usize = report.devices.iter().map(|d| d.share_rows).sum();
+        let pooled = weighted / rows as f64;
+        assert!(
+            (pooled - report.pool_kg_validity).abs() < 1e-12,
+            "per-device validity {pooled} vs pool {}",
+            report.pool_kg_validity
+        );
     }
 
     #[test]

@@ -44,17 +44,6 @@ fn rejection_resampling_pushes_validity_toward_one() {
 }
 
 #[test]
-fn training_reports_probe_validity() {
-    let data = LabSimulator::new(LabSimConfig::small(500, 42))
-        .generate()
-        .unwrap();
-    let mut model = KinetGan::new(config(KgMode::Neural), LabSimulator::knowledge_graph());
-    model.fit(&data).unwrap();
-    let report = model.report().unwrap();
-    assert!((0.0..=1.0).contains(&report.final_validity));
-}
-
-#[test]
 fn real_lab_data_is_fully_valid_under_the_kg() {
     // The simulator and the KG must agree exactly — the foundation of
     // every knowledge-guidance measurement.
