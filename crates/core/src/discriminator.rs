@@ -47,7 +47,7 @@ impl RecordDiscriminator {
         training: bool,
         rng: &mut impl Rng,
     ) -> Var<'t> {
-        let c_node = tape.constant(c.clone());
+        let c_node = tape.constant_copy(c);
         let input = Var::concat_cols(&[rows, c_node]);
         assert_eq!(input.shape().1, self.input_dim, "D_M input width mismatch");
         self.net.forward(tape, input, training, rng)

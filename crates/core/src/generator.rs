@@ -109,18 +109,8 @@ impl ConditionalGenerator {
         rng: &mut impl Rng,
     ) -> GeneratorOutput<'t> {
         assert_eq!(z.cols(), self.z_dim, "z width mismatch");
-        assert_eq!(c.cols(), self.cond_dim, "condition width mismatch");
         assert_eq!(z.rows(), c.rows(), "z/c batch mismatch");
-        let input = Matrix::hstack(&[z, c]);
-        let mut h = tape.constant(input);
-        for block in &self.blocks {
-            h = block.forward(tape, h, training);
-        }
-        let logits = self.output.forward(tape, h);
-        GeneratorOutput {
-            output: output_heads(logits, &self.layout, tau, rng),
-            head_logits: head_logits(logits, &self.layout),
-        }
+        self.forward_noise(tape, tape.constant_copy(z), c, tau, training, rng)
     }
 
     /// Convenience: draws `batch` rows with fresh standard-normal noise.
@@ -132,8 +122,30 @@ impl ConditionalGenerator {
         training: bool,
         rng: &mut impl Rng,
     ) -> GeneratorOutput<'t> {
-        let z = Matrix::randn(c.rows(), self.z_dim, 0.0, 1.0, rng);
-        self.forward(tape, &z, c, tau, training, rng)
+        let z = tape.constant_with(c.rows(), self.z_dim, |z| z.randn_into(0.0, 1.0, rng));
+        self.forward_noise(tape, z, c, tau, training, rng)
+    }
+
+    /// The network over the input `[z | c]`, all on the tape's storage.
+    fn forward_noise<'t>(
+        &self,
+        tape: &'t Tape,
+        z: Var<'t>,
+        c: &Matrix,
+        tau: f32,
+        training: bool,
+        rng: &mut impl Rng,
+    ) -> GeneratorOutput<'t> {
+        assert_eq!(c.cols(), self.cond_dim, "condition width mismatch");
+        let mut h = Var::concat_cols(&[z, tape.constant_copy(c)]);
+        for block in &self.blocks {
+            h = block.forward(tape, h, training);
+        }
+        let logits = self.output.forward(tape, h);
+        GeneratorOutput {
+            output: output_heads(logits, &self.layout, tau, rng),
+            head_logits: head_logits(logits, &self.layout),
+        }
     }
 
     /// All trainable parameters.

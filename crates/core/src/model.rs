@@ -232,6 +232,20 @@ impl KinetGan {
         let mut kg_pipe = use_dkg.then(|| KgTrainPipeline::new(&self.kg, table, &transformer));
         let mut real_buf = Matrix::default();
         let mut pos_buf = Matrix::default();
+        let mut real_idx: Vec<usize> = Vec::with_capacity(cfg.batch_size);
+        let mut c = Matrix::zeros(cfg.batch_size, cond_spec.width());
+        // BCE(C, Ĉ) targets: each conditional head's block of `c`.
+        let mut cond_targets: Vec<Matrix> = cond_heads
+            .iter()
+            .map(|&(spec_idx, _, _)| {
+                Matrix::zeros(cfg.batch_size, cond_spec.encoder(spec_idx).n_categories())
+            })
+            .collect();
+        // One tape per graph the step records, each reset and re-recorded
+        // every step, so the steady-state step reuses their storage.
+        let mut gen_tape = Tape::no_grad();
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::frozen(&d_params);
 
         for epoch in 0..cfg.epochs {
             let mut d_epoch = 0.0f32;
@@ -251,10 +265,11 @@ impl KinetGan {
                         class_counts[row_class[cond.row]] += 1;
                     }
                 }
-                let c = Matrix::from_fn(cfg.batch_size, cond_spec.width(), |r, ccol| {
-                    conditions[r].vector[ccol]
-                });
-                let real_idx: Vec<usize> = conditions.iter().map(|s| s.row).collect();
+                for (r, cond) in conditions.iter().enumerate() {
+                    c.row_mut(r).copy_from_slice(&cond.vector);
+                }
+                real_idx.clear();
+                real_idx.extend(conditions.iter().map(|s| s.row));
                 encoded.gather_rows_into(&real_idx, &mut real_buf);
 
                 // ---- discriminator step ----
@@ -263,27 +278,25 @@ impl KinetGan {
                     // generator runs on a value-only tape (same draws,
                     // same batch-norm updates), so no generator gradient
                     // is computed only to be thrown away.
-                    let fake = {
-                        let gen_tape = Tape::no_grad();
-                        let out = generator.generate(&gen_tape, &c, cfg.tau, true, &mut rng);
-                        out.output.value()
-                    };
-                    let tape = Tape::new();
-                    let fake = tape.constant(fake);
-                    let real_node = tape.constant(real_buf.clone());
-                    let d_real = d_m.forward(&tape, real_node, &c, true, &mut rng);
-                    let d_fake = d_m.forward(&tape, fake, &c, true, &mut rng);
+                    gen_tape.reset();
+                    let out = generator.generate(&gen_tape, &c, cfg.tau, true, &mut rng);
+                    d_tape.reset();
+                    let tape = &d_tape;
+                    let fake = out.output.with_value(|v| tape.constant_copy(v));
+                    let real_node = tape.constant_copy(&real_buf);
+                    let d_real = d_m.forward(tape, real_node, &c, true, &mut rng);
+                    let d_fake = d_m.forward(tape, fake, &c, true, &mut rng);
                     let mut loss =
                         kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, cfg.real_label);
                     if let (Some(dkg), Some(pipe)) = (&d_kg, kg_pipe.as_mut()) {
                         pipe.fill_positives(&real_idx, &mut pos_buf, &mut rng, 8)?;
                         let kg_pos =
-                            dkg.forward(&tape, tape.constant(pos_buf.clone()), true, &mut rng);
-                        let kg_neg = dkg.forward(&tape, fake, true, &mut rng);
+                            dkg.forward(tape, tape.constant_copy(&pos_buf), true, &mut rng);
+                        let kg_neg = dkg.forward(tape, fake, true, &mut rng);
                         let kg_loss = kinet_nn::loss::gan_discriminator_loss(kg_pos, kg_neg, 1.0);
                         loss = loss.add(kg_loss);
                     }
-                    let loss_value = loss.value()[(0, 0)];
+                    let loss_value = loss.with_value(|v| v[(0, 0)]);
                     if !loss_value.is_finite() {
                         return Err(SynthError::Training(format!(
                             "discriminator loss became non-finite ({loss_value}) at epoch \
@@ -305,23 +318,28 @@ impl KinetGan {
                     // D's parameters enter as constants: the gradient flows
                     // through D into the fake batch, but no D weight
                     // gradient is computed.
-                    let tape = Tape::frozen(&d_params);
-                    let fake = generator.generate(&tape, &c, cfg.tau, true, &mut rng);
-                    let d_fake = d_m.forward(&tape, fake.output, &c, true, &mut rng);
+                    g_tape.reset();
+                    let tape = &g_tape;
+                    let fake = generator.generate(tape, &c, cfg.tau, true, &mut rng);
+                    let d_fake = d_m.forward(tape, fake.output, &c, true, &mut rng);
                     // Eq. 3: D_C = D_KG + D_M (λ_kg scales the KG term)
                     let d_c = if let Some(dkg) = &d_kg {
-                        let kg_fake = dkg.forward(&tape, fake.output, true, &mut rng);
+                        let kg_fake = dkg.forward(tape, fake.output, true, &mut rng);
                         d_fake.add(kg_fake.scale(cfg.lambda_kg))
                     } else {
                         d_fake
                     };
                     let mut loss = kinet_nn::loss::gan_generator_loss(d_c);
                     // BCE(C, Ĉ): condition consistency on each conditional head
-                    for &(spec_idx, head_idx, _schema_idx) in &cond_heads {
+                    for (&(spec_idx, head_idx, _), target) in
+                        cond_heads.iter().zip(&mut cond_targets)
+                    {
                         let off = cond_spec.offset(spec_idx);
-                        let w = cond_spec.encoder(spec_idx).n_categories();
-                        let target = c_block(&c, off, w);
-                        let ce = fake.head_logits[head_idx].softmax_cross_entropy(&target);
+                        for r in 0..c.rows() {
+                            let w = target.cols();
+                            target.row_mut(r).copy_from_slice(&c.row(r)[off..off + w]);
+                        }
+                        let ce = fake.head_logits[head_idx].softmax_cross_entropy(target);
                         loss = loss.add(ce.scale(cfg.lambda_cond));
                     }
                     if use_mask {
@@ -335,7 +353,7 @@ impl KinetGan {
                             loss = loss.add(pen.scale(cfg.lambda_kg));
                         }
                     }
-                    let loss_value = loss.value()[(0, 0)];
+                    let loss_value = loss.with_value(|v| v[(0, 0)]);
                     if !loss_value.is_finite() {
                         return Err(SynthError::Training(format!(
                             "generator loss became non-finite ({loss_value}) at epoch {epoch}, \
@@ -425,10 +443,6 @@ impl KinetGan {
             None
         }
     }
-}
-
-fn c_block(c: &Matrix, offset: usize, width: usize) -> Matrix {
-    Matrix::from_fn(c.rows(), width, |r, j| c[(r, offset + j)])
 }
 
 impl TabularSynthesizer for KinetGan {

@@ -25,7 +25,9 @@
 //! `-0.0`.
 
 use crate::layers::OutputHead;
-use crate::tape::{acc, acc_col_sums, acc_col_sums_prod, softmax_row_max_sum, Node, Op};
+use crate::tape::{
+    acc, acc_col_sums, acc_col_sums_prod, mean_rows_into, softmax_row_max_sum, Node, Op,
+};
 use crate::{Param, Tape, Var};
 use kinet_tensor::{Matrix, MatrixRandomExt};
 use rand::Rng;
@@ -56,11 +58,11 @@ pub(crate) struct LinearOp {
 
 /// The statistics a batch-norm node normalizes with.
 enum Stats {
-    /// Train mode: the centered batch `x − μ` and the per-feature batch
+    /// Train mode: the centered batch `x − μ` and the `1 × cols` batch
     /// std `sqrt(var + eps)`.
-    Batch { centered: Matrix, std: Vec<f32> },
-    /// Eval mode: the per-feature `1 / sqrt(running_var + eps)`.
-    Running { inv_std: Vec<f32> },
+    Batch { centered: Matrix, std: Matrix },
+    /// Eval mode: the `1 × cols` `1 / sqrt(running_var + eps)`.
+    Running { inv_std: Matrix },
 }
 
 /// `y = x̂ ⊙ γ + β`, with `x̂` normalized by [`Stats`].
@@ -71,6 +73,21 @@ pub(crate) struct BatchNormOp {
     /// The normalized input `x̂`.
     xn: Matrix,
     stats: Stats,
+}
+
+impl BatchNormOp {
+    /// Hands the matrices this op holds to `spare`, in the reverse of the
+    /// order they were taken.
+    pub(crate) fn release(self, spare: &mut Vec<Vec<f32>>) {
+        spare.push(self.xn.into_vec());
+        match self.stats {
+            Stats::Batch { centered, std } => {
+                spare.push(std.into_vec());
+                spare.push(centered.into_vec());
+            }
+            Stats::Running { inv_std } => spare.push(inv_std.into_vec()),
+        }
+    }
 }
 
 /// The generator output heads over one logits node.
@@ -104,7 +121,10 @@ fn add_row_in_place(m: &mut Matrix, b: &Matrix) {
 /// Records `x·W + b` as one node.
 pub(crate) fn linear<'t>(tape: &'t Tape, x: Var<'t>, w: &Param, b: &Param) -> Var<'t> {
     same_tape(tape, x);
-    let mut value = tape.with_value(x.idx, |xv| w.with_value(|wv| xv.matmul(wv)));
+    let mut value = tape.buffer(x.shape().0, w.shape().1);
+    tape.with_value(x.idx, |xv| {
+        w.with_value(|wv| xv.matmul_into(wv, &mut value))
+    });
     b.with_value(|bv| add_row_in_place(&mut value, bv));
     let (w, b) = (ParamOperand::new(tape, w), ParamOperand::new(tape, b));
     let op = if x.requires_grad() || w.trains || b.trains {
@@ -129,42 +149,51 @@ pub(crate) fn linear_backward(head: &mut [Node], g: &Matrix, op: &LinearOp) {
     }
 }
 
-/// Records train-mode batch norm as one node; returns it with the batch
-/// mean and variance (`1 × cols`) for the running-statistics update.
+/// Records train-mode batch norm as one node, handing the batch mean and
+/// variance (`1 × cols`) to `update_running` for the running statistics.
 pub(crate) fn batch_norm_train<'t>(
     tape: &'t Tape,
     x: Var<'t>,
     gamma: &Param,
     beta: &Param,
     eps: f32,
-) -> (Var<'t>, Matrix, Matrix) {
+    update_running: impl FnOnce(&Matrix, &Matrix),
+) -> Var<'t> {
     same_tape(tape, x);
-    let (mu, centered, var) = tape.with_value(x.idx, |xv| {
-        let mu = xv.mean_rows();
-        let centered = xv.sub_row_broadcast(&mu);
+    let (rows, cols) = x.shape();
+    let mut mu = tape.zero_buffer(1, cols);
+    let mut centered = tape.buffer(rows, cols);
+    let mut var = tape.zero_buffer(1, cols);
+    tape.with_value(x.idx, |xv| {
+        mean_rows_into(xv, &mut mu);
+        // `xv.sub_row_broadcast(&mu)`.
+        for r in 0..rows {
+            let src = xv.row(r).iter().zip(mu.as_slice());
+            for (o, (&v, &m)) in centered.row_mut(r).iter_mut().zip(src) {
+                *o = v - m;
+            }
+        }
         // `centered.mul(centered).mean_rows()` without the squared matrix.
-        let mut var = Matrix::zeros(1, xv.cols());
-        for r in 0..centered.rows() {
+        for r in 0..rows {
             for (s, &c) in var.as_mut_slice().iter_mut().zip(centered.row(r)) {
                 *s += c * c;
             }
         }
-        var.scale_inplace(1.0 / xv.rows() as f32);
-        (mu, centered, var)
+        var.scale_inplace(1.0 / rows as f32);
     });
-    let std: Vec<f32> = var
-        .as_slice()
-        .iter()
-        .map(|&v| (v + eps).max(0.0).sqrt())
-        .collect();
-    let mut xn = centered.clone();
-    for r in 0..xn.rows() {
-        for (v, &s) in xn.row_mut(r).iter_mut().zip(&std) {
-            *v /= s;
+    update_running(&mu, &var);
+    tape.recycle(mu);
+    let mut std = var;
+    std.map_inplace(|v| (v + eps).max(0.0).sqrt());
+    let mut xn = tape.buffer(rows, cols);
+    for r in 0..rows {
+        let src = centered.row(r).iter().zip(std.as_slice());
+        for (v, (&c, &s)) in xn.row_mut(r).iter_mut().zip(src) {
+            *v = c / s;
         }
     }
     let stats = Stats::Batch { centered, std };
-    (batch_norm_node(tape, x, gamma, beta, xn, stats), mu, var)
+    batch_norm_node(tape, x, gamma, beta, xn, stats)
 }
 
 /// Records eval-mode batch norm (running statistics) as one node.
@@ -180,21 +209,21 @@ pub(crate) fn batch_norm_eval<'t>(
     same_tape(tape, x);
     // The chain adds the zero-padded `-μ` rows and multiplies by a ones
     // matrix scaled by `1 / std`; both pads are kept as `0.0 + …`/`1.0 * …`.
-    let neg_mean: Vec<f32> = running_mean.as_slice().iter().map(|&m| 0.0 + -m).collect();
-    let inv_std: Vec<f32> = running_var
-        .as_slice()
-        .iter()
-        .map(|&v| 1.0 * (1.0 / (v + eps).sqrt()))
-        .collect();
-    let xn = tape.with_value(x.idx, |xv| {
-        let mut xn = xv.clone();
-        for r in 0..xn.rows() {
-            for ((v, &m), &s) in xn.row_mut(r).iter_mut().zip(&neg_mean).zip(&inv_std) {
-                *v = (*v + m) * s;
+    let mut neg_mean = tape.copy_of(running_mean);
+    neg_mean.map_inplace(|m| 0.0 + -m);
+    let mut inv_std = tape.copy_of(running_var);
+    inv_std.map_inplace(|v| 1.0 * (1.0 / (v + eps).sqrt()));
+    let (rows, cols) = x.shape();
+    let mut xn = tape.buffer(rows, cols);
+    tape.with_value(x.idx, |xv| {
+        for r in 0..rows {
+            let stats = neg_mean.as_slice().iter().zip(inv_std.as_slice());
+            for ((v, &xi), (&m, &s)) in xn.row_mut(r).iter_mut().zip(xv.row(r)).zip(stats) {
+                *v = (xi + m) * s;
             }
         }
-        xn
     });
+    tape.recycle(neg_mean);
     batch_norm_node(tape, x, gamma, beta, xn, Stats::Running { inv_std })
 }
 
@@ -207,28 +236,30 @@ fn batch_norm_node<'t>(
     xn: Matrix,
     stats: Stats,
 ) -> Var<'t> {
-    let value = affine(&xn, gamma, beta);
+    let value = affine(tape, &xn, gamma, beta);
     let (gamma, beta) = (
         ParamOperand::new(tape, gamma),
         ParamOperand::new(tape, beta),
     );
-    let op = if x.requires_grad() || gamma.trains || beta.trains {
-        Op::BatchNorm(Box::new(BatchNormOp {
-            x: x.idx,
-            gamma,
-            beta,
-            xn,
-            stats,
-        }))
+    let op = BatchNormOp {
+        x: x.idx,
+        gamma,
+        beta,
+        xn,
+        stats,
+    };
+    let op = if x.requires_grad() || op.gamma.trains || op.beta.trains {
+        Op::BatchNorm(Box::new(op))
     } else {
+        op.release(&mut tape.spare_list());
         Op::Leaf
     };
     tape.push_var(value, op)
 }
 
 /// `x̂ ⊙ γ + β` with row broadcasting (the chain's `mul_row → add_row`).
-fn affine(xn: &Matrix, gamma: &Param, beta: &Param) -> Matrix {
-    let mut y = xn.clone();
+fn affine(tape: &Tape, xn: &Matrix, gamma: &Param, beta: &Param) -> Matrix {
+    let mut y = tape.copy_of(xn);
     gamma.with_value(|gv| {
         beta.with_value(|bv| {
             assert_eq!(gv.shape(), (1, y.cols()), "gamma shape mismatch");
@@ -267,11 +298,12 @@ pub(crate) fn batch_norm_backward(head: &mut [Node], g: &Matrix, op: &BatchNormO
         match &op.stats {
             Stats::Batch { centered, std } => {
                 acc(head, op.x, |gx| {
-                    batch_input_grad(gx, g, &op.xn, centered, std, gamma);
+                    batch_input_grad(gx, g, &op.xn, centered, std.as_slice(), gamma);
                 });
             }
             Stats::Running { inv_std } => acc(head, op.x, |gx| {
                 // mul_row → mul_const → add_const.
+                let inv_std = inv_std.as_slice();
                 for r in 0..g.rows() {
                     let cols = gx.row_mut(r).iter_mut().zip(g.row(r));
                     for ((o, &gi), (&ga, &s)) in cols.zip(gamma.iter().zip(inv_std)) {
@@ -369,7 +401,7 @@ pub(crate) fn output_heads<'t>(
             lv.cols()
         );
         let rows = lv.rows();
-        let mut out = Matrix::zeros(rows, width);
+        let mut out = tape.buffer(rows, width);
         let mut off = 0;
         for &head in heads {
             let w = head.width();
@@ -387,7 +419,8 @@ pub(crate) fn output_heads<'t>(
                         tau > 0.0,
                         "gumbel-softmax temperature must be positive, got {tau}"
                     );
-                    let noise = Matrix::gumbel(rows, w, rng);
+                    let mut noise = tape.buffer(rows, w);
+                    noise.gumbel_into(rng);
                     for r in 0..rows {
                         let block = &mut out.row_mut(r)[off..off + w];
                         let src = lv.row(r)[off..off + w].iter().zip(noise.row(r));
@@ -399,6 +432,7 @@ pub(crate) fn output_heads<'t>(
                             *v = (*v - max).exp() / sum;
                         }
                     }
+                    tape.recycle(noise);
                 }
             }
             off += w;

@@ -146,12 +146,16 @@ impl BatchNorm1d {
     /// mode the running statistics are used.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>, training: bool) -> Var<'t> {
         if training {
-            let (y, mu, var) = fused::batch_norm_train(tape, x, &self.gamma, &self.beta, self.eps);
-            let mut rm = self.running_mean.borrow_mut();
-            let mut rv = self.running_var.borrow_mut();
-            *rm = rm.scale(1.0 - self.momentum).add(&mu.scale(self.momentum));
-            *rv = rv.scale(1.0 - self.momentum).add(&var.scale(self.momentum));
-            y
+            fused::batch_norm_train(tape, x, &self.gamma, &self.beta, self.eps, |mu, var| {
+                // `running * (1 - momentum) + batch * momentum`, in place.
+                let (keep, m) = (1.0 - self.momentum, self.momentum);
+                for (running, batch) in [(&self.running_mean, mu), (&self.running_var, var)] {
+                    let mut running = running.borrow_mut();
+                    for (r, &b) in running.as_mut_slice().iter_mut().zip(batch.as_slice()) {
+                        *r = *r * keep + b * m;
+                    }
+                }
+            })
         } else {
             fused::batch_norm_eval(
                 tape,
@@ -207,7 +211,9 @@ impl Dropout {
             return x;
         }
         let (r, c) = x.shape();
-        x.mul_const(Matrix::dropout_mask(r, c, 1.0 - self.p, rng))
+        let mut mask = x.tape.buffer(r, c);
+        mask.dropout_mask_into(1.0 - self.p, rng);
+        x.mul_const(mask)
     }
 }
 

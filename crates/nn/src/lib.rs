@@ -6,7 +6,8 @@
 //! generators and discriminators, a VAE, PATE teacher ensembles and unrolled
 //! neural-ODE blocks — with deterministic, seedable behaviour throughout:
 //!
-//! * [`Tape`]/[`Var`]: a dynamic computation graph built per training step,
+//! * [`Tape`]/[`Var`]: a dynamic computation graph recorded per training
+//!   step (on a new tape, or on one [`Tape::reset`] to reuse its storage),
 //!   with gradients accumulated back into persistent [`Param`]s.
 //! * [`layers`]: `Linear`, `BatchNorm1d`, `Dropout`, residual blocks and an
 //!   `Mlp` builder.

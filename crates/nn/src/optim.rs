@@ -194,34 +194,24 @@ impl Optimizer for Adam {
             .zip(self.m.iter_mut())
             .zip(self.v.iter_mut())
         {
-            // The whole step runs fused and in place: moments, bias
-            // correction, decay and the update all write into the existing
-            // buffers with the same per-element operation order as the
-            // allocating formulation, so trajectories are unchanged.
+            // The whole step is one pass, in place: each element's moments,
+            // decay and update run in the same order as the allocating
+            // formulation, so trajectories are unchanged.
             p.apply_update(|w, g| {
                 // One exploded gradient must not poison the moment estimates
                 // (inf -> m/v = inf -> update = inf/inf = NaN forever).
                 if g.has_non_finite() {
                     return;
                 }
-                for (mi, &gi) in m.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+                let params = w.as_mut_slice().iter_mut().zip(g.as_slice());
+                for ((wi, &gi), (mi, vi)) in params.zip(moments) {
                     *mi = *mi * beta1 + gi * c1;
-                }
-                for (vi, &gi) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
                     *vi = *vi * beta2 + (gi * gi) * c2;
-                }
-                if wd > 0.0 {
-                    for wi in w.as_mut_slice() {
+                    if wd > 0.0 {
                         *wi += (*wi * wd) * -lr;
                     }
-                }
-                for ((wi, &mi), &vi) in w
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(m.as_slice())
-                    .zip(v.as_slice())
-                {
-                    let update = (mi * inv_bc1) / ((vi * inv_bc2).sqrt() + eps);
+                    let update = (*mi * inv_bc1) / ((*vi * inv_bc2).sqrt() + eps);
                     *wi += update * -lr;
                 }
             });

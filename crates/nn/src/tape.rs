@@ -7,15 +7,18 @@
 //! that depend on a parameter carry a gradient; a [`Tape::no_grad`] tape
 //! records values alone.
 //!
-//! Tapes are intended to be short-lived: build one per training step, run
-//! `backward`, drop it. The layers in [`crate::layers`] record one fused
-//! node each (see the `fused` module).
+//! A tape records one graph, runs `backward`, and is then either dropped
+//! or [`Tape::reset`] to record the next one. Reset keeps the storage of
+//! every node — values, gradients and the matrices an op holds for its
+//! backward rule — and the next recording takes its buffers from there, so
+//! a training loop that resets one tape per step re-records the same graph
+//! without allocating matrix storage. The layers in [`crate::layers`]
+//! record one fused node each (see the `fused` module).
 
 use crate::fused::{self, BatchNormOp, HeadsOp, LinearOp};
 use crate::param::{Param, ParamSet};
 use kinet_tensor::Matrix;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cell::{Cell, RefCell, RefMut};
 
 pub(crate) enum Op {
     Leaf,
@@ -45,12 +48,13 @@ pub(crate) enum Op {
     Ln(usize),
     Sqrt(usize),
     Softmax(usize),
-    ConcatCols(Rc<Vec<usize>>),
+    /// The operands are `Tape::operands[start..end]`.
+    ConcatCols(usize, usize),
     SliceCols(usize, usize, usize),
     Reshape(usize),
-    BceWithLogits(usize, Rc<Matrix>),
-    SoftmaxCrossEntropy(usize, Rc<Matrix>),
-    Mse(usize, Rc<Matrix>),
+    BceWithLogits(usize, Matrix),
+    SoftmaxCrossEntropy(usize, Matrix),
+    Mse(usize, Matrix),
     Linear(LinearOp),
     BatchNorm(Box<BatchNormOp>),
     Heads(HeadsOp),
@@ -59,7 +63,7 @@ pub(crate) enum Op {
 impl Op {
     /// The requires-grad rule: a node with this op requires grad when it
     /// is a parameter or one of its operands requires grad.
-    fn requires_grad(&self, nodes: &[Node]) -> bool {
+    fn requires_grad(&self, nodes: &[Node], operands: &[usize]) -> bool {
         let rg = |i: &usize| nodes[*i].grad.is_some();
         match self {
             Op::Leaf => false,
@@ -94,10 +98,22 @@ impl Op {
             | Op::BceWithLogits(a, _)
             | Op::SoftmaxCrossEntropy(a, _)
             | Op::Mse(a, _) => rg(a),
-            Op::ConcatCols(parents) => parents.iter().any(rg),
+            Op::ConcatCols(start, end) => operands[*start..*end].iter().any(rg),
             Op::Linear(op) => rg(&op.x) || op.w.trains || op.b.trains,
             Op::BatchNorm(op) => rg(&op.x) || op.gamma.trains || op.beta.trains,
             Op::Heads(op) => rg(&op.x),
+        }
+    }
+
+    /// Hands the matrices this op holds to `spare`.
+    fn release(self, spare: &mut Vec<Vec<f32>>) {
+        match self {
+            Op::MulConst(_, m)
+            | Op::BceWithLogits(_, m)
+            | Op::SoftmaxCrossEntropy(_, m)
+            | Op::Mse(_, m) => spare.push(m.into_vec()),
+            Op::BatchNorm(op) => op.release(spare),
+            _ => {}
         }
     }
 }
@@ -112,12 +128,34 @@ pub(crate) struct Node {
     op: Op,
 }
 
+impl Node {
+    /// Hands this node's storage to `spare`, in the reverse of the order
+    /// the node took it, so the next identical recording finds each buffer
+    /// at the end of the list.
+    fn release(self, spare: &mut Vec<Vec<f32>>) {
+        if let Some(g) = self.grad {
+            spare.push(g.into_vec());
+        }
+        spare.push(self.value.into_vec());
+        self.op.release(spare);
+    }
+}
+
 /// A computation graph recording forward operations for reverse-mode
 /// differentiation.
 ///
 /// See the [crate-level docs](crate) for an end-to-end example.
 pub struct Tape {
     nodes: RefCell<Vec<Node>>,
+    /// Buffers no node holds — those [`Tape::reset`] took back and those a
+    /// node was done with while recording — handed back out by exact
+    /// length.
+    spare: RefCell<Vec<Vec<f32>>>,
+    /// Buffers handed out since the last reset: as many as an identical
+    /// recording can use, so `reset` keeps no more spares than that.
+    handed_out: Cell<usize>,
+    /// The operand lists of `ConcatCols` nodes, back to back.
+    operands: RefCell<Vec<usize>>,
     /// `false` on a [`Tape::no_grad`] tape: parameters enter as constants.
     grad_enabled: bool,
     /// Parameters that enter as constants on this tape ([`Tape::frozen`]).
@@ -132,10 +170,10 @@ impl Default for Tape {
 
 /// A handle to a node on a [`Tape`].
 ///
-/// `Var` is `Copy`; all arithmetic methods allocate a new node and return a
+/// `Var` is `Copy`; all arithmetic methods record a new node and return a
 /// new handle. Mixing `Var`s from different tapes is a logic error and will
 /// panic (on an index out of bounds) or silently corrupt gradients; each
-/// training step should use exactly one tape.
+/// graph should be recorded on exactly one tape.
 #[derive(Clone, Copy)]
 pub struct Var<'t> {
     pub(crate) tape: &'t Tape,
@@ -146,10 +184,17 @@ impl Tape {
     /// Creates an empty tape that records gradients for every parameter
     /// registered on it.
     pub fn new() -> Self {
+        Self::with_frozen(true, Vec::new())
+    }
+
+    fn with_frozen(grad_enabled: bool, frozen: Vec<Param>) -> Self {
         Self {
             nodes: RefCell::default(),
-            grad_enabled: true,
-            frozen: Vec::new(),
+            spare: RefCell::default(),
+            handed_out: Cell::new(0),
+            operands: RefCell::default(),
+            grad_enabled,
+            frozen,
         }
     }
 
@@ -160,11 +205,7 @@ impl Tape {
     /// forward pass whose gradients would be thrown away (a discriminator
     /// step's generator batch, sampling).
     pub fn no_grad() -> Self {
-        Self {
-            nodes: RefCell::default(),
-            grad_enabled: false,
-            frozen: Vec::new(),
-        }
+        Self::with_frozen(false, Vec::new())
     }
 
     /// Creates an empty tape on which every parameter in `frozen` enters
@@ -174,11 +215,65 @@ impl Tape {
     /// Every other parameter trains as on a [`Tape::new`] tape, with
     /// bit-identical gradients.
     pub fn frozen(frozen: &ParamSet) -> Self {
-        Self {
-            nodes: RefCell::default(),
-            grad_enabled: true,
-            frozen: frozen.iter().cloned().collect(),
+        Self::with_frozen(true, frozen.iter().cloned().collect())
+    }
+
+    /// Clears every recorded node so the tape can record the next graph,
+    /// keeping the tape's kind (gradients, frozen parameters) and the
+    /// nodes' storage: values, gradients, and the matrices ops hold for
+    /// the backward pass. Recording then takes each buffer back by exact
+    /// length, so a graph recorded again with the same shapes allocates no
+    /// matrix storage; gradients are zero-filled as on a new tape, and
+    /// every other buffer is overwritten, so results are bit-identical to
+    /// a new tape's. The tape keeps at most as many spare buffers as the
+    /// cleared recording used.
+    pub fn reset(&mut self) {
+        let spare = self.spare.get_mut();
+        for node in self.nodes.get_mut().drain(..).rev() {
+            node.release(spare);
         }
+        self.operands.get_mut().clear();
+        let excess = spare.len().saturating_sub(self.handed_out.replace(0));
+        spare.drain(..excess);
+    }
+
+    /// A `rows × cols` matrix on a spare buffer of exactly that length
+    /// when there is one. Its contents are unspecified: the caller
+    /// overwrites every element.
+    pub(crate) fn buffer(&self, rows: usize, cols: usize) -> Matrix {
+        self.handed_out.set(self.handed_out.get() + 1);
+        let len = rows * cols;
+        let mut spare = self.spare.borrow_mut();
+        match spare.iter().rposition(|b| b.len() == len) {
+            // `remove` keeps the list in order, so `reset` trims the
+            // buffers that sat unused longest.
+            Some(i) => Matrix::from_vec(rows, cols, spare.remove(i)),
+            None => Matrix::zeros(rows, cols),
+        }
+    }
+
+    /// [`Tape::buffer`], zero-filled like `Matrix::zeros`.
+    pub(crate) fn zero_buffer(&self, rows: usize, cols: usize) -> Matrix {
+        let mut m = self.buffer(rows, cols);
+        m.as_mut_slice().fill(0.0);
+        m
+    }
+
+    /// A copy of `m` on a tape buffer.
+    pub(crate) fn copy_of(&self, m: &Matrix) -> Matrix {
+        let mut out = self.buffer(m.rows(), m.cols());
+        out.as_mut_slice().copy_from_slice(m.as_slice());
+        out
+    }
+
+    /// Returns a buffer the caller is done with to the spare list.
+    pub(crate) fn recycle(&self, m: Matrix) {
+        self.spare_list().push(m.into_vec());
+    }
+
+    /// The spare list, for returning several buffers at once.
+    pub(crate) fn spare_list(&self) -> RefMut<'_, Vec<Vec<f32>>> {
+        self.spare.borrow_mut()
     }
 
     /// `true` when [`Tape::backward`] computes `p`'s gradient on this tape.
@@ -196,19 +291,19 @@ impl Tape {
         self.nodes.borrow().is_empty()
     }
 
-    /// Pushes a node and returns its handle.
+    /// Records a node and returns its handle.
     pub(crate) fn push_var(&self, value: Matrix, op: Op) -> Var<'_> {
         Var {
             tape: self,
-            idx: self.push(value, op),
+            idx: self.record(value, op),
         }
     }
 
-    fn push(&self, value: Matrix, op: Op) -> usize {
+    fn record(&self, value: Matrix, op: Op) -> usize {
         let mut nodes = self.nodes.borrow_mut();
         let grad = op
-            .requires_grad(&nodes)
-            .then(|| Matrix::zeros(value.rows(), value.cols()));
+            .requires_grad(&nodes, &self.operands.borrow())
+            .then(|| self.zero_buffer(value.rows(), value.cols()));
         nodes.push(Node { value, grad, op });
         nodes.len() - 1
     }
@@ -231,10 +326,26 @@ impl Tape {
 
     /// Registers a constant (non-differentiable) input.
     pub fn constant(&self, value: Matrix) -> Var<'_> {
-        Var {
-            tape: self,
-            idx: self.push(value, Op::Leaf),
-        }
+        self.push_var(value, Op::Leaf)
+    }
+
+    /// Registers a copy of `value` as a constant, on the tape's own
+    /// storage: the form for an input a reused tape takes every step.
+    pub fn constant_copy(&self, value: &Matrix) -> Var<'_> {
+        self.push_var(self.copy_of(value), Op::Leaf)
+    }
+
+    /// Registers a `rows × cols` constant on the tape's own storage,
+    /// which `fill` receives zero-filled and writes in place.
+    pub fn constant_with(
+        &self,
+        rows: usize,
+        cols: usize,
+        fill: impl FnOnce(&mut Matrix),
+    ) -> Var<'_> {
+        let mut value = self.zero_buffer(rows, cols);
+        fill(&mut value);
+        self.push_var(value, Op::Leaf)
     }
 
     /// Registers a trainable parameter; its gradient is filled in by
@@ -247,10 +358,7 @@ impl Tape {
         } else {
             Op::Leaf
         };
-        Var {
-            tape: self,
-            idx: self.push(p.value(), op),
-        }
+        self.push_var(p.with_value(|v| self.copy_of(v)), op)
     }
 
     /// Runs the reverse pass from `loss`, which must be a `1 × 1` scalar
@@ -270,6 +378,7 @@ impl Tape {
     /// Panics if `loss` is not scalar-shaped.
     pub fn backward(&self, loss: Var<'_>) {
         let mut nodes = self.nodes.borrow_mut();
+        let operands = self.operands.borrow();
         {
             let l = &mut nodes[loss.idx];
             assert_eq!(
@@ -424,9 +533,9 @@ impl Tape {
                         }
                     }
                 }),
-                Op::ConcatCols(parents) => {
+                Op::ConcatCols(start, end) => {
                     let mut offset = 0;
-                    for &p in parents.iter() {
+                    for &p in &operands[*start..*end] {
                         acc_with(head, p, p, |pg, pv| {
                             let w = pv.cols();
                             for r in 0..pg.rows() {
@@ -578,26 +687,65 @@ pub(crate) fn softmax_row_max_sum(row: &[f32]) -> (f32, f32) {
     (max, sum)
 }
 
-fn softmax_forward(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
+/// Row-wise softmax in place.
+fn softmax_rows(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
         let (max, sum) = softmax_row_max_sum(row);
         for v in row.iter_mut() {
             *v = (*v - max).exp() / sum;
         }
     }
-    out
+}
+
+/// `out[i] = f(a[i], b[i])` over two equally shaped operands.
+fn zip_into(out: &mut Matrix, a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) {
+    assert_eq!(
+        a.shape(),
+        b.shape(),
+        "element-wise shape mismatch: {:?} vs {:?}",
+        a.shape(),
+        b.shape()
+    );
+    let pairs = a.as_slice().iter().zip(b.as_slice());
+    for (o, (&x, &y)) in out.as_mut_slice().iter_mut().zip(pairs) {
+        *o = f(x, y);
+    }
+}
+
+/// Asserts `row` is a `1 × cols` row vector broadcastable over `m`.
+fn row_shape(m: &Matrix, row: &Matrix) {
+    assert_eq!(
+        row.rows(),
+        1,
+        "broadcast operand must be a row vector, got {:?}",
+        row.shape()
+    );
+    assert_eq!(
+        m.cols(),
+        row.cols(),
+        "broadcast column mismatch: {} vs {}",
+        m.cols(),
+        row.cols()
+    );
 }
 
 // The arithmetic methods intentionally mirror `Matrix`'s inherent
 // `add`/`sub`/`mul`/`div`/`neg` names rather than the operator traits:
 // tape nodes are `Copy` handles and the graph DSL reads as method chains.
+// Every node value is written into a tape buffer with the same per-element
+// arithmetic as the `Matrix` method of the same name.
 #[allow(clippy::should_implement_trait)]
 impl<'t> Var<'t> {
     /// Clones this node's current value.
     pub fn value(&self) -> Matrix {
         self.tape.value_of(self.idx)
+    }
+
+    /// Reads this node's value in place. `f` must not record on this
+    /// node's tape.
+    pub fn with_value<R>(&self, f: impl FnOnce(&Matrix) -> R) -> R {
+        self.tape.with_value(self.idx, f)
     }
 
     /// `(rows, cols)` of this node's value.
@@ -618,177 +766,211 @@ impl<'t> Var<'t> {
     }
 
     fn unary(self, value: Matrix, op: Op) -> Var<'t> {
-        Var {
-            tape: self.tape,
-            idx: self.tape.push(value, op),
-        }
+        self.tape.push_var(value, op)
+    }
+
+    /// Records `op` with the value `f(x)` for each element `x`.
+    fn map(self, op: Op, f: impl Fn(f32) -> f32) -> Var<'t> {
+        let (rows, cols) = self.shape();
+        let mut out = self.tape.buffer(rows, cols);
+        self.with_value(|a| {
+            for (o, &x) in out.as_mut_slice().iter_mut().zip(a.as_slice()) {
+                *o = f(x);
+            }
+        });
+        self.unary(out, op)
+    }
+
+    /// Records `op` with the value `f(x, y)` for each element pair of this
+    /// node and `other`.
+    fn zip(self, other: &Matrix, op: Op, f: impl Fn(f32, f32) -> f32) -> Var<'t> {
+        let (rows, cols) = self.shape();
+        let mut out = self.tape.buffer(rows, cols);
+        self.with_value(|a| zip_into(&mut out, a, other, f));
+        self.unary(out, op)
+    }
+
+    /// Records `op` with the value `f(x, y)` for each element pair of this
+    /// node and the node `other`.
+    fn zip_var(self, other: Var<'t>, op: Op, f: impl Fn(f32, f32) -> f32) -> Var<'t> {
+        let (rows, cols) = self.shape();
+        let mut out = self.tape.buffer(rows, cols);
+        self.tape
+            .with_values(self.idx, other.idx, |a, b| zip_into(&mut out, a, b, f));
+        self.unary(out, op)
+    }
+
+    /// Records `op` with the value `f(x, row[c])` for each element `x` in
+    /// column `c`.
+    fn broadcast(self, row: Var<'t>, op: Op, f: impl Fn(f32, f32) -> f32) -> Var<'t> {
+        let (rows, cols) = self.shape();
+        let mut out = self.tape.buffer(rows, cols);
+        self.tape.with_values(self.idx, row.idx, |a, rv| {
+            row_shape(a, rv);
+            for r in 0..rows {
+                let src = a.row(r).iter().zip(rv.as_slice());
+                for (o, (&x, &y)) in out.row_mut(r).iter_mut().zip(src) {
+                    *o = f(x, y);
+                }
+            }
+        });
+        self.unary(out, op)
+    }
+
+    /// Records the `1 × 1` node `op` with value `v`.
+    fn scalar(self, v: f32, op: Op) -> Var<'t> {
+        let mut out = self.tape.buffer(1, 1);
+        out.as_mut_slice().fill(v);
+        self.unary(out, op)
     }
 
     /// Element-wise sum.
     pub fn add(self, other: Var<'t>) -> Var<'t> {
-        let v = self.tape.with_values(self.idx, other.idx, |a, b| a.add(b));
-        self.unary(v, Op::Add(self.idx, other.idx))
+        self.zip_var(other, Op::Add(self.idx, other.idx), |a, b| a + b)
     }
 
     /// Element-wise difference.
     pub fn sub(self, other: Var<'t>) -> Var<'t> {
-        let v = self.tape.with_values(self.idx, other.idx, |a, b| a.sub(b));
-        self.unary(v, Op::Sub(self.idx, other.idx))
+        self.zip_var(other, Op::Sub(self.idx, other.idx), |a, b| a - b)
     }
 
     /// Element-wise product.
     pub fn mul(self, other: Var<'t>) -> Var<'t> {
-        let v = self.tape.with_values(self.idx, other.idx, |a, b| a.mul(b));
-        self.unary(v, Op::Mul(self.idx, other.idx))
+        self.zip_var(other, Op::Mul(self.idx, other.idx), |a, b| a * b)
     }
 
     /// Element-wise quotient.
     pub fn div(self, other: Var<'t>) -> Var<'t> {
-        let v = self.tape.with_values(self.idx, other.idx, |a, b| a.div(b));
-        self.unary(v, Op::Div(self.idx, other.idx))
+        self.zip_var(other, Op::Div(self.idx, other.idx), |a, b| a / b)
     }
 
     /// Negation.
+    // `v * -1.0` rather than `-v`: the two differ on a NaN's sign bit, and
+    // this is the arithmetic of `Matrix::scale(-1.0)` that negation has
+    // always recorded.
+    #[allow(clippy::neg_multiply)]
     pub fn neg(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.scale(-1.0));
-        self.unary(v, Op::Neg(self.idx))
+        self.map(Op::Neg(self.idx), |v| v * -1.0)
     }
 
     /// Matrix product `self · other`.
     pub fn matmul(self, other: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, other.idx, |a, b| a.matmul(b));
-        self.unary(v, Op::Matmul(self.idx, other.idx))
+        let (rows, cols) = (self.shape().0, other.shape().1);
+        let mut out = self.tape.buffer(rows, cols);
+        self.tape
+            .with_values(self.idx, other.idx, |a, b| a.matmul_into(b, &mut out));
+        self.unary(out, Op::Matmul(self.idx, other.idx))
     }
 
     /// Multiplies every element by `s`.
     pub fn scale(self, s: f32) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.scale(s));
-        self.unary(v, Op::Scale(self.idx, s))
+        self.map(Op::Scale(self.idx, s), |v| v * s)
     }
 
     /// Adds `s` to every element.
     pub fn add_scalar(self, s: f32) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.add_scalar(s));
-        self.unary(v, Op::AddScalar(self.idx))
+        self.map(Op::AddScalar(self.idx), |v| v + s)
     }
 
     /// Adds a constant matrix (no gradient flows into it).
     pub fn add_const(self, c: &Matrix) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.add(c));
-        self.unary(v, Op::AddConst(self.idx))
+        self.zip(c, Op::AddConst(self.idx), |a, b| a + b)
     }
 
     /// Multiplies element-wise by a constant matrix (e.g. a dropout mask),
     /// which the node keeps for the backward pass.
     pub fn mul_const(self, c: Matrix) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.mul(&c));
-        self.unary(v, Op::MulConst(self.idx, c))
+        let (rows, cols) = self.shape();
+        let mut out = self.tape.buffer(rows, cols);
+        self.with_value(|a| zip_into(&mut out, a, &c, |x, y| x * y));
+        self.unary(out, Op::MulConst(self.idx, c))
     }
 
     /// Adds a `1 × cols` row node to every row.
     pub fn add_row(self, row: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, row.idx, |a, r| a.add_row_broadcast(r));
-        self.unary(v, Op::AddRow(self.idx, row.idx))
+        self.broadcast(row, Op::AddRow(self.idx, row.idx), |a, b| a + b)
     }
 
     /// Subtracts a `1 × cols` row node from every row.
     pub fn sub_row(self, row: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, row.idx, |a, r| a.sub_row_broadcast(r));
-        self.unary(v, Op::SubRow(self.idx, row.idx))
+        self.broadcast(row, Op::SubRow(self.idx, row.idx), |a, b| a - b)
     }
 
     /// Multiplies every row element-wise by a `1 × cols` row node.
     pub fn mul_row(self, row: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, row.idx, |a, r| a.mul_row_broadcast(r));
-        self.unary(v, Op::MulRow(self.idx, row.idx))
+        self.broadcast(row, Op::MulRow(self.idx, row.idx), |a, b| a * b)
     }
 
     /// Divides every row element-wise by a `1 × cols` row node.
     pub fn div_row(self, row: Var<'t>) -> Var<'t> {
-        let v = self
-            .tape
-            .with_values(self.idx, row.idx, |a, r| a.div_row_broadcast(r));
-        self.unary(v, Op::DivRow(self.idx, row.idx))
+        self.broadcast(row, Op::DivRow(self.idx, row.idx), |a, b| a / b)
     }
 
     /// Column-wise mean as a `1 × cols` node.
     pub fn mean_rows(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.mean_rows());
-        self.unary(v, Op::MeanRows(self.idx))
+        let mut out = self.tape.zero_buffer(1, self.shape().1);
+        self.with_value(|a| mean_rows_into(a, &mut out));
+        self.unary(out, Op::MeanRows(self.idx))
     }
 
     /// Sum of all elements as a `1 × 1` node.
     pub fn sum(self) -> Var<'t> {
-        let v = Matrix::full(1, 1, self.tape.with_value(self.idx, |a| a.sum()));
-        self.unary(v, Op::Sum(self.idx))
+        let v = self.with_value(|a| a.sum());
+        self.scalar(v, Op::Sum(self.idx))
     }
 
     /// Mean of all elements as a `1 × 1` node.
     pub fn mean(self) -> Var<'t> {
-        let v = Matrix::full(1, 1, self.tape.with_value(self.idx, |a| a.mean()));
-        self.unary(v, Op::Mean(self.idx))
+        let v = self.with_value(|a| a.mean());
+        self.scalar(v, Op::Mean(self.idx))
     }
 
     /// Rectified linear unit.
     pub fn relu(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.map(|x| x.max(0.0)));
-        self.unary(v, Op::Relu(self.idx))
+        self.map(Op::Relu(self.idx), |x| x.max(0.0))
     }
 
     /// Leaky ReLU with slope `alpha` for negative inputs.
     pub fn leaky_relu(self, alpha: f32) -> Var<'t> {
-        let v = self
-            .tape
-            .with_value(self.idx, |a| a.map(|x| if x > 0.0 { x } else { alpha * x }));
-        self.unary(v, Op::LeakyRelu(self.idx, alpha))
+        self.map(Op::LeakyRelu(self.idx, alpha), |x| {
+            if x > 0.0 {
+                x
+            } else {
+                alpha * x
+            }
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.map(f32::tanh));
-        self.unary(v, Op::Tanh(self.idx))
+        self.map(Op::Tanh(self.idx), f32::tanh)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.map(sigmoid_scalar));
-        self.unary(v, Op::Sigmoid(self.idx))
+        self.map(Op::Sigmoid(self.idx), sigmoid_scalar)
     }
 
     /// Element-wise exponential.
     pub fn exp(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.map(f32::exp));
-        self.unary(v, Op::Exp(self.idx))
+        self.map(Op::Exp(self.idx), f32::exp)
     }
 
     /// Element-wise natural log, clamped below at a small epsilon.
     pub fn ln(self) -> Var<'t> {
-        let v = self
-            .tape
-            .with_value(self.idx, |a| a.map(|x| x.max(LN_EPS).ln()));
-        self.unary(v, Op::Ln(self.idx))
+        self.map(Op::Ln(self.idx), |x| x.max(LN_EPS).ln())
     }
 
     /// Element-wise square root, clamped below at zero.
     pub fn sqrt(self) -> Var<'t> {
-        let v = self
-            .tape
-            .with_value(self.idx, |a| a.map(|x| x.max(0.0).sqrt()));
-        self.unary(v, Op::Sqrt(self.idx))
+        self.map(Op::Sqrt(self.idx), |x| x.max(0.0).sqrt())
     }
 
     /// Row-wise softmax.
     pub fn softmax(self) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, softmax_forward);
-        self.unary(v, Op::Softmax(self.idx))
+        let mut out = self.with_value(|a| self.tape.copy_of(a));
+        softmax_rows(&mut out);
+        self.unary(out, Op::Softmax(self.idx))
     }
 
     /// Concatenates `vars` along columns (all must share the row count and
@@ -796,82 +978,145 @@ impl<'t> Var<'t> {
     ///
     /// # Panics
     ///
-    /// Panics if `vars` is empty or row counts differ.
+    /// Panics if `vars` is empty, row counts differ or the vars live on
+    /// different tapes.
     pub fn concat_cols(vars: &[Var<'t>]) -> Var<'t> {
         assert!(!vars.is_empty(), "concat of zero vars");
-        let values: Vec<Matrix> = vars.iter().map(|v| v.value()).collect();
-        let refs: Vec<&Matrix> = values.iter().collect();
-        let v = Matrix::hstack(&refs);
         let tape = vars[0].tape;
-        let idxs: Vec<usize> = vars.iter().map(|v| v.idx).collect();
-        Var {
-            tape,
-            idx: tape.push(v, Op::ConcatCols(Rc::new(idxs))),
+        assert!(
+            vars.iter().all(|v| std::ptr::eq(v.tape, tape)),
+            "concat of vars on different tapes"
+        );
+        let rows = vars[0].shape().0;
+        let cols = vars.iter().map(|v| v.shape().1).sum();
+        let mut out = tape.buffer(rows, cols);
+        {
+            let nodes = tape.nodes.borrow();
+            let mut offset = 0;
+            for v in vars {
+                let m = &nodes[v.idx].value;
+                assert_eq!(
+                    m.rows(),
+                    rows,
+                    "concat row mismatch: {} vs {rows}",
+                    m.rows()
+                );
+                for r in 0..rows {
+                    out.row_mut(r)[offset..offset + m.cols()].copy_from_slice(m.row(r));
+                }
+                offset += m.cols();
+            }
         }
+        let start = {
+            let mut operands = tape.operands.borrow_mut();
+            operands.extend(vars.iter().map(|v| v.idx));
+            operands.len() - vars.len()
+        };
+        tape.push_var(out, Op::ConcatCols(start, start + vars.len()))
     }
 
     /// Copies the column range `[start, end)` as a new node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end` or `end` exceeds the column count.
     pub fn slice_cols(self, start: usize, end: usize) -> Var<'t> {
-        let v = self.tape.with_value(self.idx, |a| a.slice_cols(start, end));
-        self.unary(v, Op::SliceCols(self.idx, start, end))
+        let mut out = self.tape.buffer(self.shape().0, end.saturating_sub(start));
+        self.with_value(|a| a.slice_cols_into(start, end, &mut out));
+        self.unary(out, Op::SliceCols(self.idx, start, end))
     }
 
     /// Reshapes to `rows × cols` (same element count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element count differs.
     pub fn reshape(self, rows: usize, cols: usize) -> Var<'t> {
-        let v = self.value().reshape(rows, cols);
-        self.unary(v, Op::Reshape(self.idx))
+        let (r, c) = self.shape();
+        assert_eq!(
+            r * c,
+            rows * cols,
+            "cannot reshape {r}x{c} into {rows}x{cols}"
+        );
+        let mut out = self.tape.buffer(rows, cols);
+        self.with_value(|a| out.as_mut_slice().copy_from_slice(a.as_slice()));
+        self.unary(out, Op::Reshape(self.idx))
     }
 
     /// Mean binary-cross-entropy between these logits and constant targets,
     /// as a `1 × 1` node (numerically stable log-sum-exp form).
     pub fn bce_with_logits(self, target: &Matrix) -> Var<'t> {
-        let va = self.value();
-        assert_eq!(va.shape(), target.shape(), "bce target shape mismatch");
-        let total: f32 = va
-            .as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(&x, &t)| x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln())
-            .sum();
-        let v = Matrix::full(1, 1, total / va.len() as f32);
-        self.unary(v, Op::BceWithLogits(self.idx, Rc::new(target.clone())))
+        let v = self.with_value(|va| {
+            assert_eq!(va.shape(), target.shape(), "bce target shape mismatch");
+            let total: f32 = va
+                .as_slice()
+                .iter()
+                .zip(target.as_slice())
+                .map(|(&x, &t)| x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln())
+                .sum();
+            total / va.len() as f32
+        });
+        let target = self.tape.copy_of(target);
+        self.scalar(v, Op::BceWithLogits(self.idx, target))
     }
 
     /// Mean softmax cross-entropy between these logits and constant one-hot
     /// (or soft) targets, as a `1 × 1` node.
     pub fn softmax_cross_entropy(self, target: &Matrix) -> Var<'t> {
-        let va = self.value();
-        assert_eq!(
-            va.shape(),
-            target.shape(),
-            "cross-entropy target shape mismatch"
-        );
-        let probs = softmax_forward(&va);
-        let mut total = 0.0;
-        for r in 0..va.rows() {
-            for (p, t) in probs.row(r).iter().zip(target.row(r)) {
-                total -= t * p.max(LN_EPS).ln();
+        let v = self.with_value(|va| {
+            assert_eq!(
+                va.shape(),
+                target.shape(),
+                "cross-entropy target shape mismatch"
+            );
+            let mut total = 0.0;
+            for r in 0..va.rows() {
+                let row = va.row(r);
+                let (max, sum) = softmax_row_max_sum(row);
+                for (&x, t) in row.iter().zip(target.row(r)) {
+                    let p = (x - max).exp() / sum;
+                    total -= t * p.max(LN_EPS).ln();
+                }
             }
-        }
-        let v = Matrix::full(1, 1, total / va.rows() as f32);
-        self.unary(
-            v,
-            Op::SoftmaxCrossEntropy(self.idx, Rc::new(target.clone())),
-        )
+            total / va.rows() as f32
+        });
+        let target = self.tape.copy_of(target);
+        self.scalar(v, Op::SoftmaxCrossEntropy(self.idx, target))
     }
 
     /// Mean squared error against constant targets as a `1 × 1` node.
     pub fn mse(self, target: &Matrix) -> Var<'t> {
-        let va = self.value();
-        assert_eq!(va.shape(), target.shape(), "mse target shape mismatch");
-        let total: f32 = va
-            .as_slice()
-            .iter()
-            .zip(target.as_slice())
-            .map(|(&x, &t)| (x - t) * (x - t))
-            .sum();
-        let v = Matrix::full(1, 1, total / va.len() as f32);
-        self.unary(v, Op::Mse(self.idx, Rc::new(target.clone())))
+        let v = self.with_value(|va| {
+            assert_eq!(va.shape(), target.shape(), "mse target shape mismatch");
+            let total: f32 = va
+                .as_slice()
+                .iter()
+                .zip(target.as_slice())
+                .map(|(&x, &t)| (x - t) * (x - t))
+                .sum();
+            total / va.len() as f32
+        });
+        let target = self.tape.copy_of(target);
+        self.scalar(v, Op::Mse(self.idx, target))
+    }
+}
+
+/// `out = a.mean_rows()` into a zero-filled `1 × cols` buffer, with the
+/// same arithmetic: rows summed in ascending order, then scaled.
+///
+/// # Panics
+///
+/// Panics when `a` has zero rows.
+pub(crate) fn mean_rows_into(a: &Matrix, out: &mut Matrix) {
+    assert!(a.rows() > 0, "mean_rows of matrix with zero rows");
+    for r in 0..a.rows() {
+        for (s, &v) in out.as_mut_slice().iter_mut().zip(a.row(r)) {
+            *s += v;
+        }
+    }
+    let inv = 1.0 / a.rows() as f32;
+    for s in out.as_mut_slice() {
+        *s *= inv;
     }
 }
 
@@ -1154,6 +1399,59 @@ mod tests {
         tape.backward(loss);
         let expected = 4.0f32.exp() + 0.25 + 0.5 / 2.0;
         assert!((p.grad()[(0, 0)] - expected).abs() < 1e-2);
+    }
+
+    /// The addresses of every buffer a tape owns, read after a reset.
+    fn storage_after_reset(tape: &mut Tape) -> Vec<usize> {
+        tape.reset();
+        assert!(tape.is_empty());
+        let spare = tape.spare.borrow();
+        let mut ptrs: Vec<usize> = spare.iter().map(|b| b.as_ptr() as usize).collect();
+        ptrs.sort_unstable();
+        ptrs
+    }
+
+    #[test]
+    fn reset_reuses_every_buffer_of_an_identical_recording() {
+        use crate::layers::{output_heads, BatchNorm1d, Dropout, Linear, OutputHead};
+        let mut rng = StdRng::seed_from_u64(13);
+        let fc = Linear::kaiming(4, 5, &mut rng);
+        let bn = BatchNorm1d::new(5);
+        let heads = [OutputHead::Tanh(2), OutputHead::GumbelSoftmax(3)];
+        let x = Matrix::randn(6, 4, 0.0, 1.0, &mut rng);
+        let target = Matrix::randn(6, 5, 0.0, 1.0, &mut rng);
+        let record = |tape: &Tape, rng: &mut StdRng, training: bool| {
+            let h = bn.forward(tape, fc.forward(tape, tape.constant_copy(&x)), training);
+            let h = Dropout::new(0.3).forward(h.leaky_relu(0.2), training, rng);
+            let y = output_heads(h, &heads, 0.5, rng);
+            let loss = y
+                .mse(&target)
+                .add(h.softmax_cross_entropy(&target.map(f32::abs)));
+            tape.backward(loss);
+        };
+        for mut tape in [Tape::new(), Tape::no_grad()] {
+            for training in [true, false] {
+                record(&tape, &mut rng, training);
+                let first = storage_after_reset(&mut tape);
+                assert!(!first.is_empty());
+                for _ in 0..3 {
+                    record(&tape, &mut rng, training);
+                    assert_eq!(storage_after_reset(&mut tape), first, "training={training}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reset_keeps_no_more_spares_than_a_recording_uses() {
+        let mut tape = Tape::new();
+        for _ in 0..5 {
+            // Owned constants bring storage the tape never handed out.
+            let a = tape.constant(Matrix::ones(3, 3));
+            let _ = a.scale(2.0);
+            tape.reset();
+            assert!(tape.spare.borrow().len() <= 1);
+        }
     }
 
     #[test]

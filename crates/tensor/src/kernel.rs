@@ -256,11 +256,140 @@ fn pack_b(packed: &mut [f32], b: &[f32], k: usize, m: usize, tb: Trans) {
     }
 }
 
-/// Unpacked fallback for tiny products: one accumulator per output element,
-/// ascending `k` — the same summation order as the packed path, so the two
-/// are bit-identical.
+/// Output elements the unpacked row and column loops accumulate at once,
+/// in a stack tile: wide enough for the loops to vectorize.
+const SMALL_TILE: usize = 64;
+
+/// Unpacked path for tiny products: one accumulator per output element,
+/// starting at `0.0` and running in ascending `k` — the same summation
+/// order as the packed path, so the two are bit-identical. The loop is
+/// picked from the shape so that independent accumulators sit side by
+/// side and the adds vectorize or overlap:
+///
+/// - a one-column output (`m = 1`: a one-logit layer's forward and its
+///   weight gradient) takes [`gemm_small_col`];
+/// - when every row of `op(B)` is contiguous (`B` untransposed, or
+///   `k = 1`) and the output is at least two vectors wide, a tile of an
+///   output row accumulates `a[i][p] · B[p][..]` across `p` — this covers
+///   the batch-by-64 outer product (`k = 1`) that is a one-logit layer's
+///   input gradient, and short batches through untransposed weights;
+/// - otherwise each element runs its own dot product.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small(
+    out: &mut [f32],
+    n: usize,
+    m: usize,
+    k: usize,
+    a: &[f32],
+    ta: Trans,
+    b: &[f32],
+    tb: Trans,
+    accumulate: bool,
+) {
+    if m == 1 {
+        gemm_small_col(out, n, k, a, ta, b, accumulate);
+    } else if m >= 2 * NR && (tb == Trans::No || k == 1) {
+        gemm_small_rows(out, n, m, k, a, ta, b, accumulate);
+    } else {
+        gemm_small_dots(out, n, m, k, a, ta, b, tb, accumulate);
+    }
+}
+
+/// Writes or adds a finished accumulator tile into `dst`.
+fn store_tile(dst: &mut [f32], acc: &[f32], accumulate: bool) {
+    if accumulate {
+        for (o, &v) in dst.iter_mut().zip(acc) {
+            *o += v;
+        }
+    } else {
+        dst.copy_from_slice(acc);
+    }
+}
+
+/// [`gemm_small`] when row `p` of `op(B)` is the `p`-th `m` elements of
+/// `b`: `B` untransposed, or `k = 1`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_small_rows(
+    out: &mut [f32],
+    n: usize,
+    m: usize,
+    k: usize,
+    a: &[f32],
+    ta: Trans,
+    b: &[f32],
+    accumulate: bool,
+) {
+    for (i, orow) in out.chunks_exact_mut(m).enumerate() {
+        // Row i of op(A), as `(start, stride)` into `a`.
+        let (start, stride) = match ta {
+            Trans::No => (i * k, 1),
+            Trans::Yes => (i, n),
+        };
+        for (t, otile) in orow.chunks_mut(SMALL_TILE).enumerate() {
+            let mut tile = [0.0f32; SMALL_TILE];
+            let (acc, _) = tile.split_at_mut(otile.len());
+            let a_row = a.iter().skip(start).step_by(stride);
+            for (brow, &av) in b.chunks_exact(m).zip(a_row) {
+                for (s, &bv) in acc.iter_mut().zip(brow.iter().skip(t * SMALL_TILE)) {
+                    *s += av * bv;
+                }
+            }
+            store_tile(otile, acc, accumulate);
+        }
+    }
+}
+
+/// [`gemm_small`] for a one-column output; `b`'s one column is contiguous
+/// in either layout.
+fn gemm_small_col(
+    out: &mut [f32],
+    n: usize,
+    k: usize,
+    a: &[f32],
+    ta: Trans,
+    b: &[f32],
+    accumulate: bool,
+) {
+    match ta {
+        // Column i of op(A) runs down the contiguous rows of `a`: a tile
+        // of the output accumulates `A[p][..] · b[p]` across `p`.
+        Trans::Yes => {
+            for (t, otile) in out.chunks_mut(SMALL_TILE).enumerate() {
+                let mut tile = [0.0f32; SMALL_TILE];
+                let (acc, _) = tile.split_at_mut(otile.len());
+                for (arow, &bv) in a.chunks_exact(n).zip(b) {
+                    for (s, &av) in acc.iter_mut().zip(arow.iter().skip(t * SMALL_TILE)) {
+                        *s += av * bv;
+                    }
+                }
+                store_tile(otile, acc, accumulate);
+            }
+        }
+        // Row i of op(A) is contiguous: `MR` rows' dot products run
+        // interleaved, so their adds overlap instead of each waiting on
+        // the one before.
+        Trans::No => {
+            for (oblock, ablock) in out.chunks_mut(MR).zip(a.chunks(MR * k)) {
+                let mut rows = ablock.chunks_exact(k).map(<[f32]>::iter);
+                let mut rows: [std::slice::Iter<'_, f32>; MR] =
+                    std::array::from_fn(|_| rows.next().unwrap_or_default());
+                let mut acc = [0.0f32; MR];
+                for &bv in b {
+                    for (s, row) in acc.iter_mut().zip(&mut rows) {
+                        if let Some(&av) = row.next() {
+                            *s += av * bv;
+                        }
+                    }
+                }
+                store_tile(oblock, acc.split_at(oblock.len()).0, accumulate);
+            }
+        }
+    }
+}
+
+/// [`gemm_small`]'s per-element dot products.
+#[allow(clippy::too_many_arguments)]
+fn gemm_small_dots(
     out: &mut [f32],
     n: usize,
     m: usize,
@@ -335,6 +464,26 @@ mod tests {
         out
     }
 
+    /// `(n, m, k)` shapes the bit-identity tests run over.
+    const SHAPES: &[(usize, usize, usize)] = &[
+        (1, 1, 1),
+        (3, 5, 7),
+        (4, 8, 16),
+        (5, 9, 3),
+        (17, 23, 31),
+        (33, 40, 64),
+        (64, 64, 64),
+        (32, 64, 1),
+        (130, 70, 1),
+        (32, 1, 64),
+        (64, 1, 32),
+        (130, 1, 9),
+        (1, 64, 49),
+        (1, 130, 20),
+        (1, 1, 64),
+        (3, 64, 49),
+    ];
+
     fn fill(len: usize, seed: u32) -> Vec<f32> {
         // Cheap deterministic pseudo-random values with varied magnitudes.
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
@@ -348,16 +497,10 @@ mod tests {
 
     #[test]
     fn packed_path_is_bit_identical_to_naive_for_all_layouts() {
-        // Shapes straddle the MR/NR edges and the small-product cutoff.
-        for &(n, m, k) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (4, 8, 16),
-            (5, 9, 3),
-            (17, 23, 31),
-            (33, 40, 64),
-            (64, 64, 64),
-        ] {
+        // Shapes straddle the MR/NR edges and the small-product cutoff, and
+        // cover each unpacked loop: k = 1 and n = 1 (row tiles, one past
+        // the tile width), m = 1 (column tiles and dot products).
+        for &(n, m, k) in SHAPES {
             for &ta in &[Trans::No, Trans::Yes] {
                 for &tb in &[Trans::No, Trans::Yes] {
                     let a = fill(n * k, (n * 31 + k) as u32);
@@ -373,15 +516,20 @@ mod tests {
 
     #[test]
     fn accumulate_adds_onto_existing_output() {
-        let (n, m, k) = (6, 10, 12);
-        let a = fill(n * k, 3);
-        let b = fill(k * m, 4);
-        let base = fill(n * m, 5);
-        let product = naive(n, m, k, &a, Trans::No, &b, Trans::No);
-        let mut out = base.clone();
-        gemm(&mut out, n, m, k, &a, Trans::No, &b, Trans::No, true);
-        for ((&got, &c0), &p) in out.iter().zip(&base).zip(&product) {
-            assert_eq!(got, c0 + p);
+        for &(n, m, k) in [(6, 10, 12)].iter().chain(SHAPES) {
+            for &ta in &[Trans::No, Trans::Yes] {
+                for &tb in &[Trans::No, Trans::Yes] {
+                    let a = fill(n * k, 3);
+                    let b = fill(k * m, 4);
+                    let base = fill(n * m, 5);
+                    let product = naive(n, m, k, &a, ta, &b, tb);
+                    let mut out = base.clone();
+                    gemm(&mut out, n, m, k, &a, ta, &b, tb, true);
+                    for ((&got, &c0), &p) in out.iter().zip(&base).zip(&product) {
+                        assert_eq!(got, c0 + p, "n={n} m={m} k={k} {ta:?} {tb:?}");
+                    }
+                }
+            }
         }
     }
 

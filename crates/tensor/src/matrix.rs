@@ -297,15 +297,31 @@ impl Matrix {
     ///
     /// Panics if `start > end` or `end > self.cols()`.
     pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, end.saturating_sub(start));
+        self.slice_cols_into(start, end, &mut out);
+        out
+    }
+
+    /// Copies the column range `[start, end)` over every element of
+    /// `out`, whose storage is reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end`, `end > self.cols()` or `out` is not
+    /// `self.rows() × (end - start)`.
+    pub fn slice_cols_into(&self, start: usize, end: usize, out: &mut Matrix) {
         assert!(
             start <= end && end <= self.cols,
             "invalid column slice {start}..{end}"
         );
-        let mut out = Matrix::zeros(self.rows, end - start);
+        assert_eq!(
+            out.shape(),
+            (self.rows, end - start),
+            "slice_cols_into output shape mismatch"
+        );
         for r in 0..self.rows {
             out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
         }
-        out
     }
 
     /// Copies the row range `[start, end)` into a new matrix.
@@ -383,7 +399,9 @@ impl Matrix {
 
     /// `true` if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
+        // A fold without an early exit vectorizes; matrices are almost
+        // always finite, so a short circuit would save nothing.
+        self.data.iter().fold(false, |bad, v| bad | !v.is_finite())
     }
 
     /// Iterator over rows as slices.

@@ -269,6 +269,19 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows(), other.cols());
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// Matrix product `self · other` written over every element of `out`,
+    /// whose storage is reused — bit-identical to [`Matrix::matmul`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()` or `out` is not
+    /// `self.rows() × other.cols()`.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols(),
             other.rows(),
@@ -277,7 +290,7 @@ impl Matrix {
             other.shape()
         );
         let (n, k, m) = (self.rows(), self.cols(), other.cols());
-        let mut out = Matrix::zeros(n, m);
+        assert_eq!(out.shape(), (n, m), "matmul_into output shape mismatch");
         kernel::gemm(
             out.as_mut_slice(),
             n,
@@ -289,7 +302,6 @@ impl Matrix {
             Trans::No,
             false,
         );
-        out
     }
 
     /// `selfᵀ · other` without materializing the transpose (it is absorbed

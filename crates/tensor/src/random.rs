@@ -53,6 +53,22 @@ pub trait MatrixRandomExt: Sized {
 
     /// Matrix of standard Gumbel(0, 1) noise, used by Gumbel-Softmax heads.
     fn gumbel(rows: usize, cols: usize, rng: &mut impl Rng) -> Self;
+
+    /// Overwrites every element with [`MatrixRandomExt::randn`]'s draws
+    /// for this shape, in the same order: the allocation-free form.
+    fn randn_into(&mut self, mean: f32, std: f32, rng: &mut impl Rng);
+
+    /// Overwrites every element with [`MatrixRandomExt::dropout_mask`]'s
+    /// draws for this shape, in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < keep_prob <= 1`.
+    fn dropout_mask_into(&mut self, keep_prob: f32, rng: &mut impl Rng);
+
+    /// Overwrites every element with [`MatrixRandomExt::gumbel`]'s draws
+    /// for this shape, in the same order.
+    fn gumbel_into(&mut self, rng: &mut impl Rng);
 }
 
 impl MatrixRandomExt for Matrix {
@@ -61,18 +77,9 @@ impl MatrixRandomExt for Matrix {
     }
 
     fn randn(rows: usize, cols: usize, mean: f32, std: f32, rng: &mut impl Rng) -> Self {
-        let n = rows * cols;
-        let mut data = Vec::with_capacity(n);
-        while data.len() + 1 < n {
-            let (a, b) = gaussian_pair(rng);
-            data.push(mean + std * a);
-            data.push(mean + std * b);
-        }
-        if data.len() < n {
-            let (a, _) = gaussian_pair(rng);
-            data.push(mean + std * a);
-        }
-        Matrix::from_vec(rows, cols, data)
+        let mut m = Matrix::zeros(rows, cols);
+        m.randn_into(mean, std, rng);
+        m
     }
 
     fn glorot_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Self {
@@ -86,29 +93,55 @@ impl MatrixRandomExt for Matrix {
     }
 
     fn dropout_mask(rows: usize, cols: usize, keep_prob: f32, rng: &mut impl Rng) -> Self {
+        let mut m = Matrix::zeros(rows, cols);
+        m.dropout_mask_into(keep_prob, rng);
+        m
+    }
+
+    fn gumbel(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
+        let mut m = Matrix::zeros(rows, cols);
+        m.gumbel_into(rng);
+        m
+    }
+
+    fn randn_into(&mut self, mean: f32, std: f32, rng: &mut impl Rng) {
+        // Draws come in Box–Muller pairs; an odd count discards the last
+        // pair's second value.
+        let mut pairs = self.as_mut_slice().chunks_exact_mut(2);
+        for pair in &mut pairs {
+            let (a, b) = gaussian_pair(rng);
+            pair.copy_from_slice(&[mean + std * a, mean + std * b]);
+        }
+        if let [last] = pairs.into_remainder() {
+            let (a, _) = gaussian_pair(rng);
+            *last = mean + std * a;
+        }
+    }
+
+    fn dropout_mask_into(&mut self, keep_prob: f32, rng: &mut impl Rng) {
         assert!(
             keep_prob > 0.0 && keep_prob <= 1.0,
             "keep_prob must be in (0, 1], got {keep_prob}"
         );
         let scale = 1.0 / keep_prob;
-        Matrix::from_fn(rows, cols, |_, _| {
-            if rng.random::<f32>() < keep_prob {
+        for v in self.as_mut_slice() {
+            *v = if rng.random::<f32>() < keep_prob {
                 scale
             } else {
                 0.0
-            }
-        })
+            };
+        }
     }
 
-    fn gumbel(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
-        Matrix::from_fn(rows, cols, |_, _| {
+    fn gumbel_into(&mut self, rng: &mut impl Rng) {
+        for v in self.as_mut_slice() {
             // Clamp *both* tails: `random::<f32>()` can return exactly 0,
             // and `u = 1` would make `-ln(-ln(u)) = +inf` — one infinite
             // Gumbel draw poisons the softmax downstream and NaNs the
             // whole training step (observed roughly once per ~10⁷ draws).
             let u: f32 = (1.0f32 - rng.random::<f32>()).clamp(1e-12, 1.0 - 1e-7);
-            -(-u.ln()).ln()
-        })
+            *v = -(-u.ln()).ln();
+        }
     }
 }
 
