@@ -91,8 +91,7 @@ impl KinetGan {
 
     /// Fraction of `table` rows that satisfy the knowledge graph. Scored
     /// through the compiled reasoner (interned codes, no per-row
-    /// assignments), parallel over the worker pool; exactly equal to the
-    /// string reasoner's verdicts.
+    /// assignments); exactly equal to the string reasoner's verdicts.
     pub fn validity_rate(&self, table: &Table) -> f64 {
         KgTableChecker::new(self.kg.compiled(), self.kg.base_interner(), table.schema())
             .validity_rate(table)

@@ -10,8 +10,7 @@
 //!
 //! * the training table is **pre-encoded once** — interned category codes
 //!   ([`EncodedTable`]) plus the deterministic CTGAN transform — and every
-//!   batch is an index **gather into reused buffers** on the kernel worker
-//!   pool;
+//!   batch is an index **gather into reused buffers**;
 //! * each event class gets a precompiled **sampling plan** (valid-code
 //!   tables, numeric ranges, dictionary fallbacks, all over interned
 //!   symbols), so drawing a KG-valid positive is a few integer picks and
@@ -198,8 +197,8 @@ impl KgTrainPipeline {
     /// the real row's deterministic encoding with its constrained fields
     /// re-drawn from the compiled valid sets (up to `max_tries` rejection
     /// rounds per row; rows whose constraints cannot be satisfied keep
-    /// their original encoding). The base gather runs on the worker pool;
-    /// the draws consume `rng` in exactly the string reference's order.
+    /// their original encoding). The draws consume `rng` in exactly the
+    /// string reference's order.
     ///
     /// # Errors
     ///

@@ -11,15 +11,12 @@
 //!
 //! [`KgColumnBinding`] maps schema columns onto a
 //! [`CompiledReasoner`]'s field ids once; after that, validity scoring is
-//! an integer loop per row, parallelized over the `KINET_THREADS` worker
-//! pool (a deterministic count: workers own disjoint row ranges and
-//! integer addition is order-independent).
+//! an integer loop per row.
 
 use crate::schema::{ColumnKind, Schema};
 use crate::table::{DataError, Table};
 use crate::value::Value;
 use kinet_kg::{Assignment, AttrValue, Cell, CompiledReasoner, Interner, Sym};
-use kinet_tensor::pool;
 
 /// One table row as a string-keyed [`Assignment`] — the reference
 /// reasoner's input format. The fast paths avoid this conversion entirely;
@@ -34,10 +31,6 @@ pub fn row_to_assignment(table: &Table, row: usize) -> Assignment {
     }
     a
 }
-
-/// Rows per worker below which validity scoring stays serial (the check is
-/// tens of nanoseconds per row; spawning costs tens of microseconds).
-const MIN_ROWS_PER_THREAD: usize = 4096;
 
 /// Sentinel for "symbol not in this column's dictionary".
 const NO_CODE: u32 = u32::MAX;
@@ -164,30 +157,31 @@ impl EncodedTable {
         }
     }
 
-    /// Counts KG-valid rows with the compiled reasoner, in parallel over
-    /// the worker pool. Deterministic for every `KINET_THREADS`.
+    /// Counts KG-valid rows with the compiled reasoner.
     pub fn count_valid(&self, compiled: &CompiledReasoner, binding: &KgColumnBinding) -> usize {
         let scope = binding
             .scope_col
             .and_then(|c| self.cat_syms(c))
             .unwrap_or(&[]);
         let rules = compiled.rules();
-        pool::parallel_count(self.n_rows, MIN_ROWS_PER_THREAD, &|row| {
-            let event_row = if scope.is_empty() {
-                rules.wildcard_row()
-            } else {
-                rules.event_row(Cell::Cat(scope[row]))
-            };
-            binding
-                .checked
-                .iter()
-                .all(|&(col, fid)| match &self.columns[col] {
-                    EncodedColumn::Cat { syms, .. } => {
-                        compiled.cat_ok(event_row, fid, syms[row], &self.interner)
-                    }
-                    EncodedColumn::Num(vals) => compiled.num_ok(event_row, fid, vals[row]),
-                })
-        })
+        (0..self.n_rows)
+            .filter(|&row| {
+                let event_row = if scope.is_empty() {
+                    rules.wildcard_row()
+                } else {
+                    rules.event_row(Cell::Cat(scope[row]))
+                };
+                binding
+                    .checked
+                    .iter()
+                    .all(|&(col, fid)| match &self.columns[col] {
+                        EncodedColumn::Cat { syms, .. } => {
+                            compiled.cat_ok(event_row, fid, syms[row], &self.interner)
+                        }
+                        EncodedColumn::Num(vals) => compiled.num_ok(event_row, fid, vals[row]),
+                    })
+            })
+            .count()
     }
 
     /// Fraction of KG-valid rows (1.0 for an empty table, like the string
@@ -334,7 +328,7 @@ impl<'a> KgTableChecker<'a> {
         })
     }
 
-    /// Counts KG-valid rows, in parallel over the worker pool.
+    /// Counts KG-valid rows.
     ///
     /// # Errors
     ///
@@ -344,11 +338,9 @@ impl<'a> KgTableChecker<'a> {
     pub fn count_valid(&self, table: &Table) -> Result<usize, DataError> {
         let cols = self.column_refs(table)?;
         let scope: &[String] = self.scope_refs(table)?;
-        Ok(pool::parallel_count(
-            table.n_rows(),
-            MIN_ROWS_PER_THREAD,
-            &|row| self.check_row(&cols, scope, row),
-        ))
+        Ok((0..table.n_rows())
+            .filter(|&row| self.check_row(&cols, scope, row))
+            .count())
     }
 
     /// Fraction of KG-valid rows (1.0 for an empty table).
@@ -481,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn validity_paths_agree_and_parallelize() {
+    fn validity_paths_agree() {
         let kg = NetworkKg::lab_default();
         let t = lab_like_table();
         let checker = KgTableChecker::new(kg.compiled(), kg.base_interner(), t.schema());
@@ -491,11 +483,6 @@ mod tests {
         let enc = EncodedTable::encode(&t, kg.base_interner().clone());
         let binding = KgColumnBinding::bind(kg.compiled(), t.schema());
         assert_eq!(enc.validity_rate(kg.compiled(), &binding), rate);
-        for threads in [1, 2, 4] {
-            let r =
-                kinet_tensor::with_threads(threads, || enc.validity_rate(kg.compiled(), &binding));
-            assert_eq!(r, rate, "threads={threads}");
-        }
         let mut invalid = Vec::new();
         checker.invalid_rows(&t, &mut invalid).unwrap();
         assert_eq!(invalid, vec![1, 2, 3]);

@@ -18,7 +18,7 @@
 //!   sampling;
 //! * [`encoded::EncodedTable`]: the interned fast-path encoding (category
 //!   strings → `kinet_kg` symbols) plus compiled KG validity scoring over
-//!   whole tables, parallelized on the kernel worker pool;
+//!   whole tables;
 //! * [`sampler::TrainingSampler`]: training-by-sampling row lookup;
 //! * [`stream::ChunkSource`] / [`stream::StreamingShard`]: out-of-core
 //!   chunked row streams with deterministic reservoir sampling and a

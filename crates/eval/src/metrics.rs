@@ -152,7 +152,7 @@ pub fn fidelity(real: &Table, synthetic: &Table) -> FidelityReport {
 
 /// Fraction of `table` rows that satisfy `kg` — the semantic-fidelity
 /// metric the paper's knowledge infusion optimizes for. Scored through the
-/// compiled reasoner (interned codes, parallel over the worker pool), so
+/// compiled reasoner (interned codes), so
 /// whole releases are checked without building per-row assignments.
 pub fn kg_validity(kg: &kinet_kg::NetworkKg, table: &Table) -> f64 {
     kinet_data::encoded::KgTableChecker::new(kg.compiled(), kg.base_interner(), table.schema())

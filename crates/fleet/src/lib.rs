@@ -14,7 +14,7 @@
 //!   is bounded by `chunk + window`, not by the shard, so 32 devices × 5k
 //!   rows (and beyond) run in bounded memory.
 //! * **Pool-worker scheduling** ([`schedule`]) — device fits run across
-//!   the `KINET_THREADS` worker pool, with results merged in device-index
+//!   `KINET_THREADS` task workers, with results merged in device-index
 //!   order so reports are bit-identical for every thread count.
 //! * **The condition-union protocol** ([`union`]) — devices exchange class
 //!   vocabularies (names only), the fleet computes the union, and devices

@@ -1,12 +1,13 @@
-//! Device-task scheduling on the kernel worker pool.
+//! Device-task scheduling: the fleet's one layer of parallelism.
 //!
 //! Fleet work units (one device's shard scan or training run) are
-//! scheduled across [`kinet_tensor::pool::num_threads`] scoped workers —
-//! the same `KINET_THREADS` knob that sizes the GEMM workers, so one
-//! environment variable governs all parallelism. Each worker pulls the
-//! next task index from a shared counter; inside a worker the kernel
-//! thread count is pinned to one (a device fit is the unit of parallelism;
-//! nesting GEMM workers under task workers would oversubscribe the host).
+//! scheduled across [`kinet_tensor::pool::num_threads`] scoped workers,
+//! sized by the `KINET_THREADS` knob; the tensor kernels themselves run on
+//! the calling thread. Each worker pulls the next task index from a shared
+//! counter. Inside a task the knob is pinned to one, so a schedule nested
+//! in a task (a service round run inside a settled task, say) runs
+//! serially on that task's thread instead of spawning a second layer of
+//! workers.
 //!
 //! Determinism: every task derives its randomness from its own index, and
 //! results are returned **in index order** regardless of which worker ran
@@ -16,10 +17,10 @@
 use crossbeam::channel;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Runs `f(0..n)` across the kernel worker pool and returns the results in
-/// index order. Falls back to a plain sequential loop (with the ambient
-/// kernel thread count, so a lone task still parallelizes its GEMMs) when
-/// one worker suffices.
+/// Runs `f(0..n)` across the task workers and returns the results in
+/// index order. Falls back to a plain sequential loop on the calling thread
+/// when one worker suffices; the knob is not pinned there, so a schedule
+/// nested in such a task may still fan out.
 ///
 /// # Errors
 ///
@@ -53,13 +54,13 @@ where
     }
 }
 
-/// Runs `f(0..n)` across the kernel worker pool and returns **every**
+/// Runs `f(0..n)` across the task workers and returns **every**
 /// task's outcome in index order, without short-circuiting on failure —
 /// the settled variant quorum aggregation needs: a fault on device 0 must
 /// not discard the work of devices 1..n.
 ///
 /// Same scheduling and determinism contract as [`run_indexed`]; the
-/// sequential fallback keeps the ambient kernel thread count.
+/// sequential fallback keeps the ambient thread count.
 ///
 /// # Panics
 ///
@@ -85,9 +86,9 @@ where
                 if i >= n {
                     return;
                 }
-                // Pin the kernel layer to one thread inside a task worker:
-                // the task is the unit of parallelism here. Results are
-                // bit-identical either way (kernel determinism contract).
+                // Pin the knob to one inside a task worker, so a schedule
+                // nested in the task runs serially on this thread instead
+                // of spawning workers under workers.
                 let result = kinet_tensor::pool::with_threads(1, || f(i));
                 if tx.send((i, result)).is_err() {
                     return;
@@ -174,11 +175,17 @@ mod tests {
     }
 
     #[test]
-    fn kernel_threads_pinned_inside_parallel_workers() {
-        let counts: Result<Vec<usize>, String> = with_threads(4, || {
-            run_indexed(8, |_| Ok(kinet_tensor::pool::num_threads()))
+    fn nested_schedules_run_serially_inside_parallel_workers() {
+        let serial: Result<Vec<bool>, String> = with_threads(4, || {
+            run_indexed(8, |_| {
+                let task = std::thread::current().id();
+                let inner: Result<Vec<_>, String> =
+                    run_indexed(4, |_| Ok(std::thread::current().id()));
+                Ok(kinet_tensor::pool::num_threads() == 1
+                    && inner.unwrap().iter().all(|&id| id == task))
+            })
         });
-        assert!(counts.unwrap().iter().all(|&c| c == 1));
+        assert!(serial.unwrap().iter().all(|&ok| ok));
         // Sequential fallback keeps the ambient count.
         let counts: Result<Vec<usize>, String> = with_threads(1, || {
             run_indexed(3, |_| Ok(kinet_tensor::pool::num_threads()))

@@ -238,12 +238,16 @@ fn scan_files_parallel(
 /// Worker count: `KINET_THREADS` when set and ≥ 1, else the machine's
 /// available parallelism (the same convention as the tensor pool).
 fn env_threads() -> usize {
-    std::env::var("KINET_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+    parse_threads(std::env::var("KINET_THREADS").ok().as_deref())
         .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
         .unwrap_or(1)
+}
+
+/// A `KINET_THREADS` value as a worker count, parsed as the tensor pool
+/// parses it: surrounding whitespace is ignored, and anything but a
+/// positive integer is `None`.
+fn parse_threads(raw: Option<&str>) -> Option<usize> {
+    raw?.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// Lints the whole workspace under `root` with the committed policy and
@@ -259,4 +263,20 @@ pub fn run_workspace_with_threads(root: &Path, threads: usize) -> Result<Workspa
     let cfg = load_workspace_config(root)?;
     let (policy, policy_findings) = load_reach_policy(root)?;
     run_full(root, &cfg, &policy, policy_findings, threads)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_threads;
+
+    #[test]
+    fn thread_knob_parses_like_the_tensor_pool() {
+        assert_eq!(parse_threads(Some("2")), Some(2));
+        assert_eq!(parse_threads(Some(" 2")), Some(2));
+        assert_eq!(parse_threads(Some("4\n")), Some(4));
+        for bad in ["0", "", " ", "-1", "two", "2.5"] {
+            assert_eq!(parse_threads(Some(bad)), None, "{bad:?}");
+        }
+        assert_eq!(parse_threads(None), None);
+    }
 }

@@ -12,23 +12,19 @@
 //!
 //! Every output element is produced by exactly one accumulator updated in
 //! strictly ascending `k` order, at `f32` precision throughout. The result
-//! is therefore bit-identical to the naive single-accumulator dot product
-//! — independent of tile sizes, of how rows are partitioned across worker
-//! threads (each worker owns a disjoint range of output rows), and of the
-//! `KINET_THREADS` setting.
+//! is therefore bit-identical to the naive single-accumulator dot product,
+//! independent of tile sizes. Every product runs on the calling thread, so
+//! `KINET_THREADS` never reaches the kernel.
 
-use crate::pool;
 use std::cell::RefCell;
 
 thread_local! {
-    /// Reusable pack buffers, one pair per thread. `pack_b` runs once per
-    /// call on the calling thread and `pack_a` runs per row-chunk on
-    /// whichever thread owns the chunk; routing both through a thread-local
-    /// arena means repeated matmuls on a long-lived thread (the serial
-    /// training loop, `KINET_THREADS=1`) stop re-allocating pack buffers
-    /// entirely. Workers spawned per call start with an empty arena and
-    /// allocate once, exactly as before. Buffers are zero-filled on every
-    /// borrow, so reuse is bit-identical to a fresh `vec![0.0; len]`.
+    /// Reusable pack buffers, one pair per thread. `pack_b` and `pack_a`
+    /// both run on the calling thread; routing them through a thread-local
+    /// arena means repeated matmuls on a long-lived thread (a training
+    /// loop, a fleet task worker) stop re-allocating pack buffers entirely.
+    /// Buffers are zero-filled on every borrow, so reuse is bit-identical
+    /// to a fresh `vec![0.0; len]`.
     static PACK_B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static PACK_A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
@@ -64,12 +60,6 @@ pub(crate) const NR: usize = 8;
 /// saves; a plain ascending-`k` dot-product loop (same summation order, so
 /// bit-identical results) handles tiny products.
 const SMALL_FLOP_CUTOFF: usize = 16 * 1024;
-
-/// Minimum multiply-adds a worker must own before fanning out: scoped
-/// threads are spawned per call (tens of microseconds each), so products
-/// are kept serial until each worker's share clearly amortizes that.
-/// Thread count never changes results, only throughput.
-const MIN_FLOPS_PER_THREAD: usize = 256 * 1024;
 
 /// Whether an operand is used as stored or logically transposed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -116,28 +106,19 @@ pub(crate) fn gemm(
     }
 
     // Pack all of B once: NR-wide column panels, k-major inside each panel.
-    // Workers share it read-only while owning disjoint row ranges of `out`.
     // The buffer comes from the calling thread's scratch arena so repeated
     // products skip the allocation.
     with_scratch(&PACK_B_SCRATCH, m.div_ceil(NR) * k * NR, |packed_b| {
         pack_b(packed_b, b, k, m, tb);
-
-        // Honor a scoped `with_threads` override exactly (tests compare
-        // thread counts on small shapes); otherwise cap the ambient worker
-        // count so each worker owns enough flops to amortize its spawn.
-        let threads = pool::workers_for(n * m * k, MIN_FLOPS_PER_THREAD);
-        pool::parallel_rows(out, n, m, MR, threads, &|row0, chunk| {
-            gemm_rows(chunk, row0, m, k, a, ta, packed_b, accumulate);
-        });
+        gemm_rows(out, m, k, a, ta, packed_b, accumulate);
     });
 }
 
-/// Computes the row range `[row0, row0 + chunk_rows)` of the product into
-/// `chunk` (the corresponding rows of the output buffer).
+/// Computes every row of the product into `out` from the packed `B`, one
+/// `MR`-row panel of `A` at a time.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows(
-    chunk: &mut [f32],
-    row0: usize,
+    out: &mut [f32],
     m: usize,
     k: usize,
     a: &[f32],
@@ -145,22 +126,22 @@ fn gemm_rows(
     packed_b: &[f32],
     accumulate: bool,
 ) {
-    let rows = chunk.len() / m;
+    let rows = out.len() / m;
     let n_panels = m.div_ceil(NR);
-    // Scratch for one MR-row packed panel of A, reused across the row range
-    // (and across calls on long-lived threads via the arena).
+    // Scratch for one MR-row packed panel of A, reused across the rows (and
+    // across calls on long-lived threads via the arena).
     with_scratch(&PACK_A_SCRATCH, k * MR, |packed_a| {
         let mut i = 0;
         while i < rows {
             let mr = MR.min(rows - i);
-            pack_a_panel(packed_a, a, ta, row0 + i, mr, k);
+            pack_a_panel(packed_a, a, ta, i, mr, k);
             for pj in 0..n_panels {
                 let j0 = pj * NR;
                 let nr = NR.min(m - j0);
                 let b_panel = &packed_b[pj * k * NR..(pj + 1) * k * NR];
                 let acc = microkernel(packed_a, b_panel);
                 for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                    let orow = &mut chunk[(i + r) * m + j0..(i + r) * m + j0 + nr];
+                    let orow = &mut out[(i + r) * m + j0..(i + r) * m + j0 + nr];
                     if accumulate {
                         for (o, &v) in orow.iter_mut().zip(acc_row) {
                             *o += v;
@@ -472,6 +453,7 @@ mod tests {
         (5, 9, 3),
         (17, 23, 31),
         (33, 40, 64),
+        (37, 29, 41),
         (64, 64, 64),
         (32, 64, 1),
         (130, 70, 1),
@@ -556,26 +538,6 @@ mod tests {
             let mut out = vec![0.0f32; n * m];
             gemm(&mut out, n, m, k, &a, Trans::No, &b, Trans::Yes, false);
             assert_eq!(out, expected, "n={n} m={m} k={k}");
-        }
-    }
-
-    #[test]
-    fn thread_partitioning_is_bit_identical() {
-        let (n, m, k) = (37, 29, 41);
-        let a = fill(n * k, 7);
-        let b = fill(k * m, 8);
-        let serial = pool::with_threads(1, || {
-            let mut out = vec![0.0f32; n * m];
-            gemm(&mut out, n, m, k, &a, Trans::No, &b, Trans::No, false);
-            out
-        });
-        for t in [2, 3, 8] {
-            let parallel = pool::with_threads(t, || {
-                let mut out = vec![0.0f32; n * m];
-                gemm(&mut out, n, m, k, &a, Trans::No, &b, Trans::No, false);
-                out
-            });
-            assert_eq!(serial, parallel, "threads={t}");
         }
     }
 }

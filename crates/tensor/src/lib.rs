@@ -5,9 +5,9 @@
 //! ([`kinet-nn`]) and the statistical tooling need. All randomness flows
 //! through explicit [`rand`] generators, and the matrix products run on a
 //! packed, cache-tiled, register-blocked kernel (see [`kernel` layout notes
-//! in DESIGN.md]) that parallelizes over disjoint output-row ranges — the
-//! `KINET_THREADS` environment variable caps the worker count — while
-//! keeping results bit-for-bit identical for every thread count.
+//! in DESIGN.md]) on the calling thread, bit-for-bit identical to a naive
+//! ascending-`k` dot product. The [`pool`] module only resolves the
+//! `KINET_THREADS` knob, which sizes the fleet scheduler's task workers.
 //!
 //! [`kernel` layout notes in DESIGN.md]: https://example.org/kinetgan-rs
 //!

@@ -357,9 +357,7 @@ impl Matrix {
     /// Gathers the given rows into `out`, resizing it to
     /// `indices.len() × self.cols()`. The reusable-buffer counterpart of
     /// [`Matrix::select_rows`] for per-batch gathers in training loops:
-    /// no allocation once `out` has capacity, and large gathers fan out
-    /// over the kernel worker pool (each output row is an independent
-    /// copy, so the result is identical for every thread count).
+    /// no allocation once `out` has capacity.
     ///
     /// # Panics
     ///
@@ -374,27 +372,11 @@ impl Matrix {
         out.cols = self.cols;
         out.data.clear();
         out.data.resize(indices.len() * self.cols, 0.0);
-        if out.data.is_empty() {
-            return;
-        }
-        // Copy-bound work: only fan out when each worker moves enough bytes
-        // to amortize its spawn.
-        const MIN_ELEMS_PER_THREAD: usize = 64 * 1024;
-        let threads = crate::pool::workers_for(out.data.len(), MIN_ELEMS_PER_THREAD);
         let cols = self.cols;
-        crate::pool::parallel_rows(
-            &mut out.data,
-            indices.len(),
-            cols,
-            1,
-            threads,
-            &|first_row, chunk| {
-                for (r, orow) in chunk.chunks_exact_mut(cols).enumerate() {
-                    let src = indices[first_row + r];
-                    orow.copy_from_slice(&self.data[src * cols..(src + 1) * cols]);
-                }
-            },
-        );
+        for (r, &src) in indices.iter().enumerate() {
+            out.data[r * cols..(r + 1) * cols]
+                .copy_from_slice(&self.data[src * cols..(src + 1) * cols]);
+        }
     }
 
     /// `true` if any element is NaN or infinite.
@@ -548,15 +530,9 @@ mod tests {
         let mut buf = Matrix::default();
         m.gather_rows_into(&idx, &mut buf);
         assert_eq!(buf, m.select_rows(&idx));
-        // Reuse with a smaller gather, then under a thread override.
+        // Reuse with a smaller gather.
         m.gather_rows_into(&[3, 3, 0], &mut buf);
         assert_eq!(buf, m.select_rows(&[3, 3, 0]));
-        let parallel = crate::pool::with_threads(3, || {
-            let mut b = Matrix::default();
-            m.gather_rows_into(&idx, &mut b);
-            b
-        });
-        assert_eq!(parallel, m.select_rows(&idx));
         m.gather_rows_into(&[], &mut buf);
         assert_eq!(buf.rows(), 0);
     }

@@ -1,14 +1,12 @@
-//! Row-range parallelism for the kernel layer.
+//! The `KINET_THREADS` knob.
 //!
-//! Work is split over contiguous, disjoint ranges of output rows and run on
-//! `crossbeam`-scoped worker threads. Because every worker owns its own
-//! slice of the output buffer and per-element summation order is fixed by
-//! the kernel (see [`crate::kernel`]), results are bit-identical for every
-//! thread count.
+//! Every kernel in this crate runs on the calling thread. The knob sizes
+//! the fleet scheduler's task workers (`kinet_fleet::schedule`), which run
+//! one device's work per task; this module only resolves the count, from,
+//! in priority order:
 //!
-//! The worker count comes from, in priority order:
-//!
-//! 1. [`with_threads`] (a scoped override, used by tests and benchmarks);
+//! 1. [`with_threads`] (a scoped override, used by tests, benchmarks and the
+//!    scheduler's per-task pin);
 //! 2. the `KINET_THREADS` environment variable (read once per process);
 //! 3. [`std::thread::available_parallelism`].
 
@@ -35,7 +33,7 @@ thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// The worker count the kernel layer will use on this thread.
+/// The worker count in effect on this thread.
 pub fn num_threads() -> usize {
     THREAD_OVERRIDE
         .with(Cell::get)
@@ -43,29 +41,10 @@ pub fn num_threads() -> usize {
         .max(1)
 }
 
-/// The active [`with_threads`] override, if any. The kernel honors an
-/// explicit override verbatim but applies a work-size threshold to the
-/// ambient default, so small products never pay thread-spawn overhead.
-pub(crate) fn thread_override() -> Option<usize> {
-    THREAD_OVERRIDE.with(Cell::get).map(|n| n.max(1))
-}
-
-/// The worker count for a job of `work_items` units where spawning a
-/// worker is only worth it per `min_per_worker` units: a scoped
-/// [`with_threads`] override verbatim, otherwise the ambient count capped
-/// by the work-size threshold. This is the single knob-consuming entry
-/// point for callers outside this module (the thread-knob lint confines
-/// `num_threads`/`KINET_THREADS` here and to the fleet scheduler).
-pub fn workers_for(work_items: usize, min_per_worker: usize) -> usize {
-    thread_override()
-        .unwrap_or_else(|| num_threads().min((work_items / min_per_worker.max(1)).max(1)))
-        .max(1)
-}
-
-/// Runs `f` with the kernel worker count pinned to `n` on this thread,
-/// restoring the previous setting afterwards (also on panic).
+/// Runs `f` with the worker count pinned to `n` on this thread, restoring
+/// the previous setting afterwards (also on panic).
 ///
-/// Primarily for tests and benchmarks that compare thread counts within one
+/// Used by tests and benchmarks that compare thread counts within one
 /// process; production code should use the `KINET_THREADS` environment
 /// variable instead.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -78,81 +57,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(THREAD_OVERRIDE.with(|c| c.replace(Some(n.max(1)))));
     f()
-}
-
-/// Counts the indices in `0..len` satisfying `pred`, splitting the range
-/// into contiguous chunks run on the kernel worker pool.
-///
-/// `min_per_thread` bounds the fan-out: no worker is spawned for fewer than
-/// that many indices (spawn overhead would dominate), except under a scoped
-/// [`with_threads`] override, which is honored verbatim. The result is
-/// deterministic for every thread count: integer addition of disjoint
-/// per-range counts is order-independent.
-pub fn parallel_count(
-    len: usize,
-    min_per_thread: usize,
-    pred: &(dyn Fn(usize) -> bool + Sync),
-) -> usize {
-    let threads = thread_override()
-        .unwrap_or_else(|| num_threads().min(len / min_per_thread.max(1)).max(1))
-        .clamp(1, len.max(1));
-    if threads <= 1 {
-        return (0..len).filter(|&i| pred(i)).count();
-    }
-    let per = len.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = (t * per).min(len);
-                let hi = ((t + 1) * per).min(len);
-                s.spawn(move |_| (lo..hi).filter(|&i| pred(i)).count())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("count worker panicked"))
-            .sum()
-    })
-    .expect("count worker scope failed")
-}
-
-/// Splits `out` (row-major, `rows × cols`) into contiguous chunks whose row
-/// counts are multiples of `align` and applies `work(first_row, chunk)` to
-/// each — on scoped worker threads when more than one chunk is useful.
-///
-/// Chunks are disjoint `&mut` slices, so workers never share output memory;
-/// `work` must produce each row independently of the partitioning for the
-/// bit-for-bit determinism contract to hold (the GEMM row loop does).
-pub(crate) fn parallel_rows(
-    out: &mut [f32],
-    rows: usize,
-    cols: usize,
-    align: usize,
-    threads: usize,
-    work: &(dyn Fn(usize, &mut [f32]) + Sync),
-) {
-    debug_assert_eq!(out.len(), rows * cols);
-    let align = align.max(1);
-    let max_chunks = rows.div_ceil(align);
-    let threads = threads.clamp(1, max_chunks.max(1));
-    if threads == 1 || rows == 0 {
-        work(0, out);
-        return;
-    }
-    // Rows per worker, rounded up to the alignment so packed panels never
-    // straddle a chunk boundary.
-    let rows_per = rows.div_ceil(threads).div_ceil(align) * align;
-    crossbeam::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for (idx, chunk) in out.chunks_mut(rows_per * cols).enumerate() {
-            let first_row = idx * rows_per;
-            handles.push(s.spawn(move |_| work(first_row, chunk)));
-        }
-        for h in handles {
-            h.join().expect("kernel worker panicked");
-        }
-    })
-    .expect("kernel worker scope failed");
 }
 
 #[cfg(test)]
@@ -169,44 +73,5 @@ mod tests {
         });
         assert_eq!(inner, 3);
         assert_eq!(num_threads(), ambient);
-    }
-
-    #[test]
-    fn partitions_cover_all_rows_exactly_once() {
-        let (rows, cols) = (23, 4);
-        let mut out = vec![0.0f32; rows * cols];
-        parallel_rows(&mut out, rows, cols, 4, 3, &|first_row, chunk| {
-            for (r, row) in chunk.chunks_exact_mut(cols).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (first_row + r) as f32;
-                }
-            }
-        });
-        for r in 0..rows {
-            for c in 0..cols {
-                assert_eq!(out[r * cols + c], r as f32, "row {r} col {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_count_matches_serial_for_any_thread_count() {
-        let pred = |i: usize| i.is_multiple_of(3);
-        let expected = (0..1000).filter(|&i| pred(i)).count();
-        for t in [1, 2, 3, 7] {
-            let got = with_threads(t, || parallel_count(1000, 1, &pred));
-            assert_eq!(got, expected, "threads={t}");
-        }
-        assert_eq!(parallel_count(0, 1, &pred), 0);
-    }
-
-    #[test]
-    fn single_row_runs_serially() {
-        let mut out = vec![0.0f32; 8];
-        parallel_rows(&mut out, 1, 8, 4, 16, &|first_row, chunk| {
-            assert_eq!(first_row, 0);
-            chunk.fill(1.0);
-        });
-        assert!(out.iter().all(|&v| v == 1.0));
     }
 }
