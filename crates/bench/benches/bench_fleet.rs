@@ -2,7 +2,9 @@
 //! growing devices × rows scales (shard generation, chunked windows,
 //! pooling, global evaluation — no GAN training, so the numbers isolate
 //! the orchestration subsystem itself), plus the chunked UNSW generator
-//! the out-of-core path rides on.
+//! the out-of-core path rides on, and the two detector fits every
+//! resident-service round ends with (the evaluation forest and the
+//! serving model), each alone on a raw 4 × 500 pool.
 //!
 //! The scaling curve lands in `target/experiments/BENCH_fleet.json`;
 //! `bench_gate` diffs it against `benches/baseline/BENCH_fleet.json`.
@@ -11,6 +13,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kinet_data::stream::ChunkSource;
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 use kinet_datasets::unsw::{UnswSimConfig, UnswSimulator};
+use kinet_eval::classifiers::{Classifier, RandomForest};
+use kinet_eval::encode::MlEncoder;
 use kinet_fleet::schedule::run_indexed_settled;
 use kinet_fleet::{FleetConfig, FleetSim, ServingModel, SharingPolicy};
 use std::time::Instant;
@@ -26,6 +30,43 @@ fn fleet_config(devices: usize, rows: usize) -> FleetConfig {
         device_window: Some(128),
         ..FleetConfig::default()
     }
+}
+
+/// The two detector fits of a resident-service round, each alone: the
+/// `evaluate_nids` forest (12 trees, depth 10) on the pool's `MlEncoder`
+/// features, and `ServingModel::train` at the service's 40 epochs.
+fn bench_detector_fits(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fleet");
+    group.sample_size(5);
+    // A resident-service round's pool: all 2,000 rows, no device window.
+    let cfg = FleetConfig {
+        n_devices: 4,
+        rows_per_device: 500,
+        policy: SharingPolicy::Raw,
+        seed: 11,
+        ..FleetConfig::default()
+    };
+    let (_, pool) = FleetSim::new(cfg)
+        .run_detailed()
+        .expect("setup round succeeds");
+    let pool = pool.expect("raw sharing commits a pool");
+    let encoder = MlEncoder::fit(&pool, LabSimulator::label_column()).expect("pool encoder fits");
+    let (x, y) = encoder.encode(&pool).expect("pool encodes");
+    assert_eq!(x.shape(), (2_000, 24), "forest input shape");
+    group.bench_function("forest_fit/2000x24", |b| {
+        b.iter(|| {
+            let mut forest = RandomForest::new(12, 10);
+            forest.fit(&x, &y, encoder.n_classes());
+            criterion::black_box(forest)
+        });
+    });
+    group.bench_function("serving_train/4x500", |b| {
+        b.iter(|| {
+            let model = ServingModel::train(&pool, 40, 29).expect("serving model trains");
+            criterion::black_box(model)
+        });
+    });
+    group.finish();
 }
 
 /// Raw-sharing fleet runs across the devices × rows grid named in the
@@ -133,6 +174,7 @@ criterion_group!(
     benches,
     bench_fleet_scaling,
     bench_unsw_streaming,
-    bench_serving_under_training
+    bench_serving_under_training,
+    bench_detector_fits
 );
 criterion_main!(benches);

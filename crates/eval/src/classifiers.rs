@@ -81,6 +81,19 @@ enum TreeNode {
     },
 }
 
+/// What one tree's build carries from node to node: the feature-subsample
+/// RNG and the split search's buffers, reused across features and nodes.
+struct BuildState {
+    rng: StdRng,
+    /// The node's `(value, label)` pairs on one feature, sorted by value.
+    pairs: Vec<(f32, usize)>,
+    /// The distinct values the quantile thresholds are taken from.
+    vals: Vec<f32>,
+    /// Per-class counts left and right of the current threshold.
+    left: Vec<usize>,
+    right: Vec<usize>,
+}
+
 /// CART decision tree with Gini impurity and quantile candidate splits.
 #[derive(Clone, Debug)]
 pub struct DecisionTree {
@@ -130,6 +143,13 @@ impl DecisionTree {
             .unwrap_or(0)
     }
 
+    /// Grows the subtree over `rows`. Each sampled feature's candidates
+    /// are up to 12 quantile midpoints of its distinct values; one sort of
+    /// the node's `(value, label)` pairs and one forward sweep give every
+    /// candidate's left counts (`x <= thr`), and the right counts are the
+    /// node's counts minus those. A candidate is taken when its Gini gain
+    /// beats the best so far (first over `1e-9`), in feature-then-threshold
+    /// order.
     fn build(
         &self,
         x: &Matrix,
@@ -137,7 +157,7 @@ impl DecisionTree {
         rows: &[usize],
         n_classes: usize,
         depth: usize,
-        rng: &mut StdRng,
+        state: &mut BuildState,
     ) -> TreeNode {
         let mut counts = vec![0usize; n_classes + 1];
         for &r in rows {
@@ -156,7 +176,7 @@ impl DecisionTree {
             Some(k) => {
                 let mut fs: Vec<usize> = (0..d).collect();
                 for i in (1..fs.len()).rev() {
-                    fs.swap(i, rng.random_range(0..=i));
+                    fs.swap(i, state.rng.random_range(0..=i));
                 }
                 fs.truncate(k.min(d));
                 fs
@@ -166,35 +186,65 @@ impl DecisionTree {
 
         let parent_gini = Self::gini(&counts[..n_classes + 1], rows.len());
         let mut best: Option<(f64, usize, f32)> = None;
+        let BuildState {
+            pairs,
+            vals,
+            left,
+            right,
+            ..
+        } = state;
         for &f in &features {
-            // quantile candidate thresholds
-            let mut vals: Vec<f32> = rows.iter().map(|&r| x[(r, f)]).collect();
-            vals.sort_by(f32::total_cmp);
-            vals.dedup();
+            pairs.clear();
+            pairs.extend(rows.iter().map(|&r| (x[(r, f)], y[r])));
+            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            // quantile candidate thresholds: the distinct values in
+            // `total_cmp` order (`==` merges ±0.0, never NaNs)
+            vals.clear();
+            for &(v, _) in pairs.iter() {
+                if vals.last() != Some(&v) {
+                    vals.push(v);
+                }
+            }
             if vals.len() < 2 {
                 continue;
             }
+            // NaN rows never pass `<= thr`: `total_cmp` puts negative
+            // NaNs first and positive NaNs last, so the sweep runs over
+            // the non-NaN middle and the NaN rows always count right.
+            let lo = pairs.partition_point(|p| p.0.is_nan() && p.0.is_sign_negative());
+            let hi = pairs.partition_point(|p| !(p.0.is_nan() && p.0.is_sign_positive()));
+            let sweep = &pairs[lo..hi];
+            left.clear();
+            left.resize(counts.len(), 0);
+            right.clear();
+            right.resize(counts.len(), 0);
+            let mut ln = 0;
+            let mut last_thr = f32::NEG_INFINITY;
             let n_cand = 12.min(vals.len() - 1);
             for ci in 0..n_cand {
                 let q = (ci + 1) as f64 / (n_cand + 1) as f64;
                 let idx = ((q * (vals.len() - 1) as f64) as usize).min(vals.len() - 2);
                 let thr = (vals[idx] + vals[idx + 1]) / 2.0;
-                let mut lc = vec![0usize; n_classes + 1];
-                let mut rc = vec![0usize; n_classes + 1];
-                let mut ln = 0;
-                for &r in rows {
-                    if x[(r, f)] <= thr {
-                        lc[y[r]] += 1;
-                        ln += 1;
-                    } else {
-                        rc[y[r]] += 1;
-                    }
+                if thr.is_nan() {
+                    // nothing is `<= NaN`: the empty left side is skipped
+                    continue;
+                }
+                // Midpoints of nondecreasing pairs never decrease, so
+                // the left side only grows along the candidates.
+                debug_assert!(thr >= last_thr, "split thresholds must not decrease");
+                last_thr = thr;
+                while ln < sweep.len() && sweep[ln].0 <= thr {
+                    left[sweep[ln].1] += 1;
+                    ln += 1;
                 }
                 let rn = rows.len() - ln;
                 if ln == 0 || rn == 0 {
                     continue;
                 }
-                let w_gini = (ln as f64 * Self::gini(&lc, ln) + rn as f64 * Self::gini(&rc, rn))
+                for ((r, &c), &l) in right.iter_mut().zip(&counts).zip(left.iter()) {
+                    *r = c - l;
+                }
+                let w_gini = (ln as f64 * Self::gini(left, ln) + rn as f64 * Self::gini(right, rn))
                     / rows.len() as f64;
                 let gain = parent_gini - w_gini;
                 if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 1e-9) {
@@ -208,8 +258,8 @@ impl DecisionTree {
             Some((_, feature, threshold)) => {
                 let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
                     rows.iter().partition(|&&r| x[(r, feature)] <= threshold);
-                let left = self.build(x, y, &left_rows, n_classes, depth + 1, rng);
-                let right = self.build(x, y, &right_rows, n_classes, depth + 1, rng);
+                let left = self.build(x, y, &left_rows, n_classes, depth + 1, state);
+                let right = self.build(x, y, &right_rows, n_classes, depth + 1, state);
                 TreeNode::Split {
                     feature,
                     threshold,
@@ -257,8 +307,14 @@ impl Classifier for DecisionTree {
         assert_eq!(x.rows(), y.len(), "feature/label mismatch");
         assert!(!y.is_empty(), "cannot fit on empty data");
         let rows: Vec<usize> = (0..x.rows()).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        self.root = Some(self.build(x, y, &rows, n_classes, 0, &mut rng));
+        let mut state = BuildState {
+            rng: StdRng::seed_from_u64(self.seed),
+            pairs: Vec::with_capacity(rows.len()),
+            vals: Vec::with_capacity(rows.len()),
+            left: Vec::new(),
+            right: Vec::new(),
+        };
+        self.root = Some(self.build(x, y, &rows, n_classes, 0, &mut state));
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
@@ -660,6 +716,209 @@ mod tests {
     fn tree_learns_blobs_and_xor() {
         check_learns(&mut DecisionTree::new(8), blobs, 0.95);
         check_learns(&mut DecisionTree::new(8), xor, 0.9);
+    }
+
+    /// The split search before the one-pass sweep, kept verbatim as the
+    /// reference the sweep must match bit for bit: every quantile
+    /// candidate rescans the node's rows with `<=`.
+    fn rescan_build(
+        tree: &DecisionTree,
+        x: &Matrix,
+        y: &[usize],
+        rows: &[usize],
+        n_classes: usize,
+        depth: usize,
+        rng: &mut StdRng,
+    ) -> TreeNode {
+        let mut counts = vec![0usize; n_classes + 1];
+        for &r in rows {
+            counts[y[r]] += 1;
+        }
+        let node_class = DecisionTree::majority(&counts);
+        if depth >= tree.max_depth
+            || rows.len() < tree.min_samples
+            || counts.iter().filter(|&&c| c > 0).count() <= 1
+        {
+            return TreeNode::Leaf { class: node_class };
+        }
+        let d = x.cols();
+        let features: Vec<usize> = match tree.feature_subsample {
+            Some(k) => {
+                let mut fs: Vec<usize> = (0..d).collect();
+                for i in (1..fs.len()).rev() {
+                    fs.swap(i, rng.random_range(0..=i));
+                }
+                fs.truncate(k.min(d));
+                fs
+            }
+            None => (0..d).collect(),
+        };
+        let parent_gini = DecisionTree::gini(&counts[..n_classes + 1], rows.len());
+        let mut best: Option<(f64, usize, f32)> = None;
+        for &f in &features {
+            let mut vals: Vec<f32> = rows.iter().map(|&r| x[(r, f)]).collect();
+            vals.sort_by(f32::total_cmp);
+            vals.dedup();
+            if vals.len() < 2 {
+                continue;
+            }
+            let n_cand = 12.min(vals.len() - 1);
+            for ci in 0..n_cand {
+                let q = (ci + 1) as f64 / (n_cand + 1) as f64;
+                let idx = ((q * (vals.len() - 1) as f64) as usize).min(vals.len() - 2);
+                let thr = (vals[idx] + vals[idx + 1]) / 2.0;
+                let mut lc = vec![0usize; n_classes + 1];
+                let mut rc = vec![0usize; n_classes + 1];
+                let mut ln = 0;
+                for &r in rows {
+                    if x[(r, f)] <= thr {
+                        lc[y[r]] += 1;
+                        ln += 1;
+                    } else {
+                        rc[y[r]] += 1;
+                    }
+                }
+                let rn = rows.len() - ln;
+                if ln == 0 || rn == 0 {
+                    continue;
+                }
+                let w_gini = (ln as f64 * DecisionTree::gini(&lc, ln)
+                    + rn as f64 * DecisionTree::gini(&rc, rn))
+                    / rows.len() as f64;
+                let gain = parent_gini - w_gini;
+                if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 1e-9) {
+                    best = Some((gain, f, thr));
+                }
+            }
+        }
+        match best {
+            None => TreeNode::Leaf { class: node_class },
+            Some((_, feature, threshold)) => {
+                let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
+                    rows.iter().partition(|&&r| x[(r, feature)] <= threshold);
+                let left = rescan_build(tree, x, y, &left_rows, n_classes, depth + 1, rng);
+                let right = rescan_build(tree, x, y, &right_rows, n_classes, depth + 1, rng);
+                TreeNode::Split {
+                    feature,
+                    threshold,
+                    left: Box::new(left),
+                    right: Box::new(right),
+                }
+            }
+        }
+    }
+
+    /// Pre-order walk: `Split` as `(feature, threshold bits)`, `Leaf` as
+    /// `(usize::MAX, class)`.
+    fn walk(node: &TreeNode, out: &mut Vec<(usize, u64)>) {
+        match node {
+            TreeNode::Leaf { class } => out.push((usize::MAX, *class as u64)),
+            TreeNode::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                out.push((*feature, u64::from(threshold.to_bits())));
+                walk(left, out);
+                walk(right, out);
+            }
+        }
+    }
+
+    /// Nine columns of split-search edge cases: a continuous column,
+    /// coarse duplicates with both zeros, IEEE specials (NaN of both
+    /// signs, ±inf, ±0.0, ±MAX, subnormals), a constant, 1–3 distinct
+    /// values, a continuous column with NaNs of both signs, a ±0.0-only
+    /// column, a ±inf column whose midpoint is NaN, and values near
+    /// ±MAX whose midpoints overflow. Labels (3 classes) follow several
+    /// columns plus 20% noise.
+    fn edge_case_matrix(n: usize, seed: u64) -> (Matrix, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::MAX,
+            -f32::MAX,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+        ];
+        let few: Vec<f32> = (0..1 + seed as usize % 3)
+            .map(|_| (rng.random::<f32>() * 8.0).floor() - 4.0)
+            .collect();
+        let signed_zero = |rng: &mut StdRng| if rng.random::<f32>() < 0.5 { 0.0 } else { -0.0 };
+        let mut x = Matrix::zeros(n, 9);
+        let mut y = Vec::with_capacity(n);
+        for r in 0..n {
+            let c1 = ((rng.random::<f32>() * 5.0).floor() - 2.0) * 0.5;
+            let nan = if rng.random::<f32>() < 0.5 {
+                f32::NAN
+            } else {
+                -f32::NAN
+            };
+            x[(r, 0)] = rng.random::<f32>() * 4.0 - 2.0;
+            x[(r, 1)] = if c1 == 0.0 { signed_zero(&mut rng) } else { c1 };
+            x[(r, 2)] = specials[rng.random_range(0..specials.len())];
+            x[(r, 3)] = 3.25;
+            x[(r, 4)] = few[rng.random_range(0..few.len())];
+            x[(r, 5)] = if rng.random::<f32>() < 0.15 {
+                nan
+            } else {
+                rng.random::<f32>()
+            };
+            x[(r, 6)] = signed_zero(&mut rng);
+            x[(r, 7)] = if rng.random::<f32>() < 0.5 {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            };
+            x[(r, 8)] = f32::MAX
+                * (rng.random::<f32>() * 2.0 - 1.0).signum()
+                * (0.9 + 0.1 * rng.random::<f32>());
+            let signal = usize::from(x[(r, 0)] > 0.0)
+                + usize::from(x[(r, 2)] <= 0.0)
+                + usize::from(x[(r, 5)].is_nan())
+                + usize::from(x[(r, 7)] > 0.0);
+            y.push(if rng.random::<f32>() < 0.2 {
+                rng.random_range(0..3usize)
+            } else {
+                signal % 3
+            });
+        }
+        (x, y)
+    }
+
+    #[test]
+    fn sweep_split_search_matches_the_rescan_bit_for_bit() {
+        for seed in 0..60u64 {
+            let n = [5, 17, 64, 300][seed as usize % 4];
+            let (x, y) = edge_case_matrix(n, seed);
+            for (depth, subsample) in [(10, None), (3, None), (10, Some(3)), (6, Some(1))] {
+                let mut tree = DecisionTree::new(depth);
+                if let Some(k) = subsample {
+                    tree = tree.with_feature_subsample(k, seed.wrapping_mul(31));
+                }
+                tree.fit(&x, &y, 3);
+                let rows: Vec<usize> = (0..n).collect();
+                let mut rng = StdRng::seed_from_u64(tree.seed);
+                let reference = rescan_build(&tree, &x, &y, &rows, 3, 0, &mut rng);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                walk(tree.root.as_ref().expect("fitted"), &mut got);
+                walk(&reference, &mut want);
+                assert_eq!(
+                    got, want,
+                    "seed {seed}, depth {depth}, subsample {subsample:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -467,6 +467,12 @@ pub struct ServingModel {
 impl ServingModel {
     /// Trains both pooled models on a committed round's pool. Full-batch
     /// gradient descent, single-threaded, deterministic in `seed`.
+    ///
+    /// Rows train sparse: a term whose feature is exactly zero is dropped.
+    /// That is bit-identical to the dense sums as long as the weights stay
+    /// finite: a gradient starts at `+0.0` and `+0 + ±0 = +0`, so a zero
+    /// term never changes one, and a logit or discriminator input can
+    /// differ only in the sign of a zero, which `exp` erases.
     pub fn train(pool: &Table, epochs: usize, seed: u64) -> Result<Self, FleetError> {
         if pool.n_rows() == 0 {
             return Err(FleetError::Internal(
@@ -480,6 +486,10 @@ impl ServingModel {
         let n = pool.n_rows();
         let features = encoder.encode_table(pool)?;
         let targets = encoder.label_indices(pool)?;
+        let real = SparseRows::from_dense(&features, n, w);
+        // Discriminator negatives: real pool (1) vs column-shuffled pool (0).
+        let fake = column_shuffle(&encoder, pool, &real, &features, seed ^ 0x0d15_c0de)?;
+        drop(features);
 
         // Multinomial logistic classifier.
         let mut class_weights = vec![0.0; k * w];
@@ -489,14 +499,18 @@ impl ServingModel {
         for _ in 0..epochs {
             let mut grad_w = vec![0.0; k * w];
             let mut grad_b = vec![0.0; k];
-            for r in 0..n {
-                let x = &features[r * w..(r + 1) * w];
-                softmax_into(&class_weights, &class_bias, x, w, &mut probs);
-                probs[targets[r]] -= 1.0;
+            for (r, &t) in targets.iter().enumerate() {
+                let x = &real.entries[real.offsets[r]..real.offsets[r + 1]];
+                for (c, (o, b)) in probs.iter_mut().zip(&class_bias).enumerate() {
+                    let row = &class_weights[c * w..(c + 1) * w];
+                    *o = *b + x.iter().map(|&(j, v)| row[j] * v).sum::<f64>();
+                }
+                softmax_in_place(&mut probs);
+                probs[t] -= 1.0;
                 for (c, p) in probs.iter().enumerate() {
                     grad_b[c] += p;
-                    for (j, xv) in x.iter().enumerate() {
-                        grad_w[c * w + j] += p * xv;
+                    for &(j, v) in x {
+                        grad_w[c * w + j] += p * v;
                     }
                 }
             }
@@ -509,22 +523,19 @@ impl ServingModel {
             }
         }
 
-        // Discriminator: real pool (1) vs column-shuffled pool (0).
-        let shuffled = column_shuffle(pool, seed ^ 0x0d15_c0de)?;
-        let fake = encoder.encode_table(&shuffled)?;
         let mut disc_weights = vec![0.0; w];
         let mut disc_bias = 0.0;
         for _ in 0..epochs {
             let mut grad_w = vec![0.0; w];
             let mut grad_b = 0.0;
-            for (rows, target) in [(&features, 1.0), (&fake, 0.0)] {
+            for (rows, target) in [(&real, 1.0), (&fake, 0.0)] {
                 for r in 0..n {
-                    let x = &rows[r * w..(r + 1) * w];
-                    let p = sigmoid(dot(&disc_weights, x) + disc_bias);
-                    let err = p - target;
+                    let x = &rows.entries[rows.offsets[r]..rows.offsets[r + 1]];
+                    let z = x.iter().map(|&(j, v)| disc_weights[j] * v).sum::<f64>();
+                    let err = sigmoid(z + disc_bias) - target;
                     grad_b += err;
-                    for (j, xv) in x.iter().enumerate() {
-                        grad_w[j] += err * xv;
+                    for &(j, v) in x {
+                        grad_w[j] += err * v;
                     }
                 }
             }
@@ -629,20 +640,8 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn softmax_into(weights: &[f64], bias: &[f64], x: &[f64], width: usize, out: &mut [f64]) {
-    if width == 0 {
-        for (o, b) in out.iter_mut().zip(bias) {
-            *o = *b;
-        }
-    } else {
-        for ((o, b), row) in out.iter_mut().zip(bias).zip(weights.chunks_exact(width)) {
-            *o = *b + dot(row, x);
-        }
-    }
+/// Softmax of `out` in place.
+fn softmax_in_place(out: &mut [f64]) {
     let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
     for o in out.iter_mut() {
@@ -654,31 +653,87 @@ fn softmax_into(weights: &[f64], bias: &[f64], x: &[f64], width: usize, out: &mu
     }
 }
 
-/// Independently permutes each column's rows — marginals survive, joint
-/// structure dies; the discriminator learns to tell them apart.
-fn column_shuffle(table: &Table, seed: u64) -> Result<Table, FleetError> {
-    let n = table.n_rows();
-    let mut rows: Vec<Vec<kinet_data::Value>> = (0..n).map(|r| table.row(r)).collect();
-    // `c` indexes the *inner* (column) dimension of `rows`; clippy's
-    // iterator suggestion would walk the outer (row) dimension instead.
-    #[allow(clippy::needless_range_loop)]
-    for c in 0..table.n_cols() {
-        let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
-        // Fisher-Yates over this column only.
-        for i in (1..n).rev() {
-            let j = rng.random_range(0..(i + 1));
-            if i != j {
-                let vi = rows[i][c].clone();
-                let vj = rows[j][c].clone();
-                rows[i][c] = vj;
-                rows[j][c] = vi;
-            }
+/// Row-major features with the exact zeros dropped, in one flat buffer:
+/// row `r`'s nonzero `(column, value)` entries, in column order, are
+/// `entries[offsets[r]..offsets[r + 1]]`.
+struct SparseRows {
+    offsets: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl SparseRows {
+    fn with_capacity(rows: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            entries: Vec::with_capacity(entries),
         }
     }
-    Table::from_rows(table.schema().clone(), rows).map_err(|e| FleetError::Data {
-        context: "column shuffle for the serving discriminator".into(),
-        source: e,
-    })
+
+    /// Appends one row given as its `(column, value)` pairs in column order.
+    fn push_row(&mut self, row: impl IntoIterator<Item = (usize, f64)>) {
+        self.entries
+            .extend(row.into_iter().filter(|&(_, v)| v != 0.0));
+        self.offsets.push(self.entries.len());
+    }
+
+    /// The nonzeros of a dense row-major `n_rows × width` matrix.
+    fn from_dense(features: &[f64], n_rows: usize, width: usize) -> Self {
+        let nnz = features.iter().filter(|&&v| v != 0.0).count();
+        let mut rows = Self::with_capacity(n_rows, nnz);
+        if width == 0 {
+            // no features: `n_rows` empty rows
+            rows.offsets.resize(n_rows + 1, 0);
+        }
+        for row in features.chunks_exact(width.max(1)) {
+            rows.push_row(row.iter().copied().enumerate());
+        }
+        rows
+    }
+}
+
+/// The discriminator's negatives: the pool with each column's rows
+/// independently permuted (marginals survive, joint structure dies), as
+/// sparse encoded rows. [`ServingEncoder`] encodes every column on its
+/// own, so permuting a column's encoded block of `features` is encoding
+/// the permuted column. Each column runs its own Fisher-Yates, seeded by
+/// its schema index.
+fn column_shuffle(
+    encoder: &ServingEncoder,
+    pool: &Table,
+    real: &SparseRows,
+    features: &[f64],
+    seed: u64,
+) -> Result<SparseRows, FleetError> {
+    let n = pool.n_rows();
+    let w = encoder.width();
+    let numeric = encoder.numeric.iter().map(|(name, _, _)| (name, 1));
+    let categorical = encoder.categorical.iter().map(|(name, v)| (name, v.len()));
+    // `(offset, width, source row of each shuffled row)` per encoded column.
+    let mut blocks = Vec::with_capacity(encoder.numeric.len() + encoder.categorical.len());
+    let mut offset = 0;
+    for (name, width) in numeric.chain(categorical) {
+        let c = pool.schema().index_of(name).ok_or_else(|| {
+            FleetError::Internal(format!("serving column {name:?} missing from the pool"))
+        })?;
+        let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
+        let mut source: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            source.swap(i, rng.random_range(0..(i + 1)));
+        }
+        blocks.push((offset, width, source));
+        offset += width;
+    }
+    // a per-column permutation keeps every column's nonzero count
+    let mut rows = SparseRows::with_capacity(n, real.entries.len());
+    for r in 0..n {
+        rows.push_row(blocks.iter().flat_map(|(offset, width, source)| {
+            let start = source[r] * w + offset;
+            (*offset..).zip(features[start..start + width].iter().copied())
+        }));
+    }
+    Ok(rows)
 }
 
 /// The serving side of the resident service: holds the last *committed*
@@ -1159,6 +1214,188 @@ mod tests {
         // never changes the verdict counts.
         assert_eq!(score.attack_flagged, fresh.attack_flagged);
         assert_eq!(score.mean_discriminator, fresh.mean_discriminator);
+    }
+
+    /// `ServingModel::train` before the sparse rows, kept verbatim as the
+    /// reference the sparse fit must match bit for bit: dense rows, and
+    /// negatives from a column-shuffled `Table` re-encoded whole.
+    fn dense_reference_train(pool: &Table, epochs: usize, seed: u64) -> ServingModel {
+        fn dot(a: &[f64], b: &[f64]) -> f64 {
+            a.iter().zip(b).map(|(x, y)| x * y).sum()
+        }
+        fn softmax_into(weights: &[f64], bias: &[f64], x: &[f64], width: usize, out: &mut [f64]) {
+            if width == 0 {
+                for (o, b) in out.iter_mut().zip(bias) {
+                    *o = *b;
+                }
+            } else {
+                for ((o, b), row) in out.iter_mut().zip(bias).zip(weights.chunks_exact(width)) {
+                    *o = *b + dot(row, x);
+                }
+            }
+            let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let mut sum = 0.0;
+            for o in out.iter_mut() {
+                *o = (*o - max).exp();
+                sum += *o;
+            }
+            for o in out.iter_mut() {
+                *o /= sum;
+            }
+        }
+        fn table_shuffle(table: &Table, seed: u64) -> Table {
+            let n = table.n_rows();
+            let mut rows: Vec<Vec<kinet_data::Value>> = (0..n).map(|r| table.row(r)).collect();
+            // `c` indexes the inner (column) dimension of `rows`.
+            #[allow(clippy::needless_range_loop)]
+            for c in 0..table.n_cols() {
+                let mut rng = StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
+                for i in (1..n).rev() {
+                    let j = rng.random_range(0..(i + 1));
+                    if i != j {
+                        let vi = rows[i][c].clone();
+                        let vj = rows[j][c].clone();
+                        rows[i][c] = vj;
+                        rows[j][c] = vi;
+                    }
+                }
+            }
+            Table::from_rows(table.schema().clone(), rows).unwrap()
+        }
+
+        let encoder = ServingEncoder::fit(pool, LabSimulator::label_column()).unwrap();
+        let w = encoder.width();
+        let k = encoder.labels.len();
+        let n = pool.n_rows();
+        let features = encoder.encode_table(pool).unwrap();
+        let targets = encoder.label_indices(pool).unwrap();
+        let mut class_weights = vec![0.0; k * w];
+        let mut class_bias = vec![0.0; k];
+        let mut probs = vec![0.0; k];
+        let lr = 0.5;
+        for _ in 0..epochs {
+            let mut grad_w = vec![0.0; k * w];
+            let mut grad_b = vec![0.0; k];
+            for r in 0..n {
+                let x = &features[r * w..(r + 1) * w];
+                softmax_into(&class_weights, &class_bias, x, w, &mut probs);
+                probs[targets[r]] -= 1.0;
+                for (c, p) in probs.iter().enumerate() {
+                    grad_b[c] += p;
+                    for (j, xv) in x.iter().enumerate() {
+                        grad_w[c * w + j] += p * xv;
+                    }
+                }
+            }
+            let scale = lr / n as f64;
+            for (wv, g) in class_weights.iter_mut().zip(&grad_w) {
+                *wv -= scale * g;
+            }
+            for (bv, g) in class_bias.iter_mut().zip(&grad_b) {
+                *bv -= scale * g;
+            }
+        }
+        let shuffled = table_shuffle(pool, seed ^ 0x0d15_c0de);
+        let fake = encoder.encode_table(&shuffled).unwrap();
+        let mut disc_weights = vec![0.0; w];
+        let mut disc_bias = 0.0;
+        for _ in 0..epochs {
+            let mut grad_w = vec![0.0; w];
+            let mut grad_b = 0.0;
+            for (rows, target) in [(&features, 1.0), (&fake, 0.0)] {
+                for r in 0..n {
+                    let x = &rows[r * w..(r + 1) * w];
+                    let p = sigmoid(dot(&disc_weights, x) + disc_bias);
+                    let err = p - target;
+                    grad_b += err;
+                    for (j, xv) in x.iter().enumerate() {
+                        grad_w[j] += err * xv;
+                    }
+                }
+            }
+            let scale = lr / (2.0 * n as f64);
+            for (wv, g) in disc_weights.iter_mut().zip(&grad_w) {
+                *wv -= scale * g;
+            }
+            disc_bias -= scale * grad_b;
+        }
+        let attacks = LabSimulator::attack_events();
+        let is_attack = encoder
+            .labels
+            .iter()
+            .map(|l| attacks.contains(&l.as_str()))
+            .collect();
+        ServingModel {
+            encoder,
+            class_weights,
+            class_bias,
+            is_attack,
+            disc_weights,
+            disc_bias,
+        }
+    }
+
+    /// A lab pool whose numeric cells include exact zeros once encoded:
+    /// one continuous column cycles 1, 2, 3 (mean exactly 2, so every 2
+    /// encodes to `+0.0`), another is constant (every cell encodes to
+    /// zero), and a third holds `-0.0` in every fifth row.
+    fn pool_with_zero_cells(rows: usize, seed: u64) -> Table {
+        let pool = LabSimulator::new(LabSimConfig::small(rows, seed))
+            .generate()
+            .unwrap();
+        let numeric: Vec<usize> = pool
+            .schema()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.kind() == ColumnKind::Continuous)
+            .map(|(i, _)| i)
+            .collect();
+        assert!(
+            numeric.len() >= 3,
+            "lab schema has {} numeric columns",
+            numeric.len()
+        );
+        let edited = (0..pool.n_rows())
+            .map(|r| {
+                let mut row = pool.row(r);
+                row[numeric[0]] = kinet_data::Value::Num((r % 3 + 1) as f64);
+                row[numeric[1]] = kinet_data::Value::Num(5.0);
+                if r % 5 == 0 {
+                    row[numeric[2]] = kinet_data::Value::Num(-0.0);
+                }
+                row
+            })
+            .collect();
+        Table::from_rows(pool.schema().clone(), edited).unwrap()
+    }
+
+    #[test]
+    fn sparse_serving_fit_matches_the_dense_reference_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rows, pool_seed, epochs, seed) in
+            [(300, 11, 30, 99), (600, 1009, 40, 1009), (97, 7, 5, 1)]
+        {
+            let pool = pool_with_zero_cells(rows, pool_seed);
+            let encoder = ServingEncoder::fit(&pool, LabSimulator::label_column()).unwrap();
+            let features = encoder.encode_table(&pool).unwrap();
+            let w = encoder.width();
+            let numeric_zeros = features
+                .chunks_exact(w)
+                .flat_map(|row| &row[..encoder.numeric.len()])
+                .filter(|&&v| v == 0.0)
+                .count();
+            assert!(
+                numeric_zeros >= rows,
+                "only {numeric_zeros} zero numeric cells"
+            );
+            let got = ServingModel::train(&pool, epochs, seed).unwrap();
+            let want = dense_reference_train(&pool, epochs, seed);
+            assert_eq!(bits(&got.class_weights), bits(&want.class_weights));
+            assert_eq!(bits(&got.class_bias), bits(&want.class_bias));
+            assert_eq!(bits(&got.disc_weights), bits(&want.disc_weights));
+            assert_eq!(got.disc_bias.to_bits(), want.disc_bias.to_bits());
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

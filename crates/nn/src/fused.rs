@@ -26,7 +26,7 @@
 
 use crate::layers::OutputHead;
 use crate::tape::{
-    acc, acc_col_sums, acc_col_sums_prod, mean_rows_into, softmax_row_max_sum, Node, Op,
+    acc, acc_col_sums, acc_col_sums_prod, mean_rows_into, softmax_row_in_place, Node, Op,
 };
 use crate::{Param, Tape, Var};
 use kinet_tensor::{Matrix, MatrixRandomExt};
@@ -427,10 +427,7 @@ pub(crate) fn output_heads<'t>(
                         for (o, (&l, &n)) in block.iter_mut().zip(src) {
                             *o = (l + n) * inv_tau;
                         }
-                        let (max, sum) = softmax_row_max_sum(block);
-                        for v in block.iter_mut() {
-                            *v = (*v - max).exp() / sum;
-                        }
+                        softmax_row_in_place(block);
                     }
                     tape.recycle(noise);
                 }

@@ -675,9 +675,10 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 /// Row max and exponential sum — the shared numerics behind every softmax
-/// in this module. [`softmax_forward`] and the `SoftmaxCrossEntropy`
-/// backward rule both derive probabilities as `(x - max).exp() / sum` from
-/// this helper, keeping the two paths in bitwise lockstep.
+/// in this module. The cross-entropy loss and its backward rule derive
+/// probabilities as `(x - max).exp() / sum` from this helper, and
+/// [`softmax_row_in_place`] computes the same values, keeping every path
+/// in bitwise lockstep.
 pub(crate) fn softmax_row_max_sum(row: &[f32]) -> (f32, f32) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
@@ -687,14 +688,25 @@ pub(crate) fn softmax_row_max_sum(row: &[f32]) -> (f32, f32) {
     (max, sum)
 }
 
+/// Softmax of one row in place, one `exp` per element: each
+/// `(x - max).exp()` is stored as it is summed, then divided by the sum —
+/// bit for bit what [`softmax_row_max_sum`]'s `(x - max).exp() / sum` gives.
+pub(crate) fn softmax_row_in_place(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= sum;
+    }
+}
+
 /// Row-wise softmax in place.
 fn softmax_rows(m: &mut Matrix) {
     for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let (max, sum) = softmax_row_max_sum(row);
-        for v in row.iter_mut() {
-            *v = (*v - max).exp() / sum;
-        }
+        softmax_row_in_place(m.row_mut(r));
     }
 }
 
