@@ -151,7 +151,7 @@ fn bench_serving_under_training(c: &mut Criterion) {
                 } else {
                     let mut rows = 0u64;
                     for flow in &flows {
-                        let (n, _, _) = model.score_batch(flow).expect("serving batch succeeds");
+                        let (n, _) = model.score_batch(flow).expect("serving batch succeeds");
                         rows += n as u64;
                     }
                     rows

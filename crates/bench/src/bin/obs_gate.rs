@@ -277,7 +277,7 @@ fn run_serving_probe(
     let mut rows_scored = 0u64;
     for flow in &flows {
         match model.score_batch(flow) {
-            Ok((rows, _, _)) => rows_scored += rows as u64,
+            Ok((rows, _)) => rows_scored += rows as u64,
             Err(e) => {
                 failures.push(format!("serving burst batch failed: {e}"));
                 break;

@@ -377,8 +377,6 @@ pub struct RoundServingStats {
     pub staleness: Option<u64>,
     /// Rows the served classifier flagged as some attack class.
     pub attack_flagged: usize,
-    /// Mean discriminator (real-vs-pool) score over the served rows.
-    pub mean_discriminator: f64,
     /// Batches that could not be answered because no generation was
     /// committed yet.
     pub unanswered_batches: usize,
@@ -506,14 +504,13 @@ impl ServiceReport {
             let _ = writeln!(
                 out,
                 "round {} serving batches={} rows={} gen={:?} staleness={:?} flagged={} \
-                 disc={:.12} unanswered={}",
+                 unanswered={}",
                 r.round,
                 s.batches,
                 s.rows,
                 s.answered_generation,
                 s.staleness,
                 s.attack_flagged,
-                s.mean_discriminator,
                 s.unanswered_batches,
             );
         }
@@ -712,7 +709,6 @@ mod tests {
                         answered_generation: Some(1),
                         staleness: Some(0),
                         attack_flagged: 40,
-                        mean_discriminator: 0.5,
                         unanswered_batches: 0,
                     },
                 },
@@ -736,7 +732,6 @@ mod tests {
                         answered_generation: Some(2),
                         staleness: Some(1),
                         attack_flagged: 38,
-                        mean_discriminator: 0.49,
                         unanswered_batches: 0,
                     },
                 },
