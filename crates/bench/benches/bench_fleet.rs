@@ -2,9 +2,10 @@
 //! growing devices × rows scales (shard generation, chunked windows,
 //! pooling, global evaluation — no GAN training, so the numbers isolate
 //! the orchestration subsystem itself), plus the chunked UNSW generator
-//! the out-of-core path rides on, and the two detector fits every
+//! the out-of-core path rides on, the two detector fits every
 //! resident-service round ends with (the evaluation forest and the
-//! serving model), each alone on a raw 4 × 500 pool.
+//! serving model), each alone on a raw 4 × 500 pool, and the serving
+//! model's flow scorer alone.
 //!
 //! The scaling curve lands in `target/experiments/BENCH_fleet.json`;
 //! `bench_gate` diffs it against `benches/baseline/BENCH_fleet.json`.
@@ -64,6 +65,46 @@ fn bench_detector_fits(c: &mut Criterion) {
         b.iter(|| {
             let model = ServingModel::train(&pool, 40, 29).expect("serving model trains");
             criterion::black_box(model)
+        });
+    });
+    group.finish();
+}
+
+/// The serving scorer alone, uncontended: 64 flow batches of 96 rows
+/// (the resident-service benchmark's batch shape) through
+/// `ServingModel::score_batch`, the model fitted at the service's 40
+/// epochs on a raw 4 × 500 pool.
+fn bench_serving_score(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fleet");
+    group.sample_size(5);
+    let cfg = FleetConfig {
+        n_devices: 4,
+        rows_per_device: 500,
+        policy: SharingPolicy::Raw,
+        seed: 11,
+        ..FleetConfig::default()
+    };
+    let (_, pool) = FleetSim::new(cfg)
+        .run_detailed()
+        .expect("setup round succeeds");
+    let pool = pool.expect("raw sharing commits a pool");
+    let model = ServingModel::train(&pool, 40, 29).expect("serving model trains");
+    let flows: Vec<_> = (0..64u64)
+        .map(|b| {
+            LabSimulator::new(LabSimConfig::small(96, 1009 ^ b.wrapping_mul(0x9e37_79b9)))
+                .generate()
+                .expect("flow batch generation succeeds")
+        })
+        .collect();
+    group.bench_function("serving_score/64x96", |b| {
+        b.iter(|| {
+            let mut flagged = 0usize;
+            for flow in &flows {
+                let (rows, f) = model.score_batch(flow).expect("serving batch succeeds");
+                assert_eq!(rows, 96);
+                flagged += f;
+            }
+            criterion::black_box(flagged)
         });
     });
     group.finish();
@@ -175,6 +216,7 @@ criterion_group!(
     bench_fleet_scaling,
     bench_unsw_streaming,
     bench_serving_under_training,
-    bench_detector_fits
+    bench_detector_fits,
+    bench_serving_score
 );
 criterion_main!(benches);

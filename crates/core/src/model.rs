@@ -251,24 +251,21 @@ impl KinetGan {
             let mut g_epoch = 0.0f32;
             let mut class_counts = vec![0u64; report.class_names.len()];
             for step in 0..steps {
-                let conditions = sampler.sample_batch(
+                sampler.sample_batch_into(
                     table,
                     &cond_spec,
                     cfg.balance,
                     true,
                     cfg.batch_size,
+                    c.as_mut_slice(),
+                    &mut real_idx,
                     &mut rng,
                 )?;
                 if !row_class.is_empty() {
-                    for cond in &conditions {
-                        class_counts[row_class[cond.row]] += 1;
+                    for &row in &real_idx {
+                        class_counts[row_class[row]] += 1;
                     }
                 }
-                for (r, cond) in conditions.iter().enumerate() {
-                    c.row_mut(r).copy_from_slice(&cond.vector);
-                }
-                real_idx.clear();
-                real_idx.extend(conditions.iter().map(|s| s.row));
                 encoded.gather_rows_into(&real_idx, &mut real_buf);
 
                 // ---- discriminator step ----
@@ -344,7 +341,7 @@ impl KinetGan {
                     if use_mask {
                         if let Some(pen) = self.mask_penalty(
                             &fake.head_logits,
-                            &conditions,
+                            &c,
                             &cond_spec,
                             &cond_heads,
                             &transformer,
@@ -392,14 +389,14 @@ impl KinetGan {
     fn mask_penalty<'t>(
         &self,
         head_logits: &[Var<'t>],
-        conditions: &[kinet_data::sampler::SampledCondition],
+        conditions: &Matrix,
         cond_spec: &ConditionVectorSpec,
         cond_heads: &[(usize, usize, usize)],
         transformer: &DataTransformer,
     ) -> Option<Var<'t>> {
         let scope = self.kg.scope_field();
         let scope_spec_idx = cond_spec.column_index(scope)?;
-        let batch = conditions.len();
+        let batch = conditions.rows();
         let mut any = false;
         let mut penalty: Option<Var<'t>> = None;
         for &(spec_idx, head_idx, schema_idx) in cond_heads {
@@ -410,11 +407,11 @@ impl KinetGan {
             let enc = cond_spec.encoder(spec_idx);
             let w = enc.n_categories();
             let mut invalid = Matrix::zeros(batch, w);
-            for (r, cond) in conditions.iter().enumerate() {
+            for (r, cond) in conditions.iter_rows().enumerate() {
                 // event of this row, decoded from the condition vector
                 let off = cond_spec.offset(scope_spec_idx);
                 let sw = cond_spec.encoder(scope_spec_idx).n_categories();
-                let event_code = (0..sw).find(|&j| cond.vector[off + j] > 0.5).unwrap_or(0);
+                let event_code = (0..sw).find(|&j| cond[off + j] > 0.5).unwrap_or(0);
                 let event = cond_spec
                     .encoder(scope_spec_idx)
                     .decode(event_code)

@@ -97,6 +97,19 @@ impl ConditionVectorSpec {
     /// Returns [`DataError::SchemaMismatch`] on unseen categories.
     pub fn vector_from_row(&self, table: &Table, row: usize) -> Result<Vec<f32>, DataError> {
         let mut out = vec![0.0f32; self.width];
+        self.write_row(table, row, &mut out)?;
+        Ok(out)
+    }
+
+    /// Writes `C` for a table row into `out`, which must be
+    /// [`ConditionVectorSpec::width`] long: the one-hots of
+    /// [`ConditionVectorSpec::vector_from_row`], zeros elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::SchemaMismatch`] on unseen categories.
+    pub fn write_row(&self, table: &Table, row: usize, out: &mut [f32]) -> Result<(), DataError> {
+        out.fill(0.0);
         for (i, name) in self.columns.iter().enumerate() {
             let col = table.cat_column(name)?;
             let code = self.encoders[i].encode(&col[row]).ok_or_else(|| {
@@ -104,7 +117,7 @@ impl ConditionVectorSpec {
             })?;
             out[self.offsets[i] + code] = 1.0;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Builds `C` from explicit `(column, category)` picks; columns not in

@@ -149,58 +149,70 @@ impl TrainingSampler {
         full_condition: bool,
         rng: &mut impl Rng,
     ) -> Result<SampledCondition, DataError> {
-        match mode {
-            BalanceMode::None => {
-                let row = rng.random_range(0..self.n_rows);
-                let vector = if full_condition {
-                    spec.vector_from_row(table, row)?
-                } else {
-                    vec![0.0; spec.width()]
-                };
-                Ok(SampledCondition {
-                    vector,
-                    boosted_column: None,
-                    boosted_category: None,
-                    row,
-                })
-            }
-            BalanceMode::LogFreq | BalanceMode::Uniform => {
-                let col = rng.random_range(0..spec.n_columns());
-                let n_cats = spec.encoder(col).n_categories();
-                let cat = match mode {
-                    BalanceMode::Uniform => rng.random_range(0..n_cats),
-                    _ => {
-                        let u: f64 = rng.random::<f64>();
-                        self.logfreq_cdf[col]
-                            .iter()
-                            .position(|&c| u <= c)
-                            .unwrap_or(n_cats - 1)
-                    }
-                };
-                // If the uniform draw hit an empty bucket (possible only if
-                // a category exists in the encoder but not the table, which
-                // fit() precludes) fall back to any row.
-                let bucket = &self.rows_by_cat[col][cat];
-                let row = if bucket.is_empty() {
-                    rng.random_range(0..self.n_rows)
-                } else {
-                    bucket[rng.random_range(0..bucket.len())]
-                };
-                let vector = if full_condition {
-                    spec.vector_from_row(table, row)?
-                } else {
-                    let mut v = vec![0.0f32; spec.width()];
-                    v[spec.offset(col) + cat] = 1.0;
-                    v
-                };
-                Ok(SampledCondition {
-                    vector,
-                    boosted_column: Some(col),
-                    boosted_category: Some(cat),
-                    row,
-                })
-            }
+        let (pick, row) = self.draw(spec, mode, rng);
+        let mut vector = vec![0.0f32; spec.width()];
+        Self::write_vector(table, spec, full_condition, pick, row, &mut vector)?;
+        Ok(SampledCondition {
+            vector,
+            boosted_column: pick.map(|(col, _)| col),
+            boosted_category: pick.map(|(_, cat)| cat),
+            row,
+        })
+    }
+
+    /// Draws one condition's boosted `(column, category)` pick (`None` for
+    /// [`BalanceMode::None`]) and a real row consistent with it.
+    fn draw(
+        &self,
+        spec: &ConditionVectorSpec,
+        mode: BalanceMode,
+        rng: &mut impl Rng,
+    ) -> (Option<(usize, usize)>, usize) {
+        if mode == BalanceMode::None {
+            return (None, rng.random_range(0..self.n_rows));
         }
+        let col = rng.random_range(0..spec.n_columns());
+        let n_cats = spec.encoder(col).n_categories();
+        let cat = match mode {
+            BalanceMode::Uniform => rng.random_range(0..n_cats),
+            _ => {
+                let u: f64 = rng.random::<f64>();
+                self.logfreq_cdf[col]
+                    .iter()
+                    .position(|&c| u <= c)
+                    .unwrap_or(n_cats - 1)
+            }
+        };
+        // If the uniform draw hit an empty bucket (possible only if a
+        // category exists in the encoder but not the table, which fit()
+        // precludes) fall back to any row.
+        let bucket = &self.rows_by_cat[col][cat];
+        let row = if bucket.is_empty() {
+            rng.random_range(0..self.n_rows)
+        } else {
+            bucket[rng.random_range(0..bucket.len())]
+        };
+        (Some((col, cat)), row)
+    }
+
+    /// Writes a drawn condition's vector into `out` (`spec.width()` long):
+    /// the matched row's full condition, or only the boosted one-hot.
+    fn write_vector(
+        table: &Table,
+        spec: &ConditionVectorSpec,
+        full_condition: bool,
+        pick: Option<(usize, usize)>,
+        row: usize,
+        out: &mut [f32],
+    ) -> Result<(), DataError> {
+        if full_condition {
+            return spec.write_row(table, row, out);
+        }
+        out.fill(0.0);
+        if let Some(hot) = pick.and_then(|(col, cat)| out.get_mut(spec.offset(col) + cat)) {
+            *hot = 1.0;
+        }
+        Ok(())
     }
 
     /// Samples a batch of conditions plus the matching real-row indices.
@@ -220,6 +232,49 @@ impl TrainingSampler {
         (0..batch)
             .map(|_| self.sample_condition(table, spec, mode, full_condition, rng))
             .collect()
+    }
+
+    /// [`TrainingSampler::sample_batch`] into caller-owned buffers, with
+    /// the same draws: condition `b`'s vector goes to row `b` of the
+    /// row-major `batch × spec.width()` `vectors`, and `rows` is refilled
+    /// with the matched row indices. A training loop that keeps both
+    /// buffers samples without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::SchemaMismatch`] when `vectors` is not
+    /// `batch × spec.width()` long, and propagates encoding failures from
+    /// the spec.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample_batch_into(
+        &self,
+        table: &Table,
+        spec: &ConditionVectorSpec,
+        mode: BalanceMode,
+        full_condition: bool,
+        batch: usize,
+        vectors: &mut [f32],
+        rows: &mut Vec<usize>,
+        rng: &mut impl Rng,
+    ) -> Result<(), DataError> {
+        let width = spec.width();
+        if vectors.len() != batch * width {
+            return Err(DataError::SchemaMismatch(format!(
+                "condition buffer holds {} values, expected {batch} x {width}",
+                vectors.len()
+            )));
+        }
+        rows.clear();
+        for b in 0..batch {
+            let (pick, row) = self.draw(spec, mode, rng);
+            // In range: the length was checked above.
+            let out = vectors
+                .get_mut(b * width..(b + 1) * width)
+                .unwrap_or_default();
+            Self::write_vector(table, spec, full_condition, pick, row, out)?;
+            rows.push(row);
+        }
+        Ok(())
     }
 }
 
@@ -359,6 +414,57 @@ mod tests {
             .sample_batch(&t, &spec, BalanceMode::Uniform, true, 32, &mut rng)
             .unwrap();
         assert_eq!(batch.len(), 32);
+    }
+
+    #[test]
+    fn batch_into_draws_what_sample_batch_draws() {
+        let t = imbalanced();
+        let spec = ConditionVectorSpec::fit(&t, &["event"]).unwrap();
+        let s = TrainingSampler::fit(&t, &spec).unwrap();
+        // Stale buffer contents must be overwritten.
+        let mut vectors = vec![7.0f32; 24 * spec.width()];
+        let mut rows = vec![99];
+        for mode in [
+            BalanceMode::LogFreq,
+            BalanceMode::Uniform,
+            BalanceMode::None,
+        ] {
+            for full in [true, false] {
+                let mut rng_a = StdRng::seed_from_u64(6);
+                let mut rng_b = StdRng::seed_from_u64(6);
+                let want = s
+                    .sample_batch(&t, &spec, mode, full, 24, &mut rng_a)
+                    .unwrap();
+                s.sample_batch_into(
+                    &t,
+                    &spec,
+                    mode,
+                    full,
+                    24,
+                    &mut vectors,
+                    &mut rows,
+                    &mut rng_b,
+                )
+                .unwrap();
+                let want_rows: Vec<usize> = want.iter().map(|c| c.row).collect();
+                let want_vectors: Vec<f32> = want.iter().flat_map(|c| c.vector.clone()).collect();
+                assert_eq!(rows, want_rows, "{mode} full={full}");
+                assert_eq!(vectors, want_vectors, "{mode} full={full}");
+                assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(6);
+        let short = s.sample_batch_into(
+            &t,
+            &spec,
+            BalanceMode::None,
+            true,
+            25,
+            &mut vectors,
+            &mut rows,
+            &mut rng,
+        );
+        assert!(short.is_err(), "a buffer for 24 conditions holds no 25");
     }
 
     #[test]

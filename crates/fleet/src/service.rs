@@ -317,6 +317,11 @@ impl ServiceConfig {
 /// columns carry `(mean, sd)` for z-scoring, categorical columns carry
 /// their sorted vocabulary for one-hot encoding (unseen categories encode
 /// as all-zeros), and the label column carries the class list.
+///
+/// The encoded feature layout is the numeric z-scores in column order,
+/// then one one-hot block per categorical column. Neither the fit nor the
+/// scorer materializes it densely: both read the table's columns through
+/// [`FlowColumns`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ServingEncoder {
     /// `(column, mean, sd)` per continuous feature.
@@ -381,30 +386,23 @@ impl ServingEncoder {
         &self.labels
     }
 
-    /// Encodes a whole table row-major into `width()`-wide feature rows.
-    /// The label column (if present) is ignored.
-    pub fn encode_table(&self, table: &Table) -> Result<Vec<f64>, FleetError> {
-        let n = table.n_rows();
-        let w = self.width();
-        let mut out = vec![0.0; n * w];
-        let mut offset = 0usize;
-        for (name, mean, sd) in &self.numeric {
-            let values = table.num_column(name)?;
-            for (r, v) in values.iter().enumerate() {
-                out[r * w + offset] = (v - mean) / sd;
-            }
-            offset += 1;
-        }
-        for (name, vocab) in &self.categorical {
-            let values = table.cat_column(name)?;
-            for (r, v) in values.iter().enumerate() {
-                if let Ok(i) = vocab.binary_search(v) {
-                    out[r * w + offset + i] = 1.0;
-                }
-            }
-            offset += vocab.len();
-        }
-        Ok(out)
+    /// Borrows a table's feature columns in encoder order. The label
+    /// column (if present) is ignored.
+    fn columns<'a>(&'a self, table: &'a Table) -> Result<FlowColumns<'a>, FleetError> {
+        let numeric = self
+            .numeric
+            .iter()
+            .map(|(name, mean, sd)| Ok((table.num_column(name)?, *mean, *sd)))
+            .collect::<Result<_, FleetError>>()?;
+        let categorical = self
+            .categorical
+            .iter()
+            .map(|(name, vocab)| Ok((table.cat_column(name)?, vocab.as_slice())))
+            .collect::<Result<_, FleetError>>()?;
+        Ok(FlowColumns {
+            numeric,
+            categorical,
+        })
     }
 
     /// Label indices for a table's label column.
@@ -421,13 +419,51 @@ impl ServingEncoder {
     }
 }
 
+/// A table's feature columns, borrowed in encoder order and paired with
+/// their encoding: `(values, mean, sd)` per numeric feature and
+/// `(values, sorted vocabulary)` per categorical one.
+struct FlowColumns<'a> {
+    numeric: Vec<(&'a [f64], f64, f64)>,
+    categorical: Vec<(&'a [String], &'a [String])>,
+}
+
+/// Position of `value` in a categorical vocabulary, `None` if unseen.
+/// Serving vocabularies are short (3–8 entries on the lab data), where a
+/// linear `==` scan beats `binary_search`'s string ordering.
+fn hot_index(vocab: &[String], value: &str) -> Option<usize> {
+    vocab.iter().position(|v| v == value)
+}
+
+/// The transpose of a row-major matrix with `cols` columns.
+fn transpose(m: &[f64], cols: usize) -> Vec<f64> {
+    let cols = cols.max(1);
+    let rows = m.len() / cols;
+    let mut out = vec![0.0; rows * cols];
+    for (i, row) in m.chunks_exact(cols).enumerate() {
+        for (j, v) in row.iter().enumerate() {
+            if let Some(o) = out.get_mut(j * rows + i) {
+                *o = *v;
+            }
+        }
+    }
+    out
+}
+
 /// One answered flow batch.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BatchScore {
-    /// Rows scored.
+    /// Rows scored (rejected rows excluded).
     pub rows: usize,
     /// Rows flagged as some attack class.
     pub attack_flagged: usize,
+    /// Rows refused without a verdict because a feature or a logit is not
+    /// finite: a NaN or infinite cell, or one so far out that its z-score
+    /// or a logit overflows.
+    pub rejected_nonfinite: usize,
+    /// Rows with at least one category the encoder never saw. They are
+    /// still scored, with an all-zero block for that column (rejected rows
+    /// included in the count).
+    pub unknown_category: usize,
     /// Generation that answered.
     pub generation: u64,
     /// Rounds since that generation committed (0 = fresh).
@@ -441,7 +477,9 @@ pub struct BatchScore {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ServingModel {
     encoder: ServingEncoder,
-    /// Row-major `labels × width` classifier weights.
+    /// Row-major `labels × width` classifier weights (the snapshot
+    /// format; the fit and the scorer work on the `width × labels`
+    /// transpose).
     class_weights: Vec<f64>,
     class_bias: Vec<f64>,
     /// Which label indices count as attacks.
@@ -457,7 +495,10 @@ impl ServingModel {
     /// That is bit-identical to the dense sums as long as the weights stay
     /// finite: a gradient starts at `+0.0` and `+0 + ±0 = +0`, so a zero
     /// term never changes one, and a logit can differ only in the sign of
-    /// a zero, which `exp` erases.
+    /// a zero, which `exp` erases. Weights and gradients are kept
+    /// feature-major (`width × labels`), so each nonzero feature touches
+    /// one contiguous vector of all the classes; every element still gets
+    /// its terms in the same order.
     pub fn train(pool: &Table, epochs: usize, _seed: u64) -> Result<Self, FleetError> {
         if pool.n_rows() == 0 {
             return Err(FleetError::Internal(
@@ -469,35 +510,44 @@ impl ServingModel {
         let w = encoder.width();
         let k = encoder.labels.len();
         let n = pool.n_rows();
-        let features = encoder.encode_table(pool)?;
+        let real = SparseRows::from_columns(&encoder.columns(pool)?, n);
         let targets = encoder.label_indices(pool)?;
-        let real = SparseRows::from_dense(&features, n, w);
-        drop(features);
 
-        let mut class_weights = vec![0.0; k * w];
+        // Feature-major: feature `j`'s weights for all classes are
+        // `weights[j * k..(j + 1) * k]`.
+        let mut weights = vec![0.0; w * k];
         let mut class_bias = vec![0.0; k];
         let mut probs = vec![0.0; k];
         let lr = 0.5;
         for _ in 0..epochs {
-            let mut grad_w = vec![0.0; k * w];
+            let mut grad_w = vec![0.0; w * k];
             let mut grad_b = vec![0.0; k];
             for (r, &t) in targets.iter().enumerate() {
                 let x = &real.entries[real.offsets[r]..real.offsets[r + 1]];
-                for (c, (o, b)) in probs.iter_mut().zip(&class_bias).enumerate() {
-                    let row = &class_weights[c * w..(c + 1) * w];
-                    *o = *b + x.iter().map(|&(j, v)| row[j] * v).sum::<f64>();
+                // Each logit is its bias plus the sum of its terms, summed
+                // from `-0.0` in column order as `Iterator::sum` does.
+                probs.fill(-0.0);
+                for &(j, v) in x {
+                    for (o, wv) in probs.iter_mut().zip(&weights[j * k..(j + 1) * k]) {
+                        *o += wv * v;
+                    }
+                }
+                for (o, b) in probs.iter_mut().zip(&class_bias) {
+                    *o += *b;
                 }
                 softmax_in_place(&mut probs);
                 probs[t] -= 1.0;
-                for (c, p) in probs.iter().enumerate() {
-                    grad_b[c] += p;
-                    for &(j, v) in x {
-                        grad_w[c * w + j] += p * v;
+                for (g, p) in grad_b.iter_mut().zip(&probs) {
+                    *g += p;
+                }
+                for &(j, v) in x {
+                    for (g, p) in grad_w[j * k..(j + 1) * k].iter_mut().zip(&probs) {
+                        *g += p * v;
                     }
                 }
             }
             let scale = lr / n as f64;
-            for (wv, g) in class_weights.iter_mut().zip(&grad_w) {
+            for (wv, g) in weights.iter_mut().zip(&grad_w) {
                 *wv -= scale * g;
             }
             for (bv, g) in class_bias.iter_mut().zip(&grad_b) {
@@ -513,78 +563,142 @@ impl ServingModel {
             .collect();
         Ok(Self {
             encoder,
-            class_weights,
+            class_weights: transpose(&weights, k),
             class_bias,
             is_attack,
         })
     }
 
-    /// Scores one flow batch: encodes (allocating) then runs the hot
-    /// allocation-free row loop.
-    /// Returns `(rows, attack_flagged)`.
+    /// Scores one flow batch. Returns `(rows, attack_flagged)`; rows
+    /// rejected as non-finite are not counted in either.
     pub fn score_batch(&self, flows: &Table) -> Result<(usize, usize), FleetError> {
-        let n = flows.n_rows();
-        if n == 0 {
-            return Ok((0, 0));
-        }
-        let features = self.encoder.encode_table(flows)?;
-        let mut logits = vec![0.0; self.encoder.labels.len()];
-        let flagged = self.score_rows(&features, n, self.encoder.width(), &mut logits)?;
-        Ok((n, flagged))
+        let score = self.score(flows, &self.feature_major())?;
+        Ok((score.rows, score.attack_flagged))
     }
 
-    /// Hot per-batch scorer: pure slice arithmetic over pre-encoded
-    /// features — argmax class per row, returning how many rows land on an
-    /// attack class. Allocation lives in [`ServingModel::score_batch`];
-    /// this loop must stay allocation-free (enforced by `kinet_lint`'s
-    /// hotlist) and panic-free (enforced by the panic-path audit): the
-    /// shapes are checked once up front as a typed error, and the row
-    /// loop itself walks exact-chunk iterators instead of indexing.
+    /// The classifier weights feature-major (`width × labels`), the
+    /// layout the scorer reads.
+    fn feature_major(&self) -> Vec<f64> {
+        transpose(&self.class_weights, self.encoder.width())
+    }
+
+    /// Scores one flow batch straight from its columns, given the
+    /// model's [`ServingModel::feature_major`] weights: resolves the
+    /// columns, allocates the batch's buffers, then runs the
+    /// allocation-free [`ServingModel::score_rows`]. Generation and
+    /// staleness are left 0 for [`ServingHandle::answer`] to stamp.
+    fn score(&self, flows: &Table, weights: &[f64]) -> Result<BatchScore, FleetError> {
+        let n = flows.n_rows();
+        let mut score = BatchScore::default();
+        if n == 0 {
+            return Ok(score);
+        }
+        let columns = self.encoder.columns(flows)?;
+        let mut logits = vec![0.0; n * self.class_bias.len()];
+        let mut unknown = vec![false; n];
+        self.score_rows(&columns, weights, &mut logits, &mut unknown, &mut score)?;
+        Ok(score)
+    }
+
+    /// Hot per-batch scorer over a batch's columns. `logits` holds one
+    /// `labels`-wide row per flow, seeded with the biases; each numeric
+    /// column adds `weights[j] · z` to every row whose z-score is nonzero,
+    /// and each categorical column adds the hot value's weight vector
+    /// (`weights` is feature-major, `width × labels`). Every logit gets
+    /// its terms in ascending feature order, as a dense dot product
+    /// would; the skipped terms are exact zeros, which can change a logit
+    /// only in the sign of a zero, and `>` in the argmax ignores that.
+    /// Rows whose logits are not all finite are rejected unscored; the
+    /// rest are argmaxed and counted into `score`.
+    ///
+    /// Allocation lives in [`ServingModel::score`]; this loop must stay
+    /// allocation-free (enforced by `kinet_lint`'s hotlist) and
+    /// panic-free (enforced by the panic-path audit): the shapes are
+    /// checked once up front as a typed error, and the loops walk
+    /// exact-chunk iterators and checked slices instead of indexing.
     fn score_rows(
         &self,
-        features: &[f64],
-        n_rows: usize,
-        width: usize,
+        columns: &FlowColumns<'_>,
+        weights: &[f64],
         logits: &mut [f64],
-    ) -> Result<usize, FleetError> {
-        let n_classes = logits.len();
-        if width == 0
-            || features.len() < n_rows * width
-            || self.class_weights.len() != n_classes * width
-            || self.class_bias.len() != n_classes
-            || self.is_attack.len() != n_classes
+        unknown: &mut [bool],
+        score: &mut BatchScore,
+    ) -> Result<(), FleetError> {
+        let k = self.class_bias.len();
+        let n_rows = unknown.len();
+        let width = self.encoder.width();
+        let short_column = columns.numeric.iter().any(|(v, _, _)| v.len() != n_rows)
+            || columns.categorical.iter().any(|(v, _)| v.len() != n_rows);
+        if k == 0
+            || short_column
+            || weights.len() != width * k
+            || logits.len() != n_rows * k
+            || self.is_attack.len() != k
         {
             return Err(FleetError::Config(
                 "serving model shape mismatch: encoder width disagrees with the installed weights"
                     .into(),
             ));
         }
-        let mut flagged = 0;
-        for x in features.chunks_exact(width).take(n_rows) {
-            for ((logit, bias), row) in logits
-                .iter_mut()
-                .zip(self.class_bias.iter())
-                .zip(self.class_weights.chunks_exact(width))
-            {
-                let mut acc = *bias;
-                for (wv, xv) in row.iter().zip(x) {
-                    acc += wv * xv;
+        for row in logits.chunks_exact_mut(k) {
+            row.copy_from_slice(&self.class_bias);
+        }
+        let (numeric_weights, mut rest) = weights
+            .split_at_checked(columns.numeric.len() * k)
+            .unwrap_or((weights, &[]));
+        for ((values, mean, sd), w) in columns.numeric.iter().zip(numeric_weights.chunks_exact(k)) {
+            for (row, v) in logits.chunks_exact_mut(k).zip(values.iter()) {
+                let z = (v - mean) / sd;
+                if z != 0.0 {
+                    for (l, wv) in row.iter_mut().zip(w) {
+                        *l += wv * z;
+                    }
                 }
-                *logit = acc;
             }
+        }
+        for (values, vocab) in &columns.categorical {
+            let (block, tail) = rest
+                .split_at_checked(vocab.len() * k)
+                .unwrap_or((rest, &[]));
+            rest = tail;
+            for ((row, v), unseen) in logits
+                .chunks_exact_mut(k)
+                .zip(values.iter())
+                .zip(unknown.iter_mut())
+            {
+                let hot = hot_index(vocab, v).and_then(|i| block.get(i * k..(i + 1) * k));
+                match hot {
+                    Some(w) => {
+                        for (l, wv) in row.iter_mut().zip(w) {
+                            *l += wv;
+                        }
+                    }
+                    None => *unseen = true,
+                }
+            }
+        }
+        score.unknown_category = unknown.iter().filter(|&&u| u).count();
+        for row in logits.chunks_exact(k) {
             let mut best = 0usize;
             let mut best_logit = f64::NEG_INFINITY;
-            for (c, logit) in logits.iter().enumerate() {
-                if *logit > best_logit {
-                    best_logit = *logit;
+            let mut finite = true;
+            for (c, &logit) in row.iter().enumerate() {
+                finite &= logit.is_finite();
+                if logit > best_logit {
+                    best_logit = logit;
                     best = c;
                 }
             }
+            if !finite {
+                score.rejected_nonfinite += 1;
+                continue;
+            }
+            score.rows += 1;
             if self.is_attack.get(best) == Some(&true) {
-                flagged += 1;
+                score.attack_flagged += 1;
             }
         }
-        Ok(flagged)
+        Ok(())
     }
 }
 
@@ -610,17 +724,26 @@ struct SparseRows {
 }
 
 impl SparseRows {
-    /// The nonzeros of a dense row-major `n_rows × width` matrix.
-    fn from_dense(features: &[f64], n_rows: usize, width: usize) -> Self {
+    /// The nonzero encoded features of a table's first `n_rows` rows:
+    /// the nonzero z-scores, then one `1.0` per seen category.
+    fn from_columns(columns: &FlowColumns<'_>, n_rows: usize) -> Self {
         let mut offsets = Vec::with_capacity(n_rows + 1);
         offsets.push(0);
-        let mut entries = Vec::with_capacity(features.iter().filter(|&&v| v != 0.0).count());
-        if width == 0 {
-            // no features: `n_rows` empty rows
-            offsets.resize(n_rows + 1, 0);
-        }
-        for row in features.chunks_exact(width.max(1)) {
-            entries.extend(row.iter().copied().enumerate().filter(|&(_, v)| v != 0.0));
+        let mut entries = Vec::new();
+        for r in 0..n_rows {
+            for (j, (values, mean, sd)) in columns.numeric.iter().enumerate() {
+                let z = values.get(r).map_or(0.0, |v| (v - mean) / sd);
+                if z != 0.0 {
+                    entries.push((j, z));
+                }
+            }
+            let mut offset = columns.numeric.len();
+            for (values, vocab) in &columns.categorical {
+                if let Some(i) = values.get(r).and_then(|v| hot_index(vocab, v)) {
+                    entries.push((offset + i, 1.0));
+                }
+                offset += vocab.len();
+            }
             offsets.push(entries.len());
         }
         Self { offsets, entries }
@@ -631,7 +754,18 @@ impl SparseRows {
 /// generation's classifier and answers flow batches with explicit staleness.
 #[derive(Clone, Debug, Default)]
 pub struct ServingHandle {
-    installed: Option<(ServingModel, u64, usize)>,
+    installed: Option<Installed>,
+}
+
+/// One installed generation. `weights` is the model's
+/// [`ServingModel::feature_major`] view, built once here rather than on
+/// every answered batch.
+#[derive(Clone, Debug)]
+struct Installed {
+    model: ServingModel,
+    weights: Vec<f64>,
+    generation: u64,
+    committed_round: usize,
 }
 
 impl ServingHandle {
@@ -643,12 +777,17 @@ impl ServingHandle {
 
     /// Installs a freshly committed generation's classifier.
     pub fn install(&mut self, model: ServingModel, generation: u64, committed_round: usize) {
-        self.installed = Some((model, generation, committed_round));
+        self.installed = Some(Installed {
+            weights: model.feature_major(),
+            model,
+            generation,
+            committed_round,
+        });
     }
 
     /// The installed model, if any.
     pub fn model(&self) -> Option<&ServingModel> {
-        self.installed.as_ref().map(|(m, _, _)| m)
+        self.installed.as_ref().map(|i| &i.model)
     }
 
     /// Scores a flow batch against the installed generation.
@@ -660,15 +799,13 @@ impl ServingHandle {
         flows: &Table,
         current_round: usize,
     ) -> Result<Option<BatchScore>, FleetError> {
-        let Some((model, generation, committed_round)) = self.installed.as_ref() else {
+        let Some(installed) = self.installed.as_ref() else {
             return Ok(None);
         };
-        let (rows, attack_flagged) = model.score_batch(flows)?;
         Ok(Some(BatchScore {
-            rows,
-            attack_flagged,
-            generation: *generation,
-            staleness: current_round.saturating_sub(*committed_round) as u64,
+            generation: installed.generation,
+            staleness: current_round.saturating_sub(installed.committed_round) as u64,
+            ..installed.model.score(flows, &installed.weights)?
         }))
     }
 }
@@ -945,7 +1082,7 @@ impl FleetService {
                 config_key: key.clone(),
                 next_round: round + 1,
                 generation,
-                committed_round: handle.installed.as_ref().map(|(_, _, r)| *r),
+                committed_round: handle.installed.as_ref().map(|i| i.committed_round),
                 partial: report.clone(),
                 serving: handle.model().cloned(),
             };
@@ -1113,6 +1250,65 @@ mod tests {
         assert_eq!(crate::storage::fnv1a64(&bytes), 0x0e83_f5e8_150a_3278);
     }
 
+    /// The encoder's dense row-major `n × width` feature matrix, as the
+    /// service encoded flows before the fit and the scorer read columns.
+    fn encode_table(encoder: &ServingEncoder, table: &Table) -> Vec<f64> {
+        let n = table.n_rows();
+        let w = encoder.width();
+        let mut out = vec![0.0; n * w];
+        let mut offset = 0usize;
+        for (name, mean, sd) in &encoder.numeric {
+            let values = table.num_column(name).unwrap();
+            for (r, v) in values.iter().enumerate() {
+                out[r * w + offset] = (v - mean) / sd;
+            }
+            offset += 1;
+        }
+        for (name, vocab) in &encoder.categorical {
+            let values = table.cat_column(name).unwrap();
+            for (r, v) in values.iter().enumerate() {
+                if let Ok(i) = vocab.binary_search(v) {
+                    out[r * w + offset + i] = 1.0;
+                }
+            }
+            offset += vocab.len();
+        }
+        out
+    }
+
+    /// `ServingModel::score_batch` before it read columns, kept as the
+    /// reference the column scorer must agree with: dense encoded rows,
+    /// one class-major dot product per class, argmax. Returns the flagged
+    /// count.
+    fn dense_reference_flagged(model: &ServingModel, flows: &Table) -> usize {
+        let w = model.encoder.width();
+        let features = encode_table(&model.encoder, flows);
+        let mut flagged = 0;
+        for x in features.chunks_exact(w) {
+            let mut best = 0usize;
+            let mut best_logit = f64::NEG_INFINITY;
+            for (c, (bias, row)) in model
+                .class_bias
+                .iter()
+                .zip(model.class_weights.chunks_exact(w))
+                .enumerate()
+            {
+                let mut acc = *bias;
+                for (wv, xv) in row.iter().zip(x) {
+                    acc += wv * xv;
+                }
+                if acc > best_logit {
+                    best_logit = acc;
+                    best = c;
+                }
+            }
+            if model.is_attack[best] {
+                flagged += 1;
+            }
+        }
+        flagged
+    }
+
     /// `ServingModel::train` before the sparse rows, kept as the reference
     /// the sparse fit must match bit for bit: dense rows.
     fn dense_reference_train(pool: &Table, epochs: usize) -> ServingModel {
@@ -1143,7 +1339,7 @@ mod tests {
         let w = encoder.width();
         let k = encoder.labels.len();
         let n = pool.n_rows();
-        let features = encoder.encode_table(pool).unwrap();
+        let features = encode_table(&encoder, pool);
         let targets = encoder.label_indices(pool).unwrap();
         let mut class_weights = vec![0.0; k * w];
         let mut class_bias = vec![0.0; k];
@@ -1225,7 +1421,7 @@ mod tests {
         for (rows, pool_seed, epochs) in [(300, 11, 30), (600, 1009, 40), (97, 7, 5)] {
             let pool = pool_with_zero_cells(rows, pool_seed);
             let encoder = ServingEncoder::fit(&pool, LabSimulator::label_column()).unwrap();
-            let features = encoder.encode_table(&pool).unwrap();
+            let features = encode_table(&encoder, &pool);
             let w = encoder.width();
             let numeric_zeros = features
                 .chunks_exact(w)
@@ -1242,6 +1438,121 @@ mod tests {
             assert_eq!(bits(&got.class_bias), bits(&want.class_bias));
             assert_eq!(got, want);
         }
+    }
+
+    /// `flows` with each `(row, column, value)` cell overwritten.
+    fn with_cells(flows: &Table, cells: &[(usize, &str, kinet_data::Value)]) -> Table {
+        let rows = (0..flows.n_rows())
+            .map(|r| {
+                let mut row = flows.row(r);
+                for (at, name, value) in cells {
+                    if *at == r {
+                        row[flows.schema().index_of(name).unwrap()] = value.clone();
+                    }
+                }
+                row
+            })
+            .collect();
+        Table::from_rows(flows.schema().clone(), rows).unwrap()
+    }
+
+    #[test]
+    fn column_scorer_matches_the_dense_reference() {
+        let pool = pool_with_zero_cells(600, 1009);
+        let model = ServingModel::train(&pool, SERVING_EPOCHS, 0).unwrap();
+        let unseen = kinet_data::Value::cat("never-seen");
+        let mut flagged_total = 0;
+        let mut zero_cells = 0;
+        for seed in 0..8u64 {
+            let lab = LabSimulator::new(LabSimConfig::small(96, 40 + seed))
+                .generate()
+                .unwrap();
+            // Rows whose numeric cells z-score to exactly zero.
+            let zeros = pool_with_zero_cells(96, 50 + seed);
+            zero_cells += encode_table(&model.encoder, &zeros)
+                .chunks_exact(model.encoder.width())
+                .flat_map(|row| &row[..model.encoder.numeric.len()])
+                .filter(|&&v| v == 0.0)
+                .count();
+            // Rows 0, 7, 14, … see an unknown device, rows 0, 11, 22, …
+            // an unknown protocol as well.
+            let cells: Vec<_> = (0..96)
+                .filter(|r| r % 7 == 0)
+                .map(|r| (r, "device", unseen.clone()))
+                .chain(
+                    (0..96)
+                        .filter(|r| r % 11 == 0)
+                        .map(|r| (r, "protocol", unseen.clone())),
+                )
+                .collect();
+            let novel = with_cells(&zeros, &cells);
+            let n_unknown = (0..96).filter(|r| r % 7 == 0 || r % 11 == 0).count();
+            for (flows, unknown) in [(&lab, 0), (&zeros, 0), (&novel, n_unknown)] {
+                let score = model.score(flows, &model.feature_major()).unwrap();
+                let want = dense_reference_flagged(&model, flows);
+                assert_eq!(score.attack_flagged, want, "batch seed {seed}");
+                assert_eq!(score.rows, 96);
+                assert_eq!(score.rejected_nonfinite, 0);
+                assert_eq!(score.unknown_category, unknown);
+                flagged_total += want;
+            }
+        }
+        assert!(zero_cells >= 8 * 96, "only {zero_cells} zero z-scores");
+        assert!(
+            flagged_total > 0 && flagged_total < 24 * 96,
+            "{flagged_total} flagged: the comparison needs both verdicts"
+        );
+        // Per row too: each row of a mixed batch scored alone.
+        let flows = pool_with_zero_cells(60, 3);
+        let flows = with_cells(&flows, &[(4, "src_ip", unseen.clone())]);
+        for r in 0..flows.n_rows() {
+            let one = flows.select_rows(&[r]);
+            let (rows, flagged) = model.score_batch(&one).unwrap();
+            assert_eq!((rows, flagged), (1, dense_reference_flagged(&model, &one)));
+        }
+    }
+
+    #[test]
+    fn poisoned_batch_counts_rejected_and_unknown_rows_exactly() {
+        use kinet_data::Value;
+        let pool = LabSimulator::new(LabSimConfig::small(600, 11))
+            .generate()
+            .unwrap();
+        let model = ServingModel::train(&pool, SERVING_EPOCHS, 0).unwrap();
+        let flows = LabSimulator::new(LabSimConfig::small(96, 5))
+            .generate()
+            .unwrap();
+        let unseen = Value::cat("10.99.99.99");
+        let poisoned = with_cells(
+            &flows,
+            &[
+                (3, "pkt_count", Value::Num(f64::NAN)),
+                (10, "duration", Value::Num(f64::INFINITY)),
+                (10, "dst_ip", unseen.clone()),
+                (17, "src_port", Value::Num(f64::NEG_INFINITY)),
+                (5, "src_ip", unseen.clone()),
+                (40, "dst_ip", unseen.clone()),
+                (40, "src_ip", unseen),
+            ],
+        );
+        let score = model.score(&poisoned, &model.feature_major()).unwrap();
+        assert_eq!(score.rejected_nonfinite, 3, "rows 3, 10 and 17");
+        assert_eq!(score.unknown_category, 3, "rows 5, 10 and 40");
+        assert_eq!(score.rows, 93);
+        let clean: Vec<usize> = (0..96).filter(|r| ![3, 10, 17].contains(r)).collect();
+        let want = dense_reference_flagged(&model, &poisoned.select_rows(&clean));
+        assert_eq!(score.attack_flagged, want);
+        let mut handle = ServingHandle::empty();
+        handle.install(model, 4, 2);
+        let answer = handle.answer(&poisoned, 3).unwrap().unwrap();
+        assert_eq!(
+            answer,
+            BatchScore {
+                generation: 4,
+                staleness: 1,
+                ..score
+            }
+        );
     }
 
     #[test]
