@@ -81,17 +81,320 @@ enum TreeNode {
     },
 }
 
+/// Most candidate thresholds one (node, feature) search tries.
+const MAX_CANDIDATES: usize = 12;
+
+/// `f32::total_cmp`'s order as an unsigned key.
+fn order_key(v: f32) -> u32 {
+    let bits = v.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    }
+}
+
+/// A fit's columns, coded once for every node's split search: each cell
+/// becomes its index among its column's distinct values in `total_cmp`
+/// order, distinct by bits (so `-0.0` and `+0.0` have codes of their own,
+/// and so does each NaN bit pattern). Code order is value order, so a
+/// node marks its codes and walks them in order instead of sorting.
+struct RankCodes {
+    rows: usize,
+    /// Column-major: column `f`'s codes are `codes[f * rows..(f + 1) * rows]`.
+    codes: Vec<u32>,
+    /// Column `f`'s distinct values in code order are
+    /// `values[starts[f]..starts[f + 1]]`.
+    values: Vec<f32>,
+    starts: Vec<usize>,
+    /// Per column, the codes `lo..hi` that are not NaN: `total_cmp` puts
+    /// negative NaNs first and positive NaNs last.
+    numbers: Vec<(u32, u32)>,
+    /// The most distinct values any column has.
+    widest: usize,
+}
+
+impl RankCodes {
+    /// Codes every column of `x` with one sort per column.
+    fn new(x: &Matrix) -> Self {
+        let (n, d) = x.shape();
+        assert!(u32::try_from(n).is_ok(), "too many rows to rank-code");
+        let mut codes = vec![0u32; n * d];
+        let mut values = Vec::new();
+        let mut starts = Vec::with_capacity(d + 1);
+        let mut numbers = Vec::with_capacity(d);
+        let mut keyed: Vec<u64> = Vec::with_capacity(n);
+        let mut widest = 0;
+        for (f, column) in codes.chunks_exact_mut(n.max(1)).take(d).enumerate() {
+            keyed.clear();
+            keyed.extend((0..n).map(|r| u64::from(order_key(x[(r, f)])) << 32 | r as u64));
+            keyed.sort_unstable();
+            let start = values.len();
+            starts.push(start);
+            let mut last_key = None;
+            for &k in &keyed {
+                let r = (k & u64::from(u32::MAX)) as usize;
+                if last_key != Some(k >> 32) {
+                    last_key = Some(k >> 32);
+                    values.push(x[(r, f)]);
+                }
+                column[r] = (values.len() - start - 1) as u32;
+            }
+            let distinct = &values[start..];
+            widest = widest.max(distinct.len());
+            let lo = distinct.partition_point(|v| v.is_nan() && v.is_sign_negative());
+            let hi = distinct.partition_point(|v| !(v.is_nan() && v.is_sign_positive()));
+            numbers.push((lo as u32, hi as u32));
+        }
+        starts.push(values.len());
+        Self {
+            rows: n,
+            codes,
+            values,
+            starts,
+            numbers,
+            widest,
+        }
+    }
+
+    /// Column `f`'s codes, one per row of the fit.
+    fn codes_of(&self, f: usize) -> &[u32] {
+        &self.codes[f * self.rows..(f + 1) * self.rows]
+    }
+
+    /// Column `f`'s distinct values, indexed by code.
+    fn distinct_of(&self, f: usize) -> &[f32] {
+        &self.values[self.starts[f]..self.starts[f + 1]]
+    }
+}
+
+/// What every node of one tree reads: the features, their rank codes, the
+/// labels, and each row's multiplicity (its bootstrap draw count in a
+/// forest, 1 in a lone tree).
+struct TrainSet<'a> {
+    x: &'a Matrix,
+    codes: &'a RankCodes,
+    y: &'a [usize],
+    weights: &'a [u32],
+    n_classes: usize,
+}
+
 /// What one tree's build carries from node to node: the feature-subsample
 /// RNG and the split search's buffers, reused across features and nodes.
 struct BuildState {
     rng: StdRng,
-    /// The node's `(value, label)` pairs on one feature, sorted by value.
-    pairs: Vec<(f32, usize)>,
+    /// The sampled features of the node being split.
+    features: Vec<usize>,
+    /// The node's weighted class counts.
+    counts: Vec<usize>,
+    /// A bitset over a wide column's codes; all clear between searches.
+    marks: Vec<u64>,
+    /// The node's codes on one feature, ascending.
+    present: Vec<u32>,
     /// The distinct values the quantile thresholds are taken from.
     vals: Vec<f32>,
+    /// The candidate thresholds, in the order they are tried.
+    thresholds: Vec<f32>,
+    /// Per code, the first candidate whose left side holds it
+    /// (`MAX_CANDIDATES` when none does).
+    first_left: Vec<u8>,
+    /// Weighted counts per (first candidate, class).
+    hist: Vec<usize>,
     /// Per-class counts left and right of the current threshold.
     left: Vec<usize>,
     right: Vec<usize>,
+    /// Right-side rows set aside while a node's rows are partitioned.
+    parked: Vec<usize>,
+}
+
+impl BuildState {
+    fn new(seed: u64, set: &TrainSet<'_>) -> Self {
+        let widest = set.codes.widest;
+        Self {
+            rng: StdRng::seed_from_u64(seed),
+            features: Vec::with_capacity(set.x.cols()),
+            counts: Vec::with_capacity(set.n_classes + 1),
+            marks: vec![0; widest.div_ceil(64)],
+            present: Vec::with_capacity(widest),
+            vals: Vec::with_capacity(set.x.rows()),
+            thresholds: Vec::with_capacity(MAX_CANDIDATES),
+            first_left: vec![0; widest],
+            hist: Vec::with_capacity((MAX_CANDIDATES + 1) * (set.n_classes + 1)),
+            left: Vec::with_capacity(set.n_classes + 1),
+            right: Vec::with_capacity(set.n_classes + 1),
+            parked: Vec::with_capacity(set.x.rows()),
+        }
+    }
+
+    /// Offers the node's candidate splits on feature `f` to `best`. The
+    /// candidates are up to 12 quantile midpoints `(v[i] + v[i+1]) / 2` of
+    /// the node's distinct values `v`, built by walking the node's codes
+    /// in order: `==` merges `±0.0`, and each NaN row (counted with its
+    /// multiplicity) adds an entry of its own. Each code is given the
+    /// first candidate whose left side (`x <= thr`) holds it, one pass
+    /// over the rows counts rows per (first candidate, class), and a
+    /// running sum over the candidates gives each one's left counts. A
+    /// candidate is taken when its Gini gain beats the best so far (the
+    /// first must beat `1e-9`).
+    fn search_feature(
+        &mut self,
+        set: &TrainSet<'_>,
+        f: usize,
+        rows: &[usize],
+        total: usize,
+        parent_gini: f64,
+        best: &mut Option<(f64, usize, f32)>,
+    ) {
+        let codes = set.codes.codes_of(f);
+        let distinct = set.codes.distinct_of(f);
+        let (lo, hi) = set.codes.numbers[f];
+
+        // The node's codes, ascending: from a register word when the
+        // column has at most 64 codes, else from the bitset.
+        self.present.clear();
+        if distinct.len() <= 64 {
+            let mut word = 0u64;
+            for &r in rows {
+                word |= 1 << codes[r];
+            }
+            push_set_bits(word, 0, &mut self.present);
+        } else {
+            for &r in rows {
+                let c = codes[r] as usize;
+                self.marks[c / 64] |= 1 << (c % 64);
+            }
+            let n_words = distinct.len().div_ceil(64);
+            for (i, word) in self.marks[..n_words].iter_mut().enumerate() {
+                push_set_bits(std::mem::take(word), i * 64, &mut self.present);
+            }
+        }
+
+        // The weighted NaN rows, each its own entry: negative NaNs sort
+        // first and positive NaNs last.
+        let (mut nan_below, mut nan_above) = (0, 0);
+        if self.present.first().is_some_and(|&c| c < lo)
+            || self.present.last().is_some_and(|&c| c >= hi)
+        {
+            for &r in rows {
+                let w = set.weights[r] as usize;
+                if codes[r] < lo {
+                    nan_below += w;
+                } else if codes[r] >= hi {
+                    nan_above += w;
+                }
+            }
+        }
+        self.vals.clear();
+        self.vals.resize(nan_below, f32::NAN);
+        for &c in &self.present {
+            let v = distinct[c as usize];
+            if !v.is_nan() && self.vals.last() != Some(&v) {
+                self.vals.push(v);
+            }
+        }
+        self.vals.resize(self.vals.len() + nan_above, f32::NAN);
+        if self.vals.len() < 2 {
+            return;
+        }
+
+        let n_vals = self.vals.len();
+        let n_cand = MAX_CANDIDATES.min(n_vals - 1);
+        self.thresholds.clear();
+        for ci in 0..n_cand {
+            let q = (ci + 1) as f64 / (n_cand + 1) as f64;
+            let idx = ((q * (n_vals - 1) as f64) as usize).min(n_vals - 2);
+            self.thresholds
+                .push((self.vals[idx] + self.vals[idx + 1]) / 2.0);
+        }
+        // Midpoints of nondecreasing pairs never decrease, so the codes,
+        // walked in value order, reach their first candidate in order too.
+        // Nothing is `<= NaN` and NaN is `<=` nothing: a NaN threshold
+        // holds no code, and a NaN code is held by no threshold.
+        debug_assert!(
+            self.thresholds
+                .iter()
+                .filter(|t| !t.is_nan())
+                .is_sorted_by(|a, b| a <= b),
+            "split thresholds must not decrease"
+        );
+        let mut ci = 0;
+        for &c in &self.present {
+            let v = distinct[c as usize];
+            self.first_left[c as usize] = if v.is_nan() {
+                MAX_CANDIDATES as u8
+            } else {
+                while ci < n_cand && (self.thresholds[ci].is_nan() || v > self.thresholds[ci]) {
+                    ci += 1;
+                }
+                ci as u8
+            };
+        }
+
+        let stride = self.counts.len();
+        self.hist.clear();
+        self.hist.resize((MAX_CANDIDATES + 1) * stride, 0);
+        for &r in rows {
+            let slot = usize::from(self.first_left[codes[r] as usize]) * stride + set.y[r];
+            self.hist[slot] += set.weights[r] as usize;
+        }
+
+        self.left.clear();
+        self.left.resize(stride, 0);
+        self.right.clear();
+        self.right.resize(stride, 0);
+        let mut ln = 0;
+        for (&thr, held) in self.thresholds.iter().zip(self.hist.chunks_exact(stride)) {
+            for (l, &h) in self.left.iter_mut().zip(held) {
+                *l += h;
+                ln += h;
+            }
+            let rn = total - ln;
+            // a NaN threshold's left side is empty
+            if thr.is_nan() || ln == 0 || rn == 0 {
+                continue;
+            }
+            for ((r, &c), &l) in self.right.iter_mut().zip(&self.counts).zip(&self.left) {
+                *r = c - l;
+            }
+            let w_gini = (ln as f64 * DecisionTree::gini(&self.left, ln)
+                + rn as f64 * DecisionTree::gini(&self.right, rn))
+                / total as f64;
+            let gain = parent_gini - w_gini;
+            if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 1e-9) {
+                *best = Some((gain, f, thr));
+            }
+        }
+    }
+}
+
+/// Appends the positions of `word`'s set bits, plus `base`, ascending.
+fn push_set_bits(mut word: u64, base: usize, out: &mut Vec<u32>) {
+    while word != 0 {
+        out.push((base + word.trailing_zeros() as usize) as u32);
+        word &= word - 1;
+    }
+}
+
+/// Moves the rows that pass `goes_left` to the front of `rows`, each side
+/// keeping its order, and returns how many went left.
+fn partition_rows(
+    rows: &mut [usize],
+    parked: &mut Vec<usize>,
+    goes_left: impl Fn(usize) -> bool,
+) -> usize {
+    parked.clear();
+    let mut n_left = 0;
+    for i in 0..rows.len() {
+        let r = rows[i];
+        if goes_left(r) {
+            rows[n_left] = r;
+            n_left += 1;
+        } else {
+            parked.push(r);
+        }
+    }
+    rows[n_left..].copy_from_slice(parked);
+    n_left
 }
 
 /// CART decision tree with Gini impurity and quantile candidate splits.
@@ -143,123 +446,69 @@ impl DecisionTree {
             .unwrap_or(0)
     }
 
-    /// Grows the subtree over `rows`. Each sampled feature's candidates
-    /// are up to 12 quantile midpoints of its distinct values; one sort of
-    /// the node's `(value, label)` pairs and one forward sweep give every
-    /// candidate's left counts (`x <= thr`), and the right counts are the
-    /// node's counts minus those. A candidate is taken when its Gini gain
-    /// beats the best so far (first over `1e-9`), in feature-then-threshold
-    /// order.
+    /// Grows the tree over `rows`: distinct rows of `set`, ascending.
+    fn grow(&mut self, set: &TrainSet<'_>, rows: &mut [usize]) {
+        let mut state = BuildState::new(self.seed, set);
+        self.root = Some(self.build(set, rows, 0, &mut state));
+    }
+
+    /// Grows the subtree over `rows`, each counted `set.weights[r]` times.
+    /// The node stops at the depth cap, below `min_samples` weighted rows,
+    /// or when it is pure; otherwise each sampled feature, in order, offers
+    /// its candidates to [`BuildState::search_feature`], and the best
+    /// split's two sides are grown in turn. The tree depends only on each
+    /// node's multiset of `(value, label)` pairs, so it matches the one
+    /// grown on a copy holding each row `weights[r]` times.
     fn build(
         &self,
-        x: &Matrix,
-        y: &[usize],
-        rows: &[usize],
-        n_classes: usize,
+        set: &TrainSet<'_>,
+        rows: &mut [usize],
         depth: usize,
         state: &mut BuildState,
     ) -> TreeNode {
-        let mut counts = vec![0usize; n_classes + 1];
-        for &r in rows {
-            counts[y[r]] += 1;
+        state.counts.clear();
+        state.counts.resize(set.n_classes + 1, 0);
+        let mut total = 0;
+        for &r in rows.iter() {
+            let w = set.weights[r] as usize;
+            state.counts[set.y[r]] += w;
+            total += w;
         }
-        let node_class = Self::majority(&counts);
+        let node_class = Self::majority(&state.counts);
         if depth >= self.max_depth
-            || rows.len() < self.min_samples
-            || counts.iter().filter(|&&c| c > 0).count() <= 1
+            || total < self.min_samples
+            || state.counts.iter().filter(|&&c| c > 0).count() <= 1
         {
             return TreeNode::Leaf { class: node_class };
         }
 
-        let d = x.cols();
-        let features: Vec<usize> = match self.feature_subsample {
-            Some(k) => {
-                let mut fs: Vec<usize> = (0..d).collect();
-                for i in (1..fs.len()).rev() {
-                    fs.swap(i, state.rng.random_range(0..=i));
-                }
-                fs.truncate(k.min(d));
-                fs
+        let d = set.x.cols();
+        state.features.clear();
+        state.features.extend(0..d);
+        if let Some(k) = self.feature_subsample {
+            for i in (1..d).rev() {
+                let j = state.rng.random_range(0..=i);
+                state.features.swap(i, j);
             }
-            None => (0..d).collect(),
-        };
+            state.features.truncate(k.min(d));
+        }
 
-        let parent_gini = Self::gini(&counts[..n_classes + 1], rows.len());
+        let parent_gini = Self::gini(&state.counts, total);
         let mut best: Option<(f64, usize, f32)> = None;
-        let BuildState {
-            pairs,
-            vals,
-            left,
-            right,
-            ..
-        } = state;
-        for &f in &features {
-            pairs.clear();
-            pairs.extend(rows.iter().map(|&r| (x[(r, f)], y[r])));
-            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            // quantile candidate thresholds: the distinct values in
-            // `total_cmp` order (`==` merges ±0.0, never NaNs)
-            vals.clear();
-            for &(v, _) in pairs.iter() {
-                if vals.last() != Some(&v) {
-                    vals.push(v);
-                }
-            }
-            if vals.len() < 2 {
-                continue;
-            }
-            // NaN rows never pass `<= thr`: `total_cmp` puts negative
-            // NaNs first and positive NaNs last, so the sweep runs over
-            // the non-NaN middle and the NaN rows always count right.
-            let lo = pairs.partition_point(|p| p.0.is_nan() && p.0.is_sign_negative());
-            let hi = pairs.partition_point(|p| !(p.0.is_nan() && p.0.is_sign_positive()));
-            let sweep = &pairs[lo..hi];
-            left.clear();
-            left.resize(counts.len(), 0);
-            right.clear();
-            right.resize(counts.len(), 0);
-            let mut ln = 0;
-            let mut last_thr = f32::NEG_INFINITY;
-            let n_cand = 12.min(vals.len() - 1);
-            for ci in 0..n_cand {
-                let q = (ci + 1) as f64 / (n_cand + 1) as f64;
-                let idx = ((q * (vals.len() - 1) as f64) as usize).min(vals.len() - 2);
-                let thr = (vals[idx] + vals[idx + 1]) / 2.0;
-                if thr.is_nan() {
-                    // nothing is `<= NaN`: the empty left side is skipped
-                    continue;
-                }
-                // Midpoints of nondecreasing pairs never decrease, so
-                // the left side only grows along the candidates.
-                debug_assert!(thr >= last_thr, "split thresholds must not decrease");
-                last_thr = thr;
-                while ln < sweep.len() && sweep[ln].0 <= thr {
-                    left[sweep[ln].1] += 1;
-                    ln += 1;
-                }
-                let rn = rows.len() - ln;
-                if ln == 0 || rn == 0 {
-                    continue;
-                }
-                for ((r, &c), &l) in right.iter_mut().zip(&counts).zip(left.iter()) {
-                    *r = c - l;
-                }
-                let w_gini = (ln as f64 * Self::gini(left, ln) + rn as f64 * Self::gini(right, rn))
-                    / rows.len() as f64;
-                let gain = parent_gini - w_gini;
-                if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 1e-9) {
-                    best = Some((gain, f, thr));
-                }
-            }
+        for i in 0..state.features.len() {
+            let f = state.features[i];
+            state.search_feature(set, f, rows, total, parent_gini, &mut best);
         }
 
         match best {
             None => TreeNode::Leaf { class: node_class },
             Some((_, feature, threshold)) => {
-                let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-                    rows.iter().partition(|&&r| x[(r, feature)] <= threshold);
-                let left = self.build(x, y, &left_rows, n_classes, depth + 1, state);
-                let right = self.build(x, y, &right_rows, n_classes, depth + 1, state);
+                let n_left = partition_rows(rows, &mut state.parked, |r| {
+                    set.x[(r, feature)] <= threshold
+                });
+                let (left_rows, right_rows) = rows.split_at_mut(n_left);
+                let left = self.build(set, left_rows, depth + 1, state);
+                let right = self.build(set, right_rows, depth + 1, state);
                 TreeNode::Split {
                     feature,
                     threshold,
@@ -306,15 +555,17 @@ impl Classifier for DecisionTree {
     fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize) {
         assert_eq!(x.rows(), y.len(), "feature/label mismatch");
         assert!(!y.is_empty(), "cannot fit on empty data");
-        let rows: Vec<usize> = (0..x.rows()).collect();
-        let mut state = BuildState {
-            rng: StdRng::seed_from_u64(self.seed),
-            pairs: Vec::with_capacity(rows.len()),
-            vals: Vec::with_capacity(rows.len()),
-            left: Vec::new(),
-            right: Vec::new(),
+        let codes = RankCodes::new(x);
+        let weights = vec![1; x.rows()];
+        let set = TrainSet {
+            x,
+            codes: &codes,
+            y,
+            weights: &weights,
+            n_classes,
         };
-        self.root = Some(self.build(x, y, &rows, n_classes, 0, &mut state));
+        let mut rows: Vec<usize> = (0..x.rows()).collect();
+        self.grow(&set, &mut rows);
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
@@ -364,23 +615,37 @@ impl Classifier for RandomForest {
         "RandomForest"
     }
 
+    /// Fits each tree on a bootstrap sample of `x`: the rank codes are
+    /// built once and shared, and a tree grows on `x` itself, each row
+    /// counted as often as it was drawn.
     fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize) {
         assert_eq!(x.rows(), y.len(), "feature/label mismatch");
         assert!(!y.is_empty(), "cannot fit on empty data");
         self.n_classes = n_classes;
         self.trees.clear();
+        let n = x.rows();
         let k = (x.cols() as f64).sqrt().ceil() as usize;
+        let codes = RankCodes::new(x);
+        let mut weights = vec![0u32; n];
+        let mut rows = Vec::with_capacity(n);
         let mut rng = StdRng::seed_from_u64(self.seed);
         for t in 0..self.n_trees {
-            // bootstrap sample
-            let rows: Vec<usize> = (0..x.rows())
-                .map(|_| rng.random_range(0..x.rows()))
-                .collect();
-            let bx = x.select_rows(&rows);
-            let by: Vec<usize> = rows.iter().map(|&r| y[r]).collect();
+            weights.fill(0);
+            for _ in 0..n {
+                weights[rng.random_range(0..n)] += 1;
+            }
+            rows.clear();
+            rows.extend((0..n).filter(|&r| weights[r] > 0));
+            let set = TrainSet {
+                x,
+                codes: &codes,
+                y,
+                weights: &weights,
+                n_classes,
+            };
             let mut tree = DecisionTree::new(self.max_depth)
                 .with_feature_subsample(k, self.seed.wrapping_add(t as u64));
-            tree.fit(&bx, &by, n_classes);
+            tree.grow(&set, &mut rows);
             self.trees.push(tree);
         }
     }
@@ -919,6 +1184,65 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Each forest tree, grown on `x` with its bootstrap draws as row
+    /// multiplicities, equals the rescan run on a copy of the drawn rows
+    /// with the same per-tree subsample seed.
+    #[test]
+    fn weighted_forest_trees_match_the_rescan_on_bootstrap_copies() {
+        for seed in 0..60u64 {
+            let n = [5, 17, 64, 300][seed as usize % 4];
+            let (x, y) = edge_case_matrix(n, seed);
+            let mut forest = RandomForest::new(5, 6).with_seed(seed);
+            forest.fit(&x, &y, 3);
+            let mut draws = StdRng::seed_from_u64(seed);
+            for (t, tree) in forest.trees.iter().enumerate() {
+                let drawn: Vec<usize> = (0..n).map(|_| draws.random_range(0..n)).collect();
+                let bx = x.select_rows(&drawn);
+                let by: Vec<usize> = drawn.iter().map(|&r| y[r]).collect();
+                let all: Vec<usize> = (0..n).collect();
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
+                let reference = rescan_build(tree, &bx, &by, &all, 3, 0, &mut rng);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                walk(tree.root.as_ref().expect("fitted"), &mut got);
+                walk(&reference, &mut want);
+                assert_eq!(got, want, "seed {seed}, tree {t}");
+            }
+        }
+    }
+
+    /// FNV-1a over a forest's pre-order walks: `(feature, threshold
+    /// bits)` per split, `(usize::MAX, class)` per leaf.
+    fn forest_digest(forest: &RandomForest) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for tree in &forest.trees {
+            let mut nodes = Vec::new();
+            walk(tree.root.as_ref().expect("fitted"), &mut nodes);
+            for (a, b) in nodes {
+                for byte in (a as u64).to_le_bytes().into_iter().chain(b.to_le_bytes()) {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Pins the trees of a round-sized forest on real encoded flows, so a
+    /// change to the split search that moves any split or leaf fails here.
+    #[test]
+    fn forest_on_encoded_lab_flows_is_pinned() {
+        use crate::encode::MlEncoder;
+        use kinet_datasets::lab::{LabSimConfig, LabSimulator};
+        let table = LabSimulator::new(LabSimConfig::small(2_000, 11))
+            .generate()
+            .expect("lab flows");
+        let encoder = MlEncoder::fit(&table, LabSimulator::label_column()).expect("encoder fits");
+        let (x, y) = encoder.encode(&table).expect("flows encode");
+        assert_eq!(x.shape(), (2_000, 24), "a round pool's feature shape");
+        let mut forest = RandomForest::new(12, 10);
+        forest.fit(&x, &y, encoder.n_classes());
+        assert_eq!(forest_digest(&forest), 0x4180_ed3c_e257_1090);
     }
 
     #[test]

@@ -1135,6 +1135,8 @@ impl FleetService {
                             kv("rows", score.rows as u64),
                             kv("generation", score.generation),
                             kv("staleness", score.staleness),
+                            kv("rejected", score.rejected_nonfinite as u64),
+                            kv("unknown", score.unknown_category as u64),
                         ],
                     );
                     stats.batches += 1;
@@ -1578,6 +1580,27 @@ mod tests {
             resumed.committed_rounds + resumed.aborted_rounds + resumed.failed_rounds,
             2
         );
+    }
+
+    /// Every answered batch's journal event carries its rejection and
+    /// unknown-category counts. With one device per device type (the
+    /// fleet cycles through four), the pool holds every category, so the
+    /// service's own flows are clean.
+    #[test]
+    fn serve_answer_events_carry_rejection_counts() {
+        let mut cfg = mini_service(2);
+        cfg.fleet.n_devices = 4;
+        let mut journal = Recorder::new();
+        FleetService::new(cfg)
+            .run_recorded(&mut mem_store(), &mut journal)
+            .unwrap();
+        let answers: Vec<_> = journal.events_for("serve.answer").collect();
+        assert_eq!(answers.len(), 4, "2 rounds x 2 batches");
+        for rec in answers {
+            assert_eq!(rec.field_val("rows"), Some(64));
+            assert_eq!(rec.field_val("rejected"), Some(0));
+            assert_eq!(rec.field_val("unknown"), Some(0));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Maximum `key=value` fields carried inline by one [`Record`].
-pub const MAX_FIELDS: usize = 4;
+pub const MAX_FIELDS: usize = 5;
 
 /// Records a gate's flight-recorder dump keeps: the journal's tail.
 pub const DUMP_TAIL: usize = 256;
@@ -289,12 +289,19 @@ mod tests {
         journal.event(
             "wide",
             0,
-            &[kv("a", 1), kv("b", 2), kv("c", 3), kv("d", 4), kv("e", 5)],
+            &[
+                kv("a", 1),
+                kv("b", 2),
+                kv("c", 3),
+                kv("d", 4),
+                kv("e", 5),
+                kv("f", 6),
+            ],
         );
         let rec = journal.records()[0];
         assert_eq!(rec.n_fields as usize, MAX_FIELDS);
-        assert_eq!(rec.field_val("d"), Some(4));
-        assert_eq!(rec.field_val("e"), None);
+        assert_eq!(rec.field_val("e"), Some(5));
+        assert_eq!(rec.field_val("f"), None);
     }
 
     #[test]
