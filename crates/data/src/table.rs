@@ -270,19 +270,23 @@ impl Table {
         }
     }
 
-    /// Distinct values and counts of a categorical column, in first-seen
-    /// order of the distinct values sorted lexicographically.
+    /// Distinct values and counts of a categorical column, keyed in
+    /// lexicographic order. Counts borrowed `&str`s and clones each
+    /// distinct value once.
     ///
     /// # Errors
     ///
     /// Propagates [`Table::cat_column`] errors.
     pub fn category_counts(&self, name: &str) -> Result<BTreeMap<String, usize>, DataError> {
         let col = self.cat_column(name)?;
-        let mut counts = BTreeMap::new();
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
         for v in col {
-            *counts.entry(v.clone()).or_insert(0) += 1;
+            *counts.entry(v.as_str()).or_insert(0) += 1;
         }
-        Ok(counts)
+        Ok(counts
+            .into_iter()
+            .map(|(v, n)| (v.to_string(), n))
+            .collect())
     }
 
     /// A new table with only the given rows (duplicates allowed).

@@ -33,9 +33,7 @@ impl MlEncoder {
             ));
         }
         let labels_col = table.cat_column(label_column)?;
-        let mut labels: Vec<String> = labels_col.to_vec();
-        labels.sort();
-        labels.dedup();
+        let labels = sorted_distinct(labels_col);
         let label_index = labels
             .iter()
             .enumerate()
@@ -50,9 +48,7 @@ impl MlEncoder {
             }
             match col.kind() {
                 ColumnKind::Categorical => {
-                    let mut cats = table.cat_column(col.name())?.to_vec();
-                    cats.sort();
-                    cats.dedup();
+                    let cats = sorted_distinct(table.cat_column(col.name())?);
                     feature_cats.push((col.name().to_string(), cats));
                 }
                 ColumnKind::Continuous => {
@@ -141,6 +137,15 @@ impl MlEncoder {
             .collect();
         Ok((x, y))
     }
+}
+
+/// The distinct values of a categorical column, sorted. Sorts borrowed
+/// `&str`s (their order is `String`'s) and clones each distinct value once.
+fn sorted_distinct(values: &[String]) -> Vec<String> {
+    let mut distinct: Vec<&str> = values.iter().map(String::as_str).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct.into_iter().map(str::to_string).collect()
 }
 
 #[cfg(test)]

@@ -59,6 +59,9 @@ const SERVE_SALT: u64 = 0x53_45_52_56_45; // "SERVE"
 /// Full-batch gradient-descent epochs for the serving classifier trained
 /// at each commit.
 const SERVING_EPOCHS: usize = 40;
+/// The most label classes [`ServingModel::train`] fits: the epoch kernel
+/// is instantiated once per class count up to this bound.
+pub const MAX_SERVING_CLASSES: usize = 16;
 /// Odd multiplier for per-round seed mixing (round 0 keeps the base seed,
 /// so a 1-round service is bit-identical to a bare `FleetSim` run).
 const ROUND_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -354,15 +357,12 @@ impl ServingEncoder {
                     numeric.push((col.name().to_string(), mean, sd));
                 }
                 ColumnKind::Categorical => {
-                    let mut vocab: Vec<String> =
-                        pool.category_counts(col.name())?.into_keys().collect();
-                    vocab.sort_unstable();
+                    let vocab = pool.category_counts(col.name())?.into_keys().collect();
                     categorical.push((col.name().to_string(), vocab));
                 }
             }
         }
-        let mut labels: Vec<String> = pool.category_counts(label_column)?.into_keys().collect();
-        labels.sort_unstable();
+        let labels: Vec<String> = pool.category_counts(label_column)?.into_keys().collect();
         if labels.is_empty() {
             return Err(FleetError::Internal(
                 "serving encoder fitted on a pool with no labels".into(),
@@ -497,8 +497,15 @@ impl ServingModel {
     /// term never changes one, and a logit can differ only in the sign of
     /// a zero, which `exp` erases. Weights and gradients are kept
     /// feature-major (`width × labels`), so each nonzero feature touches
-    /// one contiguous vector of all the classes; every element still gets
+    /// one contiguous vector of all the classes. The epochs run in
+    /// `train_epoch`, instantiated at the pool's class count, so every
+    /// per-class loop has a compile-time length; every element still gets
     /// its terms in the same order.
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::Config`] when the pool holds more than
+    /// [`MAX_SERVING_CLASSES`] label classes.
     pub fn train(pool: &Table, epochs: usize, _seed: u64) -> Result<Self, FleetError> {
         if pool.n_rows() == 0 {
             return Err(FleetError::Internal(
@@ -509,51 +516,32 @@ impl ServingModel {
         let encoder = ServingEncoder::fit(pool, label_column)?;
         let w = encoder.width();
         let k = encoder.labels.len();
-        let n = pool.n_rows();
-        let real = SparseRows::from_columns(&encoder.columns(pool)?, n);
+        let real = SparseRows::from_columns(&encoder.columns(pool)?, pool.n_rows());
         let targets = encoder.label_indices(pool)?;
-
-        // Feature-major: feature `j`'s weights for all classes are
-        // `weights[j * k..(j + 1) * k]`.
-        let mut weights = vec![0.0; w * k];
-        let mut class_bias = vec![0.0; k];
-        let mut probs = vec![0.0; k];
-        let lr = 0.5;
-        for _ in 0..epochs {
-            let mut grad_w = vec![0.0; w * k];
-            let mut grad_b = vec![0.0; k];
-            for (r, &t) in targets.iter().enumerate() {
-                let x = &real.entries[real.offsets[r]..real.offsets[r + 1]];
-                // Each logit is its bias plus the sum of its terms, summed
-                // from `-0.0` in column order as `Iterator::sum` does.
-                probs.fill(-0.0);
-                for &(j, v) in x {
-                    for (o, wv) in probs.iter_mut().zip(&weights[j * k..(j + 1) * k]) {
-                        *o += wv * v;
-                    }
-                }
-                for (o, b) in probs.iter_mut().zip(&class_bias) {
-                    *o += *b;
-                }
-                softmax_in_place(&mut probs);
-                probs[t] -= 1.0;
-                for (g, p) in grad_b.iter_mut().zip(&probs) {
-                    *g += p;
-                }
-                for &(j, v) in x {
-                    for (g, p) in grad_w[j * k..(j + 1) * k].iter_mut().zip(&probs) {
-                        *g += p * v;
-                    }
-                }
+        let (weights, class_bias) = match k {
+            1 => fit_classes::<1>(&real, &targets, w, epochs),
+            2 => fit_classes::<2>(&real, &targets, w, epochs),
+            3 => fit_classes::<3>(&real, &targets, w, epochs),
+            4 => fit_classes::<4>(&real, &targets, w, epochs),
+            5 => fit_classes::<5>(&real, &targets, w, epochs),
+            6 => fit_classes::<6>(&real, &targets, w, epochs),
+            7 => fit_classes::<7>(&real, &targets, w, epochs),
+            8 => fit_classes::<8>(&real, &targets, w, epochs),
+            9 => fit_classes::<9>(&real, &targets, w, epochs),
+            10 => fit_classes::<10>(&real, &targets, w, epochs),
+            11 => fit_classes::<11>(&real, &targets, w, epochs),
+            12 => fit_classes::<12>(&real, &targets, w, epochs),
+            13 => fit_classes::<13>(&real, &targets, w, epochs),
+            14 => fit_classes::<14>(&real, &targets, w, epochs),
+            15 => fit_classes::<15>(&real, &targets, w, epochs),
+            16 => fit_classes::<16>(&real, &targets, w, epochs),
+            _ => {
+                return Err(FleetError::Config(format!(
+                    "serving pool has {k} label classes; the serving fit takes 1 to \
+                     {MAX_SERVING_CLASSES}"
+                )))
             }
-            let scale = lr / n as f64;
-            for (wv, g) in weights.iter_mut().zip(&grad_w) {
-                *wv -= scale * g;
-            }
-            for (bv, g) in class_bias.iter_mut().zip(&grad_b) {
-                *bv -= scale * g;
-            }
-        }
+        };
 
         let attacks = LabSimulator::attack_events();
         let is_attack = encoder
@@ -702,16 +690,101 @@ impl ServingModel {
     }
 }
 
-/// Softmax of `out` in place.
-fn softmax_in_place(out: &mut [f64]) {
-    let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mut sum = 0.0;
-    for o in out.iter_mut() {
-        *o = (*o - max).exp();
-        sum += *o;
+/// Runs the serving fit's epochs at a compile-time class count `K`:
+/// allocates the feature-major weights and gradients (`width` vectors of
+/// `K` classes) once, then calls [`train_epoch`] per epoch. Returns the
+/// flattened feature-major (`width × K`) weights and the biases.
+fn fit_classes<const K: usize>(
+    rows: &SparseRows,
+    targets: &[usize],
+    width: usize,
+    epochs: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut weights = vec![[0.0; K]; width];
+    let mut grad_w = vec![[0.0; K]; width];
+    let mut bias = [0.0; K];
+    let lr = 0.5;
+    let scale = lr / targets.len() as f64;
+    for _ in 0..epochs {
+        train_epoch(rows, targets, scale, &mut weights, &mut bias, &mut grad_w);
     }
-    for o in out.iter_mut() {
-        *o /= sum;
+    (weights.as_flattened().to_vec(), bias.to_vec())
+}
+
+/// One full-batch gradient-descent epoch of the serving classifier over
+/// `K` classes. `grad_w` is scratch, reset here. Per row, each logit sums
+/// its terms from `-0.0` in column order, as `Iterator::sum` does, then
+/// adds its bias; the softmax takes the max, then `exp`s and sums in
+/// class order, then divides. Each gradient sums its rows in order, and
+/// the update is `w -= scale · g`.
+///
+/// The per-class loops walk `[f64; K]` arrays, so they have a
+/// compile-time length. This loop must stay allocation-free (enforced by
+/// `kinet_lint`'s hotlist) and panic-free (it is reachable from the
+/// service loop): it reads rows and weights through checked accessors.
+fn train_epoch<const K: usize>(
+    rows: &SparseRows,
+    targets: &[usize],
+    scale: f64,
+    weights: &mut [[f64; K]],
+    bias: &mut [f64; K],
+    grad_w: &mut [[f64; K]],
+) {
+    grad_w.fill([0.0; K]);
+    let mut grad_b = [0.0; K];
+    for (bounds, &t) in rows.offsets.windows(2).zip(targets) {
+        let &[start, end] = bounds else { continue };
+        let x = rows.entries.get(start..end).unwrap_or_default();
+        let mut probs = [-0.0; K];
+        for &(j, v) in x {
+            if let Some(wj) = weights.get(j) {
+                for (o, wv) in probs.iter_mut().zip(wj) {
+                    *o += wv * v;
+                }
+            }
+        }
+        for (o, b) in probs.iter_mut().zip(&*bias) {
+            *o += *b;
+        }
+        // The max over four lanes, then across them: `max` is exact, so
+        // the order can change only the sign of a zero max, which
+        // `o - max` and `exp` erase.
+        let mut lanes = [f64::NEG_INFINITY; 4];
+        for chunk in probs.chunks(4) {
+            for (l, &o) in lanes.iter_mut().zip(chunk) {
+                *l = l.max(o);
+            }
+        }
+        let max = lanes.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut sum = 0.0;
+        for o in &mut probs {
+            *o = (*o - max).exp();
+            sum += *o;
+        }
+        for o in &mut probs {
+            *o /= sum;
+        }
+        if let Some(p) = probs.get_mut(t) {
+            *p -= 1.0;
+        }
+        for (g, p) in grad_b.iter_mut().zip(&probs) {
+            *g += p;
+        }
+        for &(j, v) in x {
+            if let Some(gj) = grad_w.get_mut(j) {
+                for (g, p) in gj.iter_mut().zip(&probs) {
+                    *g += p * v;
+                }
+            }
+        }
+    }
+    for (wj, gj) in weights.iter_mut().zip(&*grad_w) {
+        for (wv, g) in wj.iter_mut().zip(gj) {
+            *wv -= scale * g;
+        }
+    }
+    for (bv, g) in bias.iter_mut().zip(&grad_b) {
+        *bv -= scale * g;
     }
 }
 
@@ -1439,6 +1512,65 @@ mod tests {
             assert_eq!(bits(&got.class_weights), bits(&want.class_weights));
             assert_eq!(bits(&got.class_bias), bits(&want.class_bias));
             assert_eq!(got, want);
+        }
+    }
+
+    /// The epoch kernel is instantiated per class count; each
+    /// instantiation must match the dense reference bit for bit. Pools are
+    /// cut to their first `c` events (in the encoder's sorted order).
+    #[test]
+    fn serving_fit_matches_the_dense_reference_at_every_class_count() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let pool = pool_with_zero_cells(600, 1009);
+        let events = pool.cat_column(LabSimulator::label_column()).unwrap();
+        let labels: Vec<String> = pool
+            .category_counts(LabSimulator::label_column())
+            .unwrap()
+            .into_keys()
+            .collect();
+        assert_eq!(labels.len(), 10);
+        for classes in [1, 2, 5, 10] {
+            let rows: Vec<usize> = (0..pool.n_rows())
+                .filter(|&r| labels[..classes].contains(&events[r]))
+                .collect();
+            let cut = pool.select_rows(&rows);
+            let got = ServingModel::train(&cut, 20, 0).unwrap();
+            let want = dense_reference_train(&cut, 20);
+            assert_eq!(got.encoder.labels.len(), classes);
+            assert_eq!(bits(&got.class_weights), bits(&want.class_weights));
+            assert_eq!(bits(&got.class_bias), bits(&want.class_bias));
+            assert_eq!(got, want);
+        }
+    }
+
+    /// `pool` with its event column relabelled to `classes` synthetic
+    /// classes, cycling by row.
+    fn with_label_classes(pool: &Table, classes: usize) -> Table {
+        let at = pool
+            .schema()
+            .index_of(LabSimulator::label_column())
+            .unwrap();
+        let rows = (0..pool.n_rows())
+            .map(|r| {
+                let mut row = pool.row(r);
+                row[at] = kinet_data::Value::cat(format!("event-{:02}", r % classes));
+                row
+            })
+            .collect();
+        Table::from_rows(pool.schema().clone(), rows).unwrap()
+    }
+
+    #[test]
+    fn serving_fit_takes_at_most_max_serving_classes() {
+        let pool = pool_with_zero_cells(200, 3);
+        let widest = with_label_classes(&pool, MAX_SERVING_CLASSES);
+        let model = ServingModel::train(&widest, 3, 0).unwrap();
+        assert_eq!(model.encoder.labels.len(), MAX_SERVING_CLASSES);
+        assert_eq!(model, dense_reference_train(&widest, 3));
+        let too_wide = with_label_classes(&pool, MAX_SERVING_CLASSES + 1);
+        match ServingModel::train(&too_wide, 3, 0) {
+            Err(FleetError::Config(msg)) => assert!(msg.contains("17 label classes"), "{msg}"),
+            other => panic!("expected a config error, got {other:?}"),
         }
     }
 
