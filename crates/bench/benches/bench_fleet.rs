@@ -4,8 +4,8 @@
 //! the orchestration subsystem itself), plus the chunked UNSW generator
 //! the out-of-core path rides on, the two detector fits every
 //! resident-service round ends with (the evaluation forest and the
-//! serving model), each alone on a raw 4 × 500 pool, and the serving
-//! model's flow scorer alone.
+//! serving model), each alone on a raw 4 × 500 pool, the serving
+//! model's flow scorer alone, and one resident-service restart.
 //!
 //! The scaling curve lands in `target/experiments/BENCH_fleet.json`;
 //! `bench_gate` diffs it against `benches/baseline/BENCH_fleet.json`.
@@ -17,7 +17,10 @@ use kinet_datasets::unsw::{UnswSimConfig, UnswSimulator};
 use kinet_eval::classifiers::{Classifier, RandomForest};
 use kinet_eval::encode::MlEncoder;
 use kinet_fleet::schedule::run_indexed_settled;
-use kinet_fleet::{FleetConfig, FleetSim, ServingModel, SharingPolicy};
+use kinet_fleet::{
+    FleetConfig, FleetService, FleetSim, MemStorage, ServiceConfig, ServingConfig, ServingModel,
+    SharingPolicy, SnapshotStore,
+};
 use std::time::Instant;
 
 fn fleet_config(devices: usize, rows: usize) -> FleetConfig {
@@ -105,6 +108,45 @@ fn bench_serving_score(c: &mut Criterion) {
                 flagged += f;
             }
             criterion::black_box(flagged)
+        });
+    });
+    group.finish();
+}
+
+/// One resident-service restart: `FleetService::run` over a store that
+/// already holds 40 committed raw-sharing rounds (4 × 500, serving on),
+/// so it reads and decodes the newest snapshot, reinstalls its serving
+/// model and runs no round. The store is built on the first call, outside
+/// the timed loop, and only when the case is selected.
+fn bench_service_recover(c: &mut Criterion) {
+    const ROUNDS: usize = 40;
+    let mut group = c.benchmark_group("fleet");
+    group.sample_size(5);
+    let mut built = None;
+    group.bench_function(&format!("service_recover/{ROUNDS}"), |b| {
+        let (service, store) = built.get_or_insert_with(|| {
+            let service = FleetService::new(ServiceConfig {
+                fleet: FleetConfig {
+                    n_devices: 4,
+                    rows_per_device: 500,
+                    test_records: 800,
+                    policy: SharingPolicy::Raw,
+                    seed: 11,
+                    ..FleetConfig::default()
+                },
+                rounds: ROUNDS,
+                serving: ServingConfig::enabled(4, 128),
+                ..ServiceConfig::default()
+            });
+            let mut store = SnapshotStore::new(Box::new(MemStorage::new()));
+            let report = service.run(&mut store).expect("service run succeeds");
+            assert_eq!(report.committed_rounds, ROUNDS);
+            (service, store)
+        });
+        b.iter(|| {
+            let back = service.run(store).expect("restart succeeds");
+            assert_eq!(back.resumed_from_generation, Some(ROUNDS as u64));
+            criterion::black_box(back.rounds.len())
         });
     });
     group.finish();
@@ -203,11 +245,14 @@ fn bench_serving_under_training(c: &mut Criterion) {
         });
     });
     let wall_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    println!(
-        "serve_under_train: {rows_scored} rows scored in {wall_secs:.3}s — \
-         {:.0} rows/s under a concurrent round",
-        rows_scored as f64 / wall_secs
-    );
+    // Nothing to summarize when the bench-name filter skipped the case.
+    if rows_scored > 0 {
+        println!(
+            "serve_under_train: {rows_scored} rows scored in {wall_secs:.3}s — \
+             {:.0} rows/s under a concurrent round",
+            rows_scored as f64 / wall_secs
+        );
+    }
     group.finish();
 }
 
@@ -217,6 +262,7 @@ criterion_group!(
     bench_unsw_streaming,
     bench_serving_under_training,
     bench_detector_fits,
-    bench_serving_score
+    bench_serving_score,
+    bench_service_recover
 );
 criterion_main!(benches);

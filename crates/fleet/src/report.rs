@@ -380,6 +380,12 @@ pub struct RoundServingStats {
     /// Batches that could not be answered because no generation was
     /// committed yet.
     pub unanswered_batches: usize,
+    /// Rows rejected as non-finite across the answered batches (never
+    /// given a verdict, not counted in `rows`).
+    pub rejected_nonfinite: usize,
+    /// Rows carrying a category the answering model never saw (still
+    /// scored, with an all-zero block for that column).
+    pub unknown_category: usize,
 }
 
 /// One round's ledger entry in a [`ServiceReport`].
@@ -397,9 +403,11 @@ pub struct RoundRecord {
     pub quorum_required: usize,
     /// How the round ended.
     pub verdict: RoundVerdict,
-    /// `deterministic_fingerprint()` of the round's [`FleetReport`], when
-    /// the round produced one.
-    pub fleet_fingerprint: Option<String>,
+    /// FNV-1a-64 of the round's [`FleetReport::deterministic_fingerprint`]
+    /// as 16 lowercase hex digits, when the round produced one. A string,
+    /// not a `u64`: the vendored serde stores numbers as `f64`, which
+    /// would round a digest above 2^53 without an error.
+    pub fleet_digest: Option<String>,
     /// Attack recall of the round's pooled detector.
     pub attack_recall: Option<f64>,
     /// Global accuracy of the round's pooled detector.
@@ -466,8 +474,8 @@ impl ServiceReport {
 
     /// Canonical rendering of the whole report. The service report holds
     /// no wall-clock fields (round timings live in the per-round
-    /// [`FleetReport`], which enters here only through its own
-    /// already-timing-free fingerprint), so everything is rendered.
+    /// [`FleetReport`], which enters here only through the digest of its
+    /// own already-timing-free fingerprint), so everything is rendered.
     /// Bit-identical across `KINET_THREADS` values by the same contract
     /// as [`FleetReport::deterministic_fingerprint`].
     pub fn deterministic_fingerprint(&self) -> String {
@@ -497,14 +505,14 @@ impl ServiceReport {
                 r.attack_recall,
                 r.global_accuracy,
             );
-            if let Some(fp) = &r.fleet_fingerprint {
-                let _ = writeln!(out, "round {} fleet:\n{fp}", r.round);
+            if let Some(digest) = &r.fleet_digest {
+                let _ = writeln!(out, "round {} fleet={digest}", r.round);
             }
             let s = &r.serving;
             let _ = writeln!(
                 out,
                 "round {} serving batches={} rows={} gen={:?} staleness={:?} flagged={} \
-                 unanswered={}",
+                 unanswered={} rejected={} unknown={}",
                 r.round,
                 s.batches,
                 s.rows,
@@ -512,6 +520,8 @@ impl ServiceReport {
                 s.staleness,
                 s.attack_flagged,
                 s.unanswered_batches,
+                s.rejected_nonfinite,
+                s.unknown_category,
             );
         }
         let _ = writeln!(out, "churn={:?}", self.churn);
@@ -700,7 +710,7 @@ mod tests {
                     left: vec![],
                     quorum_required: 2,
                     verdict: RoundVerdict::Committed { generation: 2 },
-                    fleet_fingerprint: Some("policy=raw ...".into()),
+                    fleet_digest: Some("9ae16a3b2f90404f".into()),
                     attack_recall: Some(0.75),
                     global_accuracy: Some(0.9),
                     serving: RoundServingStats {
@@ -710,6 +720,8 @@ mod tests {
                         staleness: Some(0),
                         attack_flagged: 40,
                         unanswered_batches: 0,
+                        rejected_nonfinite: 0,
+                        unknown_category: 3,
                     },
                 },
                 RoundRecord {
@@ -723,7 +735,7 @@ mod tests {
                         spent_ticks: 900,
                         deadline_ticks: 500,
                     },
-                    fleet_fingerprint: None,
+                    fleet_digest: None,
                     attack_recall: None,
                     global_accuracy: None,
                     serving: RoundServingStats {
@@ -733,6 +745,8 @@ mod tests {
                         staleness: Some(1),
                         attack_flagged: 38,
                         unanswered_batches: 0,
+                        rejected_nonfinite: 1,
+                        unknown_category: 0,
                     },
                 },
             ],
@@ -776,6 +790,18 @@ mod tests {
         let mut e = sample_service_report();
         e.churn.clear();
         assert_ne!(a.deterministic_fingerprint(), e.deterministic_fingerprint());
+        let mut f = sample_service_report();
+        f.rounds[0].fleet_digest = Some("9ae16a3b2f90404e".into());
+        assert_ne!(a.deterministic_fingerprint(), f.deterministic_fingerprint());
+        let mut g = sample_service_report();
+        g.rounds[1].serving.rejected_nonfinite = 0;
+        assert_ne!(a.deterministic_fingerprint(), g.deterministic_fingerprint());
+        let mut h = sample_service_report();
+        h.rounds[0].serving.unknown_category = 0;
+        assert_ne!(a.deterministic_fingerprint(), h.deterministic_fingerprint());
+        let fp = a.deterministic_fingerprint();
+        assert!(fp.contains("round 0 fleet=9ae16a3b2f90404f\n"), "{fp}");
+        assert!(fp.contains("unanswered=0 rejected=1 unknown=0\n"), "{fp}");
     }
 
     #[test]
@@ -792,5 +818,7 @@ mod tests {
             RoundVerdict::Committed { generation: 2 }
         );
         assert_eq!(back.rounds[1].verdict.label(), "aborted");
+        assert_eq!(back.rounds[0].fleet_digest, r.rounds[0].fleet_digest);
+        assert_eq!(back.rounds[0].serving, r.rounds[0].serving);
     }
 }

@@ -6,9 +6,10 @@
 //! top of [`crate::sim::FleetSim`]:
 //!
 //! * **Durable snapshots** — after every round the service state
-//!   (generation counter, partial [`ServiceReport`], last committed
-//!   serving model) is committed to a [`SnapshotStore`] as a
-//!   generation-stamped, checksummed record. On startup the service scans
+//!   (generation counter, partial [`ServiceReport`] with one fleet digest
+//!   per round, last committed serving model) is committed to a
+//!   [`SnapshotStore`] as a generation-stamped, checksummed record, under
+//!   a digest of the service's configuration. On startup the service scans
 //!   the store newest-first, rejects torn/flipped/mis-stamped records
 //!   loudly (they land in [`StorageFaultReport::rejected_snapshots`]),
 //!   resumes from the newest intact generation, and re-runs whatever the
@@ -45,7 +46,7 @@ use crate::error::FleetError;
 use crate::fault::FaultConfig;
 use crate::report::{RoundRecord, RoundServingStats, RoundVerdict, ServiceReport};
 use crate::sim::FleetSim;
-use crate::storage::SnapshotStore;
+use crate::storage::{fnv1a64, SnapshotStore};
 use kinet_data::{ColumnKind, Table};
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 use kinet_obs::{kv, Recorder};
@@ -883,13 +884,21 @@ impl ServingHandle {
     }
 }
 
+/// `text`'s [`fnv1a64`] as 16 lowercase hex digits, the form every digest
+/// in a snapshot takes. A string, not a number: the vendored serde keeps
+/// numbers as `f64`, so a `u64` above 2^53 would come back changed.
+fn hex_digest(text: &str) -> String {
+    format!("{:016x}", fnv1a64(text.as_bytes()))
+}
+
 /// What one durable snapshot record carries: enough to resume the service
 /// (and its serving handle) exactly where the last committed round left
 /// it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct ServiceSnapshot {
-    /// Canonical `Debug` rendering of the [`ServiceConfig`]; a mismatch
-    /// means the snapshot belongs to a different service and is ignored.
+    /// [`hex_digest`] of [`FleetService::config_key`]; a mismatch means
+    /// the snapshot belongs to a different service, or to a build with
+    /// another snapshot format, and is ignored.
     config_key: String,
     /// First round the resumed service should run.
     next_round: usize,
@@ -985,7 +994,7 @@ impl FleetService {
         journal: &mut Recorder,
     ) -> Result<ServiceReport, FleetError> {
         self.cfg.validate()?;
-        let key = self.config_key();
+        let key = hex_digest(&self.config_key());
         let plan = ChurnPlan::derive(
             self.cfg.fleet.seed,
             self.cfg.rounds,
@@ -1008,9 +1017,14 @@ impl FleetService {
         if let Some(snapshot) = latest {
             let text = String::from_utf8(snapshot.payload)
                 .map_err(|_| FleetError::Checkpoint("snapshot payload is not UTF-8".into()))?;
-            let parsed: ServiceSnapshot = serde_json::from_str(&text)
+            let value = serde_json::parse_value(&text)
                 .map_err(|e| FleetError::Checkpoint(format!("snapshot parse: {e}")))?;
-            if parsed.config_key == key {
+            // The key is checked on the parsed tree before the typed
+            // decode, so another service's snapshot, or one in an older
+            // build's shape, is ignored rather than fatal.
+            if serde::de::field::<String>(&value, "config_key").is_ok_and(|k| k == key) {
+                let parsed = ServiceSnapshot::from_json_value(&value)
+                    .map_err(|e| FleetError::Checkpoint(format!("snapshot decode: {e}")))?;
                 generation = parsed.generation;
                 start_round = parsed.next_round;
                 report = parsed.partial;
@@ -1081,7 +1095,7 @@ impl FleetService {
                 verdict: RoundVerdict::Failed {
                     error: "round never ran".into(),
                 },
-                fleet_fingerprint: None,
+                fleet_digest: None,
                 attack_recall: None,
                 global_accuracy: None,
                 serving: RoundServingStats::default(),
@@ -1092,7 +1106,8 @@ impl FleetService {
                 Ok((fleet_report, pool)) => {
                     generation += 1;
                     record.verdict = RoundVerdict::Committed { generation };
-                    record.fleet_fingerprint = Some(fleet_report.deterministic_fingerprint());
+                    record.fleet_digest =
+                        Some(hex_digest(&fleet_report.deterministic_fingerprint()));
                     record.attack_recall = Some(fleet_report.attack_recall);
                     record.global_accuracy = Some(fleet_report.global_accuracy);
                     report.committed_rounds += 1;
@@ -1151,16 +1166,20 @@ impl FleetService {
                 return Err(e);
             }
 
+            // The snapshot takes the live ledger for the encode and hands
+            // it back, instead of cloning it every round.
             let snapshot = ServiceSnapshot {
                 config_key: key.clone(),
                 next_round: round + 1,
                 generation,
                 committed_round: handle.installed.as_ref().map(|i| i.committed_round),
-                partial: report.clone(),
+                partial: std::mem::take(&mut report),
                 serving: handle.model().cloned(),
             };
-            let payload = serde_json::to_string(&snapshot)
-                .map_err(|e| FleetError::Checkpoint(format!("snapshot encode: {e}")))?;
+            let payload = serde_json::to_string(&snapshot);
+            report = snapshot.partial;
+            let payload =
+                payload.map_err(|e| FleetError::Checkpoint(format!("snapshot encode: {e}")))?;
             store.commit(generation, payload.as_bytes())?;
             journal.event(
                 "storage.commit",
@@ -1215,6 +1234,8 @@ impl FleetService {
                     stats.batches += 1;
                     stats.rows += score.rows;
                     stats.attack_flagged += score.attack_flagged;
+                    stats.rejected_nonfinite += score.rejected_nonfinite;
+                    stats.unknown_category += score.unknown_category;
                     stats.answered_generation = Some(score.generation);
                     stats.staleness = Some(score.staleness);
                 }
@@ -1232,6 +1253,11 @@ mod tests {
     use crate::error::EXIT_MEMBERSHIP_COLLAPSE;
     use crate::fault::{DeviceFaultSpec, FaultKind};
     use crate::storage::{MemStorage, SnapshotStore};
+
+    /// Upper bound on snapshot bytes added per `mini_service` round:
+    /// 357 with a fleet digest per round, 1,334 when each round kept its
+    /// fleet fingerprint text.
+    const GROWTH_BOUND: u64 = 600;
 
     fn mini_service(rounds: usize) -> ServiceConfig {
         ServiceConfig {
@@ -1808,6 +1834,223 @@ mod tests {
             .run(&mut mem_store())
             .unwrap();
         assert_eq!(a.deterministic_fingerprint(), b.deterministic_fingerprint());
+    }
+
+    /// Each round's `FleetReport` fingerprint, rerun outside the service
+    /// from the same per-round configuration.
+    fn round_fingerprints(service: &FleetService) -> Vec<String> {
+        let plan = ChurnPlan::derive(
+            service.cfg.fleet.seed,
+            service.cfg.rounds,
+            &service.initial_members(),
+            &service.cfg.churn,
+        );
+        plan.rounds
+            .iter()
+            .enumerate()
+            .map(|(round, membership)| {
+                FleetSim::new(service.round_config(round, membership))
+                    .run()
+                    .unwrap()
+                    .deterministic_fingerprint()
+            })
+            .collect()
+    }
+
+    /// The newest intact snapshot's payload, as text.
+    fn latest_payload(store: &mut SnapshotStore) -> String {
+        String::from_utf8(store.load_latest().unwrap().unwrap().payload).unwrap()
+    }
+
+    #[test]
+    fn committed_rounds_store_the_digest_of_their_fleet_fingerprint() {
+        let service = FleetService::new(mini_service(3));
+        let report = service.run(&mut mem_store()).unwrap();
+        let fingerprints = round_fingerprints(&service);
+        assert_eq!(report.rounds.len(), 3);
+        for (record, fingerprint) in report.rounds.iter().zip(&fingerprints) {
+            assert_eq!(record.verdict.label(), "committed");
+            let digest = record.fleet_digest.as_deref().unwrap();
+            assert_eq!(digest.len(), 16);
+            assert!(digest
+                .bytes()
+                .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()));
+            let want = crate::storage::fnv1a64(fingerprint.as_bytes());
+            assert_eq!(u64::from_str_radix(digest, 16).unwrap(), want);
+        }
+    }
+
+    /// A backend shared between two stores whose writes fail once
+    /// `writes_left` runs out, like a process killed mid-commit.
+    #[derive(Debug)]
+    struct PowerCut {
+        objects: std::rc::Rc<std::cell::RefCell<MemStorage>>,
+        writes_left: usize,
+    }
+
+    impl crate::storage::Storage for PowerCut {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, String> {
+            self.objects.borrow().read(name)
+        }
+
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), String> {
+            let Some(left) = self.writes_left.checked_sub(1) else {
+                return Err("power cut".into());
+            };
+            self.writes_left = left;
+            self.objects.borrow_mut().write_atomic(name, bytes)
+        }
+
+        fn list(&self) -> Result<Vec<String>, String> {
+            self.objects.borrow().list()
+        }
+
+        fn remove(&mut self, name: &str) -> Result<(), String> {
+            self.objects.borrow_mut().remove(name)
+        }
+    }
+
+    #[test]
+    fn interrupted_service_resumes_to_the_uninterrupted_ledger() {
+        let mut cfg = mini_service(4);
+        // Round 1 fails, so the resumed run must also restore the
+        // serving handle's staleness anchor, not just the ledger.
+        cfg.round_faults = vec![(
+            1,
+            crate::fault::FaultConfig::scripted(vec![
+                DeviceFaultSpec::permanent(0, FaultKind::CrashAcquire),
+                DeviceFaultSpec::permanent(1, FaultKind::CrashAcquire),
+            ]),
+        )];
+        let service = FleetService::new(cfg);
+        let whole = service.run(&mut mem_store()).unwrap();
+        assert_eq!(whole.failed_rounds, 1);
+
+        // Writes before the cut, and the generation the restart resumes
+        // from: the failed round 1 recommits generation 1.
+        for (k, generation) in [(1, 1), (2, 1), (3, 2)] {
+            let objects = std::rc::Rc::default();
+            let mut cut = SnapshotStore::new(Box::new(PowerCut {
+                objects: std::rc::Rc::clone(&objects),
+                writes_left: k,
+            }));
+            let err = service.run(&mut cut).unwrap_err();
+            assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
+            let mut restarted = SnapshotStore::new(Box::new(PowerCut {
+                objects,
+                writes_left: usize::MAX,
+            }));
+            let mut resumed = service.run(&mut restarted).unwrap();
+            assert_eq!(
+                resumed.resumed_from_generation,
+                Some(generation),
+                "cut after {k} round(s)"
+            );
+            // The one field that records the restart itself.
+            resumed.resumed_from_generation = None;
+            assert_eq!(
+                resumed.deterministic_fingerprint(),
+                whole.deterministic_fingerprint(),
+                "cut after {k} round(s)"
+            );
+        }
+    }
+
+    /// `payload` rewritten into the previous snapshot format: the full
+    /// `Debug` config key, each round's whole fleet fingerprint text under
+    /// `fleet_fingerprint`, and serving stats without the rejection
+    /// counts.
+    fn previous_format(payload: &str, key: &str, fingerprints: &[String]) -> String {
+        use serde_json::Value;
+        let Value::Object(mut top) = serde_json::parse_value(payload).unwrap() else {
+            panic!("a snapshot is an object");
+        };
+        for (name, value) in &mut top {
+            match (name.as_str(), value) {
+                ("config_key", value) => *value = Value::String(key.into()),
+                ("partial", Value::Object(partial)) => {
+                    for (name, value) in partial {
+                        let ("rounds", Value::Array(rounds)) = (name.as_str(), value) else {
+                            continue;
+                        };
+                        for (round, fingerprint) in rounds.iter_mut().zip(fingerprints) {
+                            let Value::Object(fields) = round else {
+                                panic!("a round record is an object");
+                            };
+                            for (name, value) in fields {
+                                match (name.as_str(), value) {
+                                    ("fleet_digest", value) => {
+                                        *name = "fleet_fingerprint".into();
+                                        *value = Value::String(fingerprint.clone());
+                                    }
+                                    ("serving", Value::Object(stats)) => stats.retain(|(n, _)| {
+                                        n != "rejected_nonfinite" && n != "unknown_category"
+                                    }),
+                                    _ => {}
+                                }
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        Value::Object(top).to_json_string()
+    }
+
+    #[test]
+    fn previous_format_snapshot_is_parsed_but_not_resumed() {
+        let service = FleetService::new(mini_service(2));
+        let mut store = mem_store();
+        let fresh = service.run(&mut store).unwrap();
+        let payload = latest_payload(&mut store);
+        let old = previous_format(
+            &payload,
+            &service.config_key(),
+            &round_fingerprints(&service),
+        );
+        assert!(old.contains("\"fleet_fingerprint\":\"policy="), "{old}");
+        assert!(old.len() > payload.len());
+        // The typed decode alone would refuse it: its serving stats lack
+        // the rejection counts.
+        assert!(serde_json::from_str::<ServiceSnapshot>(&old).is_err());
+
+        let mut store = mem_store();
+        store.commit(2, old.as_bytes()).unwrap();
+        let mut journal = Recorder::new();
+        let report = service.run_recorded(&mut store, &mut journal).unwrap();
+        assert_eq!(report.resumed_from_generation, None);
+        assert_eq!(journal.events_for("service.resume").count(), 0);
+        assert_eq!(
+            report.deterministic_fingerprint(),
+            fresh.deterministic_fingerprint()
+        );
+
+        // Under this service's own key a shape the typed decode refuses
+        // is an error, never a silent mix of formats.
+        let old_shape = payload.replace("\"rejected_nonfinite\"", "\"dropped\"");
+        let mut store = mem_store();
+        store.commit(2, old_shape.as_bytes()).unwrap();
+        let err = service.run(&mut store).unwrap_err();
+        assert!(matches!(err, FleetError::Checkpoint(_)), "{err}");
+    }
+
+    /// The snapshot holds the whole ledger, so it grows with every round;
+    /// per-round fleet digests keep that growth to a few hundred bytes.
+    #[test]
+    fn snapshot_growth_per_round_is_bounded() {
+        let rounds = 6;
+        let mut journal = Recorder::new();
+        FleetService::new(mini_service(rounds))
+            .run_recorded(&mut mem_store(), &mut journal)
+            .unwrap();
+        let bytes: Vec<u64> = journal
+            .events_for("storage.commit")
+            .filter_map(|e| e.field_val("bytes"))
+            .collect();
+        assert_eq!(bytes.len(), rounds);
+        let growth = (bytes[rounds - 1] - bytes[0]) / (rounds as u64 - 1);
+        assert!(growth < GROWTH_BOUND, "{growth} bytes per round: {bytes:?}");
     }
 
     #[test]

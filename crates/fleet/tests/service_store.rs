@@ -7,7 +7,7 @@
 //! The payload's JSON parse is the next boundary: arbitrary text into
 //! `serde_json::parse_value` or a `ServiceReport` returns `Ok` or `Err`
 //! and never panics, print → parse is the identity on value trees, and a
-//! checksum-valid payload that is not a snapshot is a typed
+//! checksum-valid payload that does not parse as JSON is a typed
 //! `FleetError::Checkpoint`.
 
 use kinet_fleet::storage::{decode_record, encode_record, FaultStorage, MemStorage};
@@ -241,8 +241,8 @@ proptest! {
 #[test]
 fn non_json_snapshot_payload_is_a_checkpoint_error() {
     // Each payload passes the record checksum (it is committed intact)
-    // but is not a parsable snapshot. Recovery must refuse it with a
-    // typed error before running any round.
+    // but is not parsable JSON. Recovery must refuse it with a typed
+    // error before running any round.
     let payloads: [&[u8]; 6] = [
         b"not json",
         b"{\"config_key\": tru",
