@@ -128,6 +128,16 @@ impl BaselineConfig {
 
 pub use kinet_data::synth::sample_in_batches;
 
+/// The error a baseline's `fit` returns when `net`'s loss turns
+/// non-finite (the value [`kinet_nn::optim::Optimizer::minimize`] hands
+/// back), naming the model, the epoch and the step.
+pub(crate) fn diverged(model: &str, net: &str, epoch: usize, step: usize, loss: f32) -> SynthError {
+    SynthError::Training(format!(
+        "{model} {net} loss became non-finite ({loss}) at epoch {epoch}, step {step} — \
+         training diverged"
+    ))
+}
+
 /// Fits the shared data transformer, mapping `DataError` into the trait's
 /// error space.
 pub fn fit_transformer(

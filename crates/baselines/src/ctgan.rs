@@ -9,7 +9,7 @@
 //! §3): the WGAN-GP critic is replaced by a non-saturating GAN loss, since
 //! gradient penalties need second-order autograd.
 
-use crate::common::{apply_heads, fit_transformer, BaselineConfig};
+use crate::common::{apply_heads, diverged, fit_transformer, BaselineConfig};
 use kinet_data::condition::ConditionVectorSpec;
 use kinet_data::sampler::{BalanceMode, TrainingSampler};
 use kinet_data::synth::{SynthError, TabularSynthesizer};
@@ -138,11 +138,11 @@ impl TabularSynthesizer for CtGan {
             g_params.extend(&b.params());
         }
         g_params.extend(&nets.out.params());
-        let d_params = nets.disc.params();
-        let mut g_opt = Adam::with_betas(g_params.clone(), cfg.lr, 0.5, 0.9);
-        let mut d_opt = Adam::with_betas(d_params.clone(), cfg.lr, 0.5, 0.9);
+        let mut g_opt = Adam::with_betas(g_params, cfg.lr, 0.5, 0.9);
+        let mut d_opt = Adam::with_betas(nets.disc.params(), cfg.lr, 0.5, 0.9);
 
         let encoded = transformer.transform(table, &mut rng);
+        let heads = transformer.head_layout();
         let steps = (table.n_rows() / cfg.batch_size).max(1);
         let fitted = Fitted {
             transformer,
@@ -152,9 +152,14 @@ impl TabularSynthesizer for CtGan {
             table: table.clone(),
             head_of_col,
         };
+        let nets = &fitted.nets;
+        let mut real = Matrix::default();
+        let mut gen_tape = Tape::no_grad();
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::frozen(d_opt.params());
 
-        for _epoch in 0..cfg.epochs {
-            for _step in 0..steps {
+        for epoch in 0..cfg.epochs {
+            for step in 0..steps {
                 // CTGAN: single-column condition, log-frequency category
                 let conds = fitted.sampler.sample_batch(
                     &fitted.table,
@@ -168,87 +173,63 @@ impl TabularSynthesizer for CtGan {
                     conds[r].vector[j]
                 });
                 let rows: Vec<usize> = conds.iter().map(|s| s.row).collect();
-                let real = encoded.select_rows(&rows);
+                encoded.gather_rows_into(&rows, &mut real);
 
                 // discriminator step (the fake batch enters detached)
-                {
-                    let fake = {
-                        let gen_tape = Tape::no_grad();
-                        let (fake, _) = self.gen_forward(
-                            &fitted.nets,
-                            &gen_tape,
-                            &c,
-                            &fitted.transformer.head_layout(),
-                            true,
-                            &mut rng,
-                        );
-                        fake.value()
-                    };
-                    let tape = Tape::new();
-                    let real_in = tape.constant(Matrix::hstack(&[&real, &c]));
-                    let d_real = fitted.nets.disc.forward(&tape, real_in, true, &mut rng);
-                    let fake_in = tape.constant(Matrix::hstack(&[&fake, &c]));
-                    let d_fake = fitted.nets.disc.forward(&tape, fake_in, true, &mut rng);
-                    let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        d_params.clip_grad_norm(cfg.clip_norm);
+                gen_tape.reset();
+                let (fake, _) = self.gen_forward(nets, &gen_tape, &c, &heads, true, &mut rng);
+                d_tape.reset();
+                let tape = &d_tape;
+                let fake = fake.with_value(|v| tape.constant_copy(v));
+                let c_node = tape.constant_copy(&c);
+                let real_in = Var::concat_cols(&[tape.constant_copy(&real), c_node]);
+                let d_real = nets.disc.forward(tape, real_in, true, &mut rng);
+                let fake_in = Var::concat_cols(&[fake, c_node]);
+                let d_fake = nets.disc.forward(tape, fake_in, true, &mut rng);
+                let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
+                d_opt
+                    .minimize(loss, cfg.clip_norm)
+                    .map_err(|v| diverged("CTGAN", "discriminator", epoch, step, v))?;
+
+                // generator step over the frozen discriminator
+                g_tape.reset();
+                let tape = &g_tape;
+                let (fake, head_logits) = self.gen_forward(nets, tape, &c, &heads, true, &mut rng);
+                let fake_in = Var::concat_cols(&[fake, tape.constant_copy(&c)]);
+                let d_fake = nets.disc.forward(tape, fake_in, true, &mut rng);
+                let mut loss = kinet_nn::loss::gan_generator_loss(d_fake);
+                // cross-entropy on the boosted column only (CTGAN)
+                // group conditions by boosted column for batched CE
+                for (spec_idx, name) in fitted.cond_spec.columns().iter().enumerate() {
+                    let members: Vec<usize> = conds
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, s)| s.boosted_column == Some(spec_idx))
+                        .map(|(i, _)| i)
+                        .collect();
+                    if members.is_empty() {
+                        continue;
                     }
-                    d_opt.step();
-                    d_opt.zero_grad();
-                }
-                // generator step
-                {
-                    let tape = Tape::new();
-                    let (fake, head_logits) = self.gen_forward(
-                        &fitted.nets,
-                        &tape,
-                        &c,
-                        &fitted.transformer.head_layout(),
-                        true,
-                        &mut rng,
-                    );
-                    let fake_in = Var::concat_cols(&[fake, tape.constant(c.clone())]);
-                    let d_fake = fitted.nets.disc.forward(&tape, fake_in, true, &mut rng);
-                    let mut loss = kinet_nn::loss::gan_generator_loss(d_fake);
-                    // cross-entropy on the boosted column only (CTGAN)
-                    // group conditions by boosted column for batched CE
-                    for (spec_idx, name) in fitted.cond_spec.columns().iter().enumerate() {
-                        let members: Vec<usize> = conds
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.boosted_column == Some(spec_idx))
-                            .map(|(i, _)| i)
-                            .collect();
-                        if members.is_empty() {
-                            continue;
+                    let sidx = fitted.table.schema().index_of(name).expect("known column");
+                    let head = fitted.head_of_col[sidx];
+                    let w = fitted.cond_spec.encoder(spec_idx).n_categories();
+                    let target = Matrix::from_fn(members.len(), w, |i, j| {
+                        conds[members[i]].vector[fitted.cond_spec.offset(spec_idx) + j]
+                    });
+                    // select member rows of the head logits
+                    let sel = Matrix::from_fn(members.len(), cfg.batch_size, |i, j| {
+                        if members[i] == j {
+                            1.0
+                        } else {
+                            0.0
                         }
-                        let sidx = fitted.table.schema().index_of(name).expect("known column");
-                        let head = fitted.head_of_col[sidx];
-                        let w = fitted.cond_spec.encoder(spec_idx).n_categories();
-                        let target = Matrix::from_fn(members.len(), w, |i, j| {
-                            conds[members[i]].vector[fitted.cond_spec.offset(spec_idx) + j]
-                        });
-                        // select member rows of the head logits
-                        let head_slice = head_logits[head];
-                        let sel = Matrix::from_fn(members.len(), cfg.batch_size, |i, j| {
-                            if members[i] == j {
-                                1.0
-                            } else {
-                                0.0
-                            }
-                        });
-                        let selected = tape.constant(sel).matmul(head_slice);
-                        loss = loss.add(selected.softmax_cross_entropy(&target));
-                    }
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        g_params.clip_grad_norm(cfg.clip_norm);
-                    }
-                    g_opt.step();
-                    g_opt.zero_grad();
-                    d_opt.zero_grad();
+                    });
+                    let selected = tape.constant(sel).matmul(head_logits[head]);
+                    loss = loss.add(selected.softmax_cross_entropy(&target));
                 }
+                g_opt
+                    .minimize(loss, cfg.clip_norm)
+                    .map_err(|v| diverged("CTGAN", "generator", epoch, step, v))?;
             }
         }
         self.fitted = Some(fitted);

@@ -8,7 +8,7 @@
 //! (discretize-then-optimize) — identical forward semantics, simpler
 //! reverse pass.
 
-use crate::common::{apply_heads, fit_transformer, BaselineConfig};
+use crate::common::{apply_heads, diverged, fit_transformer, BaselineConfig};
 use kinet_data::synth::{SynthError, TabularSynthesizer};
 use kinet_data::transform::DataTransformer;
 use kinet_data::Table;
@@ -41,7 +41,7 @@ impl OdeBlock {
 
     fn dynamics<'t>(&self, tape: &'t Tape, h: Var<'t>, t: f32) -> Var<'t> {
         let (batch, _) = h.shape();
-        let t_col = tape.constant(Matrix::full(batch, 1, t));
+        let t_col = tape.constant_with(batch, 1, |m| m.as_mut_slice().fill(t));
         let input = Var::concat_cols(&[h, t_col]);
         let mid = self.fc1.forward(tape, input).tanh();
         self.fc2.forward(tape, mid)
@@ -128,7 +128,7 @@ impl OctGan {
         tau: f32,
         rng: &mut StdRng,
     ) -> Var<'t> {
-        let h0 = f.gen_in.forward(tape, tape.constant(z.clone())).tanh();
+        let h0 = f.gen_in.forward(tape, tape.constant_copy(z)).tanh();
         let h1 = f.gen_ode.forward(tape, h0);
         let logits = f.gen_out.forward(tape, h1);
         let (fake, _) = apply_heads(logits, &f.transformer.head_layout(), tau, rng);
@@ -184,59 +184,48 @@ impl TabularSynthesizer for OctGan {
         let mut d_params = fitted.disc_in.params();
         d_params.extend(&fitted.disc_ode.params());
         d_params.extend(&fitted.disc_out.params());
-        let mut g_opt = Adam::with_betas(g_params.clone(), cfg.lr, 0.5, 0.9);
-        let mut d_opt = Adam::with_betas(d_params.clone(), cfg.lr, 0.5, 0.9);
+        let mut g_opt = Adam::with_betas(g_params, cfg.lr, 0.5, 0.9);
+        let mut d_opt = Adam::with_betas(d_params, cfg.lr, 0.5, 0.9);
 
         let encoded = fitted.transformer.transform(table, &mut rng);
         let steps = (table.n_rows() / cfg.batch_size).max(1);
+        let mut idx: Vec<usize> = Vec::with_capacity(cfg.batch_size);
+        let mut real = Matrix::default();
+        let mut gen_tape = Tape::no_grad();
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::frozen(d_opt.params());
 
-        for _epoch in 0..cfg.epochs {
-            for _step in 0..steps {
-                let idx: Vec<usize> = (0..cfg.batch_size)
-                    .map(|_| rng.random_range(0..table.n_rows()))
-                    .collect();
-                let real = encoded.select_rows(&idx);
+        for epoch in 0..cfg.epochs {
+            for step in 0..steps {
+                idx.clear();
+                idx.extend((0..cfg.batch_size).map(|_| rng.random_range(0..table.n_rows())));
+                encoded.gather_rows_into(&idx, &mut real);
+
                 // discriminator (the fake batch enters detached)
-                {
-                    let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake = {
-                        let gen_tape = Tape::no_grad();
-                        self.gen_forward(&fitted, &gen_tape, &z, cfg.tau, &mut rng)
-                            .value()
-                    };
-                    let tape = Tape::new();
-                    let fake = tape.constant(fake);
-                    let d_real = self.disc_forward(
-                        &fitted,
-                        &tape,
-                        tape.constant(real.clone()),
-                        true,
-                        &mut rng,
-                    );
-                    let d_fake = self.disc_forward(&fitted, &tape, fake, true, &mut rng);
-                    let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        d_params.clip_grad_norm(cfg.clip_norm);
-                    }
-                    d_opt.step();
-                    d_opt.zero_grad();
-                }
-                // generator
-                {
-                    let tape = Tape::new();
-                    let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake = self.gen_forward(&fitted, &tape, &z, cfg.tau, &mut rng);
-                    let d_fake = self.disc_forward(&fitted, &tape, fake, true, &mut rng);
-                    let loss = kinet_nn::loss::gan_generator_loss(d_fake);
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        g_params.clip_grad_norm(cfg.clip_norm);
-                    }
-                    g_opt.step();
-                    g_opt.zero_grad();
-                    d_opt.zero_grad();
-                }
+                let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
+                gen_tape.reset();
+                let fake = self.gen_forward(&fitted, &gen_tape, &z, cfg.tau, &mut rng);
+                d_tape.reset();
+                let tape = &d_tape;
+                let fake = fake.with_value(|v| tape.constant_copy(v));
+                let real_in = tape.constant_copy(&real);
+                let d_real = self.disc_forward(&fitted, tape, real_in, true, &mut rng);
+                let d_fake = self.disc_forward(&fitted, tape, fake, true, &mut rng);
+                let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
+                d_opt
+                    .minimize(loss, cfg.clip_norm)
+                    .map_err(|v| diverged("OCTGAN", "discriminator", epoch, step, v))?;
+
+                // generator over the frozen discriminator
+                g_tape.reset();
+                let tape = &g_tape;
+                let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
+                let fake = self.gen_forward(&fitted, tape, &z, cfg.tau, &mut rng);
+                let d_fake = self.disc_forward(&fitted, tape, fake, true, &mut rng);
+                let loss = kinet_nn::loss::gan_generator_loss(d_fake);
+                g_opt
+                    .minimize(loss, cfg.clip_norm)
+                    .map_err(|v| diverged("OCTGAN", "generator", epoch, step, v))?;
             }
         }
         self.fitted = Some(fitted);

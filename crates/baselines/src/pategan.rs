@@ -8,13 +8,13 @@
 //! student. The noise scale is `1/lambda` per query, giving the
 //! data-dependent (ε, δ) guarantees of the original paper.
 
-use crate::common::{apply_heads, fit_transformer, BaselineConfig};
+use crate::common::{apply_heads, diverged, fit_transformer, BaselineConfig};
 use kinet_data::synth::{SynthError, TabularSynthesizer};
 use kinet_data::transform::{DataTransformer, HeadSpec};
 use kinet_data::Table;
 use kinet_nn::layers::{Activation, Mlp, MlpConfig};
 use kinet_nn::optim::{Adam, Optimizer};
-use kinet_nn::Tape;
+use kinet_nn::{Tape, Var};
 use kinet_tensor::{Matrix, MatrixRandomExt};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -79,20 +79,22 @@ fn laplace(scale: f64, rng: &mut StdRng) -> f64 {
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).max(1e-300).ln()
 }
 
-/// One generator pass from noise `z` on a value-only tape: the encoded fake
-/// batch, with no gradient recorded. The teachers, the student and the
-/// release all consume it as a constant.
-fn generate(
+/// One generator pass from noise `z` on the value-only `tape`, which it
+/// resets first: the encoded fake batch, with no gradient recorded. The
+/// teachers, the student and the release all consume it as a constant.
+fn generate<'t>(
     gen: &Mlp,
-    z: Matrix,
+    tape: &'t mut Tape,
+    z: &Matrix,
     heads: &[HeadSpec],
     tau: f32,
     training: bool,
     rng: &mut StdRng,
-) -> Matrix {
-    let tape = Tape::no_grad();
-    let logits = gen.forward(&tape, tape.constant(z), training, rng);
-    apply_heads(logits, heads, tau, rng).0.value()
+) -> Var<'t> {
+    tape.reset();
+    let tape: &'t Tape = tape;
+    let logits = gen.forward(tape, tape.constant_copy(z), training, rng);
+    apply_heads(logits, heads, tau, rng).0
 }
 
 impl TabularSynthesizer for PateGan {
@@ -124,10 +126,8 @@ impl TabularSynthesizer for PateGan {
             .collect();
         let student = Mlp::new(&disc_cfg, &mut rng);
 
-        let g_params = gen.params();
-        let s_params = student.params();
-        let mut g_opt = Adam::with_betas(g_params.clone(), cfg.lr, 0.5, 0.9);
-        let mut s_opt = Adam::with_betas(s_params.clone(), cfg.lr, 0.5, 0.9);
+        let mut g_opt = Adam::with_betas(gen.params(), cfg.lr, 0.5, 0.9);
+        let mut s_opt = Adam::with_betas(student.params(), cfg.lr, 0.5, 0.9);
         let mut t_opts: Vec<Adam> = teachers
             .iter()
             .map(|t| Adam::with_betas(t.params(), cfg.lr, 0.5, 0.9))
@@ -146,74 +146,74 @@ impl TabularSynthesizer for PateGan {
             .collect();
 
         let steps = (table.n_rows() / cfg.batch_size).max(1);
-        for _epoch in 0..cfg.epochs {
-            for _step in 0..steps {
+        let mut idx: Vec<usize> = Vec::with_capacity(cfg.batch_size);
+        let mut real = Matrix::default();
+        let mut gen_tape = Tape::no_grad();
+        // The teachers and the student share one shape, so one tape.
+        let mut d_tape = Tape::new();
+        let mut g_tape = Tape::frozen(s_opt.params());
+        for epoch in 0..cfg.epochs {
+            for step in 0..steps {
                 // --- teachers: each on its own partition vs fresh fakes ---
                 let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                for (t_idx, teacher) in teachers.iter().enumerate() {
-                    let part = &partitions[t_idx];
-                    let idx: Vec<usize> = (0..cfg.batch_size)
-                        .map(|_| part[rng.random_range(0..part.len())])
-                        .collect();
-                    let real = encoded.select_rows(&idx);
+                for ((teacher, t_opt), part) in teachers.iter().zip(&mut t_opts).zip(&partitions) {
+                    idx.clear();
+                    idx.extend((0..cfg.batch_size).map(|_| part[rng.random_range(0..part.len())]));
+                    encoded.gather_rows_into(&idx, &mut real);
                     // The fake batch enters the teacher's graph detached.
-                    let fake = generate(&gen, z.clone(), &heads, cfg.tau, true, &mut rng);
-                    let tape = Tape::new();
-                    let d_real = teacher.forward(&tape, tape.constant(real), true, &mut rng);
-                    let d_fake = teacher.forward(&tape, tape.constant(fake), true, &mut rng);
+                    let fake = generate(&gen, &mut gen_tape, &z, &heads, cfg.tau, true, &mut rng);
+                    d_tape.reset();
+                    let tape = &d_tape;
+                    let fake = fake.with_value(|v| tape.constant_copy(v));
+                    let d_real = teacher.forward(tape, tape.constant_copy(&real), true, &mut rng);
+                    let d_fake = teacher.forward(tape, fake, true, &mut rng);
                     let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 1.0);
-                    tape.backward(loss);
-                    t_opts[t_idx].step();
-                    t_opts[t_idx].zero_grad();
+                    t_opt
+                        .minimize(loss, 0.0)
+                        .map_err(|v| diverged("PATEGAN", "teacher", epoch, step, v))?;
                 }
 
                 // --- student: on generated samples with noisy PATE labels ---
-                {
-                    let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake_value = generate(&gen, z, &heads, cfg.tau, true, &mut rng);
-                    // PATE vote: each teacher classifies; add Laplace noise
-                    let mut votes = vec![0.0f64; cfg.batch_size];
-                    for teacher in &teachers {
-                        let scores = teacher.infer(&fake_value);
-                        for (r, v) in votes.iter_mut().enumerate() {
-                            if scores[(r, 0)] > 0.0 {
-                                *v += 1.0;
-                            }
+                let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
+                let fake = generate(&gen, &mut gen_tape, &z, &heads, cfg.tau, true, &mut rng);
+                // PATE vote: each teacher classifies; add Laplace noise
+                let mut votes = vec![0.0f64; cfg.batch_size];
+                for teacher in &teachers {
+                    let scores = fake.with_value(|v| teacher.infer(v));
+                    for (r, v) in votes.iter_mut().enumerate() {
+                        if scores[(r, 0)] > 0.0 {
+                            *v += 1.0;
                         }
                     }
-                    let target = Matrix::from_fn(cfg.batch_size, 1, |r, _| {
-                        let noisy = votes[r] + laplace(1.0 / self.lambda, &mut rng);
-                        if noisy > self.n_teachers as f64 / 2.0 {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    });
-                    let tape = Tape::new();
-                    let fake = tape.constant(fake_value);
-                    let s_logits = student.forward(&tape, fake, true, &mut rng);
-                    let loss = s_logits.bce_with_logits(&target);
-                    tape.backward(loss);
-                    s_opt.step();
-                    s_opt.zero_grad();
                 }
+                let target = Matrix::from_fn(cfg.batch_size, 1, |r, _| {
+                    let noisy = votes[r] + laplace(1.0 / self.lambda, &mut rng);
+                    if noisy > self.n_teachers as f64 / 2.0 {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                });
+                d_tape.reset();
+                let tape = &d_tape;
+                let fake = fake.with_value(|v| tape.constant_copy(v));
+                let s_logits = student.forward(tape, fake, true, &mut rng);
+                let loss = s_logits.bce_with_logits(&target);
+                s_opt
+                    .minimize(loss, 0.0)
+                    .map_err(|v| diverged("PATEGAN", "student", epoch, step, v))?;
 
-                // --- generator: fool the student ---
-                {
-                    let tape = Tape::new();
-                    let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let logits = gen.forward(&tape, tape.constant(z), true, &mut rng);
-                    let (fake, _) = apply_heads(logits, &heads, cfg.tau, &mut rng);
-                    let s_logits = student.forward(&tape, fake, true, &mut rng);
-                    let loss = kinet_nn::loss::gan_generator_loss(s_logits);
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        g_params.clip_grad_norm(cfg.clip_norm);
-                    }
-                    g_opt.step();
-                    g_opt.zero_grad();
-                    s_params.zero_grad();
-                }
+                // --- generator: fool the frozen student ---
+                g_tape.reset();
+                let tape = &g_tape;
+                let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
+                let logits = gen.forward(tape, tape.constant(z), true, &mut rng);
+                let (fake, _) = apply_heads(logits, &heads, cfg.tau, &mut rng);
+                let s_logits = student.forward(tape, fake, true, &mut rng);
+                let loss = kinet_nn::loss::gan_generator_loss(s_logits);
+                g_opt
+                    .minimize(loss, cfg.clip_norm)
+                    .map_err(|v| diverged("PATEGAN", "generator", epoch, step, v))?;
             }
         }
         self.fitted = Some(Fitted {
@@ -236,8 +236,10 @@ impl TabularSynthesizer for PateGan {
             &mut rng,
             |want, rng| {
                 let z = Matrix::randn(want, self.config.z_dim, 0.0, 1.0, rng);
-                let fake = generate(&f.gen, z, &heads, self.config.tau, false, rng);
-                f.transformer.inverse_transform(&fake).map_err(Into::into)
+                let mut tape = Tape::no_grad();
+                let fake = generate(&f.gen, &mut tape, &z, &heads, self.config.tau, false, rng);
+                let release = fake.with_value(|v| f.transformer.inverse_transform(v));
+                release.map_err(Into::into)
             },
         )
     }

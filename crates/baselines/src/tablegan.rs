@@ -10,7 +10,7 @@
 //! record matrix are replaced by MLP blocks; the loss structure — which is
 //! what drives its behaviour in the paper's comparison — is kept.
 
-use crate::common::BaselineConfig;
+use crate::common::{diverged, BaselineConfig};
 use kinet_data::synth::{SynthError, TabularSynthesizer};
 use kinet_data::{ColumnKind, Table, Value};
 use kinet_nn::layers::{Activation, Mlp, MlpConfig};
@@ -179,12 +179,9 @@ impl TabularSynthesizer for TableGan {
         let clf_cfg = MlpConfig::new(width - 1, &cfg.hidden, 1).with_activation(Activation::Relu);
         let clf = Mlp::new(&clf_cfg, &mut rng);
 
-        let g_params = gen.params();
-        let d_params = disc.params();
-        let c_params = clf.params();
-        let mut g_opt = Adam::with_betas(g_params.clone(), cfg.lr, 0.5, 0.9);
-        let mut d_opt = Adam::with_betas(d_params.clone(), cfg.lr, 0.5, 0.9);
-        let mut c_opt = Adam::new(c_params.clone(), cfg.lr);
+        let mut g_opt = Adam::with_betas(gen.params(), cfg.lr, 0.5, 0.9);
+        let mut d_opt = Adam::with_betas(disc.params(), cfg.lr, 0.5, 0.9);
+        let mut c_opt = Adam::new(clf.params(), cfg.lr);
 
         let encoded = codec.encode(table);
         let steps = (table.n_rows() / cfg.batch_size).max(1);
@@ -202,76 +199,73 @@ impl TabularSynthesizer for TableGan {
             }
         }
 
-        for _epoch in 0..cfg.epochs {
-            for _step in 0..steps {
-                let idx: Vec<usize> = (0..cfg.batch_size)
-                    .map(|_| rng.random_range(0..table.n_rows()))
-                    .collect();
-                let real = encoded.select_rows(&idx);
+        let mut idx: Vec<usize> = Vec::with_capacity(cfg.batch_size);
+        let mut real = Matrix::default();
+        let mut gen_tape = Tape::no_grad();
+        // The classifier and discriminator steps each train every
+        // parameter on their tape; the generator step freezes both nets.
+        let mut c_tape = Tape::new();
+        let mut d_tape = Tape::new();
+        let mut frozen = d_opt.params().clone();
+        frozen.extend(c_opt.params());
+        let mut g_tape = Tape::frozen(&frozen);
+        for epoch in 0..cfg.epochs {
+            for step in 0..steps {
+                idx.clear();
+                idx.extend((0..cfg.batch_size).map(|_| rng.random_range(0..table.n_rows())));
+                encoded.gather_rows_into(&idx, &mut real);
 
                 // classifier step (on real data)
-                {
-                    let tape = Tape::new();
-                    let x = tape.constant(real.clone());
-                    let features = drop_label(x, label_idx);
-                    let pred = clf.forward(&tape, features, true, &mut rng);
-                    let target = Matrix::from_fn(cfg.batch_size, 1, |r, _| real[(r, label_idx)]);
-                    let loss = pred.tanh().mse(&target);
-                    tape.backward(loss);
-                    c_opt.step();
-                    c_opt.zero_grad();
-                }
+                c_tape.reset();
+                let tape = &c_tape;
+                let features = drop_label(tape.constant_copy(&real), label_idx);
+                let pred = clf.forward(tape, features, true, &mut rng);
+                let target = Matrix::from_fn(cfg.batch_size, 1, |r, _| real[(r, label_idx)]);
+                let loss = pred.tanh().mse(&target);
+                c_opt
+                    .minimize(loss, 0.0)
+                    .map_err(|v| diverged("TableGAN", "classifier", epoch, step, v))?;
+
                 // discriminator step (the fake batch enters detached)
-                {
-                    let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake = {
-                        let gen_tape = Tape::no_grad();
-                        gen.forward(&gen_tape, gen_tape.constant(z), true, &mut rng)
-                            .tanh()
-                            .value()
-                    };
-                    let tape = Tape::new();
-                    let fake = tape.constant(fake);
-                    let d_real = disc.forward(&tape, tape.constant(real.clone()), true, &mut rng);
-                    let d_fake = disc.forward(&tape, fake, true, &mut rng);
-                    let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        d_params.clip_grad_norm(cfg.clip_norm);
-                    }
-                    d_opt.step();
-                    d_opt.zero_grad();
-                }
+                let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
+                gen_tape.reset();
+                let fake = gen
+                    .forward(&gen_tape, gen_tape.constant(z), true, &mut rng)
+                    .tanh();
+                d_tape.reset();
+                let tape = &d_tape;
+                let fake = fake.with_value(|v| tape.constant_copy(v));
+                let d_real = disc.forward(tape, tape.constant_copy(&real), true, &mut rng);
+                let d_fake = disc.forward(tape, fake, true, &mut rng);
+                let loss = kinet_nn::loss::gan_discriminator_loss(d_real, d_fake, 0.9);
+                d_opt
+                    .minimize(loss, cfg.clip_norm)
+                    .map_err(|v| diverged("TableGAN", "discriminator", epoch, step, v))?;
+
                 // generator step: adversarial + information + classification
-                {
-                    let tape = Tape::new();
-                    let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
-                    let fake = gen.forward(&tape, tape.constant(z), true, &mut rng).tanh();
-                    let d_fake = disc.forward(&tape, fake, true, &mut rng);
-                    let adv = kinet_nn::loss::gan_generator_loss(d_fake);
-                    // information loss: match batch mean and variance
-                    let real_mu = real.mean_rows();
-                    let real_var = real.var_rows();
-                    let fake_mu = fake.mean_rows();
-                    let centered = fake.sub_row(fake_mu);
-                    let fake_var = centered.mul(centered).mean_rows();
-                    let info = fake_mu.mse(&real_mu).add(fake_var.mse(&real_var));
-                    // classification loss: generated label consistent with
-                    // the (frozen) classifier's prediction
-                    let features = drop_label(fake, label_idx);
-                    let pred = clf.forward(&tape, features, false, &mut rng).tanh();
-                    let label = fake.slice_cols(label_idx, label_idx + 1);
-                    let class = label.sub(pred).mul(label.sub(pred)).mean();
-                    let loss = adv.add(info.scale(1.0)).add(class.scale(1.0));
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        g_params.clip_grad_norm(cfg.clip_norm);
-                    }
-                    g_opt.step();
-                    g_opt.zero_grad();
-                    d_opt.zero_grad();
-                    c_params.zero_grad();
-                }
+                g_tape.reset();
+                let tape = &g_tape;
+                let z = Matrix::randn(cfg.batch_size, cfg.z_dim, 0.0, 1.0, &mut rng);
+                let fake = gen.forward(tape, tape.constant(z), true, &mut rng).tanh();
+                let d_fake = disc.forward(tape, fake, true, &mut rng);
+                let adv = kinet_nn::loss::gan_generator_loss(d_fake);
+                // information loss: match batch mean and variance
+                let real_mu = real.mean_rows();
+                let real_var = real.var_rows();
+                let fake_mu = fake.mean_rows();
+                let centered = fake.sub_row(fake_mu);
+                let fake_var = centered.mul(centered).mean_rows();
+                let info = fake_mu.mse(&real_mu).add(fake_var.mse(&real_var));
+                // classification loss: generated label consistent with
+                // the (frozen) classifier's prediction
+                let features = drop_label(fake, label_idx);
+                let pred = clf.forward(tape, features, false, &mut rng).tanh();
+                let label = fake.slice_cols(label_idx, label_idx + 1);
+                let class = label.sub(pred).mul(label.sub(pred)).mean();
+                let loss = adv.add(info.scale(1.0)).add(class.scale(1.0));
+                g_opt
+                    .minimize(loss, cfg.clip_norm)
+                    .map_err(|v| diverged("TableGAN", "generator", epoch, step, v))?;
             }
         }
         self.fitted = Some(Fitted {

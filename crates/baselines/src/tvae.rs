@@ -2,7 +2,7 @@
 //! mode-specific-normalized encoding — typically the strongest baseline on
 //! pure fidelity, which is exactly how it behaves in the paper's Table I.
 
-use crate::common::{fit_transformer, reconstruction_loss, BaselineConfig};
+use crate::common::{diverged, fit_transformer, reconstruction_loss, BaselineConfig};
 use kinet_data::synth::{SynthError, TabularSynthesizer};
 use kinet_data::transform::{DataTransformer, HeadKind};
 use kinet_data::Table;
@@ -84,20 +84,22 @@ impl TabularSynthesizer for Tvae {
         params.extend(&mu_head.params());
         params.extend(&logvar_head.params());
         params.extend(&decoder.params());
-        let mut opt = Adam::new(params.clone(), cfg.lr);
+        let mut opt = Adam::new(params, cfg.lr);
 
         let encoded = transformer.transform(table, &mut rng);
         let heads = transformer.head_layout();
         let steps = (table.n_rows() / cfg.batch_size).max(1);
+        let mut idx: Vec<usize> = Vec::with_capacity(cfg.batch_size);
+        let mut batch = Matrix::default();
+        let mut tape = Tape::new();
 
-        for _epoch in 0..cfg.epochs {
-            for _step in 0..steps {
-                let idx: Vec<usize> = (0..cfg.batch_size)
-                    .map(|_| rng.random_range(0..table.n_rows()))
-                    .collect();
-                let batch = encoded.select_rows(&idx);
-                let tape = Tape::new();
-                let x = tape.constant(batch.clone());
+        for epoch in 0..cfg.epochs {
+            for step in 0..steps {
+                idx.clear();
+                idx.extend((0..cfg.batch_size).map(|_| rng.random_range(0..table.n_rows())));
+                encoded.gather_rows_into(&idx, &mut batch);
+                tape.reset();
+                let x = tape.constant_copy(&batch);
                 let h = encoder.forward(&tape, x, true, &mut rng);
                 let h = h.relu();
                 let mu = mu_head.forward(&tape, h);
@@ -109,12 +111,8 @@ impl TabularSynthesizer for Tvae {
                 let recon = reconstruction_loss(logits, &batch, &heads);
                 let kl = gaussian_kl(mu, logvar);
                 let loss = recon.add(kl.scale(0.2));
-                tape.backward(loss);
-                if cfg.clip_norm > 0.0 {
-                    params.clip_grad_norm(cfg.clip_norm);
-                }
-                opt.step();
-                opt.zero_grad();
+                opt.minimize(loss, cfg.clip_norm)
+                    .map_err(|v| diverged("TVAE", "VAE", epoch, step, v))?;
             }
         }
 
@@ -227,6 +225,26 @@ mod tests {
             lr: 1e-3,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn divergent_training_fails_naming_the_model_and_epoch() {
+        // An absurd rate with clipping off overflows the KL term within a
+        // few steps; the fit must stop with an error, not train on NaNs.
+        let cfg = BaselineConfig {
+            lr: 1e30,
+            clip_norm: 0.0,
+            ..cfg()
+        };
+        let err = Tvae::new(cfg)
+            .fit(&data(200, 6))
+            .expect_err("divergence is an error");
+        let msg = err.to_string();
+        assert!(matches!(err, SynthError::Training(_)), "{msg}");
+        assert!(
+            msg.contains("TVAE") && msg.contains("non-finite") && msg.contains("epoch"),
+            "error should name the model, the loss and the epoch: {msg}"
+        );
     }
 
     #[test]

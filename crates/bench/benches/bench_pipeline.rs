@@ -1,8 +1,10 @@
 //! End-to-end pipeline benchmarks: the `fast_demo` KiNETGAN fit (with and
-//! without knowledge guidance), a rejection-sampling release, and one
-//! training step's knowledge-infusion work.
+//! without knowledge guidance), the `paper` Lab roster fit, a
+//! rejection-sampling release, and one training step's knowledge-infusion
+//! work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use kinet_bench::{fit_roster, Dataset, ExpConfig};
 use kinet_data::synth::TabularSynthesizer;
 use kinet_data::transform::DataTransformer;
 use kinet_data::Table;
@@ -50,6 +52,23 @@ fn bench_fit(c: &mut Criterion) {
     group.finish();
 }
 
+/// KiNETGAN and the five baselines fitted once on the Lab dataset, as the
+/// `paper` binary fits them, at CI scale (250 rows, 2 epochs, seed 7).
+fn bench_fit_roster(c: &mut Criterion) {
+    let cfg = ExpConfig {
+        rows: 250,
+        epochs: 2,
+        seed: 7,
+        probes: 40,
+    };
+    let mut group = c.benchmark_group("pipeline");
+    group.sample_size(5);
+    group.bench_function("fit_roster_lab", |b| {
+        b.iter(|| criterion::black_box(fit_roster(Dataset::Lab, &cfg).models.len()));
+    });
+    group.finish();
+}
+
 fn bench_sample_rejection(c: &mut Criterion) {
     let data = lab_data(512);
     let mut model = KinetGan::new(
@@ -91,6 +110,7 @@ fn bench_kg_infusion_step(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_fit,
+    bench_fit_roster,
     bench_sample_rejection,
     bench_kg_infusion_step
 );

@@ -189,8 +189,7 @@ impl KinetGan {
         if let Some(dkg) = &d_kg {
             d_params.extend(&dkg.params());
         }
-        let mut d_opt = Adam::with_betas(d_params.clone(), cfg.lr, 0.5, 0.9);
-        let g_params = generator.params();
+        let mut d_opt = Adam::with_betas(d_params, cfg.lr, 0.5, 0.9);
 
         let encoded = transformer.transform(table, &mut rng);
 
@@ -244,7 +243,7 @@ impl KinetGan {
         // every step, so the steady-state step reuses their storage.
         let mut gen_tape = Tape::no_grad();
         let mut d_tape = Tape::new();
-        let mut g_tape = Tape::frozen(&d_params);
+        let mut g_tape = Tape::frozen(d_opt.params());
 
         for epoch in 0..cfg.epochs {
             let mut d_epoch = 0.0f32;
@@ -292,21 +291,13 @@ impl KinetGan {
                         let kg_loss = kinet_nn::loss::gan_discriminator_loss(kg_pos, kg_neg, 1.0);
                         loss = loss.add(kg_loss);
                     }
-                    let loss_value = loss.with_value(|v| v[(0, 0)]);
-                    if !loss_value.is_finite() {
-                        return Err(SynthError::Training(format!(
-                            "discriminator loss became non-finite ({loss_value}) at epoch \
-                             {epoch}, step {step} — training diverged; lower `lr`, raise \
+                    d_epoch += d_opt.minimize(loss, cfg.clip_norm).map_err(|v| {
+                        SynthError::Training(format!(
+                            "discriminator loss became non-finite ({v}) at epoch {epoch}, \
+                             step {step} — training diverged; lower `lr`, raise \
                              `batch_size`, or enable `clip_norm`"
-                        )));
-                    }
-                    d_epoch += loss_value;
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        d_params.clip_grad_norm(cfg.clip_norm);
-                    }
-                    d_opt.step();
-                    d_opt.zero_grad();
+                        ))
+                    })?;
                 }
 
                 // ---- generator step ----
@@ -349,21 +340,13 @@ impl KinetGan {
                             loss = loss.add(pen.scale(cfg.lambda_kg));
                         }
                     }
-                    let loss_value = loss.with_value(|v| v[(0, 0)]);
-                    if !loss_value.is_finite() {
-                        return Err(SynthError::Training(format!(
-                            "generator loss became non-finite ({loss_value}) at epoch {epoch}, \
-                             step {step} — training diverged; lower `lr`, raise `batch_size`, \
-                             or enable `clip_norm`"
-                        )));
-                    }
-                    g_epoch += loss_value;
-                    tape.backward(loss);
-                    if cfg.clip_norm > 0.0 {
-                        g_params.clip_grad_norm(cfg.clip_norm);
-                    }
-                    g_opt.step();
-                    g_opt.zero_grad();
+                    g_epoch += g_opt.minimize(loss, cfg.clip_norm).map_err(|v| {
+                        SynthError::Training(format!(
+                            "generator loss became non-finite ({v}) at epoch {epoch}, step \
+                             {step} — training diverged; lower `lr`, raise `batch_size`, or \
+                             enable `clip_norm`"
+                        ))
+                    })?;
                 }
             }
             report.d_loss.push(d_epoch / steps as f32);

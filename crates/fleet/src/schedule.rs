@@ -14,8 +14,8 @@
 //! them or in what order they finished, so a fleet report is bit-identical
 //! for every `KINET_THREADS` value.
 
-use crossbeam::channel;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Runs `f(0..n)` across the task workers and returns the results in
 /// index order. Falls back to a plain sequential loop on the calling thread
@@ -75,37 +75,43 @@ where
         return (0..n).map(&f).collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<(usize, T)>();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                // Pin the knob to one inside a task worker, so a schedule
-                // nested in the task runs serially on this thread instead
-                // of spawning workers under workers.
-                let result = kinet_tensor::pool::with_threads(1, || f(i));
-                if tx.send((i, result)).is_err() {
-                    return;
-                }
-            });
-        }
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                let tx = tx.clone();
+                let (next, f) = (&next, &f);
+                s.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        return;
+                    }
+                    // Pin the knob to one inside a task worker, so a schedule
+                    // nested in the task runs serially on this thread instead
+                    // of spawning workers under workers.
+                    let result = kinet_tensor::pool::with_threads(1, || f(i));
+                    if tx.send((i, result)).is_err() {
+                        return;
+                    }
+                })
+            })
+            .collect();
         drop(tx);
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for (i, result) in rx.iter() {
+        for (i, result) in rx {
             slots[i] = Some(result);
+        }
+        // Re-raise a task's panic with its own payload.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
         slots
             .into_iter()
             .map(|slot| slot.expect("every task index sent exactly one result"))
             .collect()
     })
-    .expect("fleet task worker panicked")
 }
 
 #[cfg(test)]
@@ -137,6 +143,17 @@ mod tests {
             });
             assert_eq!(out.unwrap_err(), "task 3 failed", "threads={threads}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 5 exploded")]
+    fn a_panicking_task_propagates_out_of_parallel_workers() {
+        let _: Result<Vec<usize>, String> = with_threads(2, || {
+            run_indexed(8, |i| {
+                assert_ne!(i, 5, "task {i} exploded");
+                Ok(i)
+            })
+        });
     }
 
     #[test]

@@ -151,7 +151,9 @@ pub fn panic_sites(body: &[&Token]) -> Vec<(usize, String)> {
 /// One `panic_allowlist.txt` entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PanicAllow {
-    /// `path/prefix/`, `exact/file.rs`, or `exact/file.rs::fn_name`.
+    /// `path/prefix/`, `exact/file.rs`, `exact/file.rs::fn_name` (any
+    /// function of that name in the file), or `exact/file.rs::Owner::fn_name`
+    /// (one method).
     pub pattern: String,
     /// Mandatory written justification.
     pub reason: String,
@@ -161,10 +163,11 @@ pub struct PanicAllow {
 
 impl PanicAllow {
     /// `true` when this entry covers a panic finding in `file` inside
-    /// function `fn_name`.
+    /// function `fn_name`, given bare or `Owner::`-qualified.
     pub fn covers(&self, file: &str, fn_name: &str) -> bool {
         if let Some((pat_file, pat_fn)) = self.pattern.split_once("::") {
-            return pat_file == file && pat_fn == fn_name;
+            let bare = fn_name.rsplit("::").next().unwrap_or(fn_name);
+            return pat_file == file && (pat_fn == fn_name || pat_fn == bare);
         }
         if self.pattern.ends_with('/') {
             return file.starts_with(&self.pattern);
@@ -477,7 +480,7 @@ fn panic_path(
             let allow = policy
                 .panic_allow
                 .iter()
-                .position(|a| a.covers(&n.file, &n.item.name));
+                .position(|a| a.covers(&n.file, &n.item.qualified()));
             if let Some(idx) = allow {
                 used[idx] = true;
             }
@@ -603,6 +606,11 @@ mod tests {
         assert!(ok[0].covers("vendor/rand/src/lib.rs", "anything"));
         assert!(ok[1].covers("crates/a/src/x.rs", "helper"));
         assert!(!ok[1].covers("crates/a/src/x.rs", "other"));
+        assert!(ok[1].covers("crates/a/src/x.rs", "Owner::helper"));
+        let (owned, _) = parse_panic_allowlist("crates/a/src/x.rs::Tree::fit — one method\n");
+        assert!(owned[0].covers("crates/a/src/x.rs", "Tree::fit"));
+        assert!(!owned[0].covers("crates/a/src/x.rs", "Forest::fit"));
+        assert!(!owned[0].covers("crates/a/src/x.rs", "fit"));
         assert_eq!(errs.len(), 1, "reason-less entry is a finding");
         assert!(errs[0].message.contains("no written reason"));
     }

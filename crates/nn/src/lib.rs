@@ -12,7 +12,8 @@
 //! * [`layers`]: `Linear`, `BatchNorm1d`, `Dropout`, residual blocks and an
 //!   `Mlp` builder.
 //! * [`loss`]: BCE-with-logits, softmax cross-entropy, MSE and GAN losses.
-//! * [`optim`]: SGD (with momentum) and Adam, plus global-norm clipping.
+//! * [`optim`]: Adam, and [`optim::Optimizer::minimize`] — the one training
+//!   step: reverse pass, global-norm clipping, update, gradient reset.
 //!
 //! # Quick start: fit `y = 2x` with one linear layer
 //!
@@ -26,13 +27,11 @@
 //! let mut opt = Adam::new(layer.params(), 0.1);
 //! let x = Matrix::col_vector(&[0.0, 1.0, 2.0, 3.0]);
 //! let y = Matrix::col_vector(&[0.0, 2.0, 4.0, 6.0]);
+//! let mut tape = Tape::new();
 //! for _ in 0..200 {
-//!     let tape = Tape::new();
-//!     let out = layer.forward(&tape, tape.constant(x.clone()));
-//!     let l = loss::mse(out, &y);
-//!     tape.backward(l);
-//!     opt.step();
-//!     opt.zero_grad();
+//!     tape.reset();
+//!     let out = layer.forward(&tape, tape.constant_copy(&x));
+//!     opt.minimize(loss::mse(out, &y), 0.0).expect("finite loss");
 //! }
 //! let w = layer.weight().value();
 //! assert!((w[(0, 0)] - 2.0).abs() < 0.05);

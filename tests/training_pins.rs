@@ -1,13 +1,14 @@
 //! Bit-for-bit pins on the training step's other branches: the
 //! `KgMode::Off`, `SoftMask` and `Both` trainers (no `D_KG`, the
-//! differentiable mask penalty, both together) and the four GAN baselines.
+//! differentiable mask penalty, both together) and the five baselines.
 //! `workspace_smoke.rs` pins the `Neural` trainer; these cover the rest, so
 //! a change to how the discriminator step records its graph cannot move a
 //! loss or a released byte unnoticed. Every pin must hold at any
 //! `KINET_THREADS`. The digests were recorded before the discriminator
-//! step moved the generator forward onto a no-grad tape.
+//! step moved the generator forward onto a no-grad tape; TVAE's was
+//! recorded before its step moved onto a reused tape.
 
-use kinetgan_suite::baselines::{common::BaselineConfig, CtGan, OctGan, PateGan, TableGan};
+use kinetgan_suite::baselines::{common::BaselineConfig, CtGan, OctGan, PateGan, TableGan, Tvae};
 use kinetgan_suite::data::synth::TabularSynthesizer;
 use kinetgan_suite::data::Table;
 use kinetgan_suite::datasets::lab::{LabSimConfig, LabSimulator};
@@ -25,12 +26,13 @@ const KG_MODE_PINS: [(KgMode, u64, u64); 3] = [
     (KgMode::Both, 0x1ad3_4bc3_ad0b_2480, 0x68fc_8cae_bf16_42e9),
 ];
 
-/// `(model name, release-CSV FNV)` per GAN baseline.
-const BASELINE_PINS: [(&str, u64); 4] = [
+/// `(model name, release-CSV FNV)` per baseline.
+const BASELINE_PINS: [(&str, u64); 5] = [
     ("CTGAN", 0x3965_00e8_1852_112c),
     ("OCTGAN", 0x25e5_d7c2_1aff_ba1d),
     ("TableGAN", 0x45e6_2045_0ae6_6645),
     ("PATEGAN", 0xdc34_a785_e464_1cb7),
+    ("TVAE", 0x9e36_9aef_a218_bced),
 ];
 
 fn lab(n: usize, seed: u64) -> Table {
@@ -77,6 +79,7 @@ fn baseline_digest(name: &str) -> u64 {
         "OCTGAN" => Box::new(OctGan::new(cfg).with_ode_steps(2)),
         "TableGAN" => Box::new(TableGan::new(cfg)),
         "PATEGAN" => Box::new(PateGan::new(cfg).with_teachers(2)),
+        "TVAE" => Box::new(Tvae::new(cfg)),
         other => panic!("unknown baseline {other}"),
     };
     model.fit(&lab(200, 17)).expect("training succeeds");
