@@ -18,8 +18,8 @@ use kinet_eval::classifiers::{Classifier, RandomForest};
 use kinet_eval::encode::MlEncoder;
 use kinet_fleet::schedule::run_indexed_settled;
 use kinet_fleet::{
-    FleetConfig, FleetService, FleetSim, MemStorage, ServiceConfig, ServingConfig, ServingModel,
-    SharingPolicy, SnapshotStore,
+    FleetConfig, FleetService, FleetSim, MemStorage, ServiceConfig, ServingConfig, ServingHandle,
+    ServingModel, SharingPolicy, SnapshotStore,
 };
 use std::time::Instant;
 
@@ -74,9 +74,9 @@ fn bench_detector_fits(c: &mut Criterion) {
 }
 
 /// The serving scorer alone, uncontended: 64 flow batches of 96 rows
-/// (the resident-service benchmark's batch shape) through
-/// `ServingModel::score_batch`, the model fitted at the service's 40
-/// epochs on a raw 4 × 500 pool.
+/// (the resident-service benchmark's batch shape) answered through a
+/// `ServingHandle` holding the model fitted at the service's 40 epochs on
+/// a raw 4 × 500 pool.
 fn bench_serving_score(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet");
     group.sample_size(5);
@@ -91,7 +91,12 @@ fn bench_serving_score(c: &mut Criterion) {
         .run_detailed()
         .expect("setup round succeeds");
     let pool = pool.expect("raw sharing commits a pool");
-    let model = ServingModel::train(&pool, 40, 29).expect("serving model trains");
+    let mut handle = ServingHandle::empty();
+    handle.install(
+        ServingModel::train(&pool, 40, 29).expect("serving model trains"),
+        1,
+        0,
+    );
     let flows: Vec<_> = (0..64u64)
         .map(|b| {
             LabSimulator::new(LabSimConfig::small(96, 1009 ^ b.wrapping_mul(0x9e37_79b9)))
@@ -103,9 +108,12 @@ fn bench_serving_score(c: &mut Criterion) {
         b.iter(|| {
             let mut flagged = 0usize;
             for flow in &flows {
-                let (rows, f) = model.score_batch(flow).expect("serving batch succeeds");
-                assert_eq!(rows, 96);
-                flagged += f;
+                let score = handle
+                    .answer(flow, 0)
+                    .expect("serving batch succeeds")
+                    .expect("an installed handle answers");
+                assert_eq!(score.rows, 96);
+                flagged += score.attack_flagged;
             }
             criterion::black_box(flagged)
         });
@@ -210,7 +218,12 @@ fn bench_serving_under_training(c: &mut Criterion) {
         .run_detailed()
         .expect("setup round succeeds");
     let pool = pool.expect("raw sharing commits a pool");
-    let model = ServingModel::train(&pool, 10, 29).expect("serving model trains");
+    let mut handle = ServingHandle::empty();
+    handle.install(
+        ServingModel::train(&pool, 10, 29).expect("serving model trains"),
+        1,
+        0,
+    );
     let batches = 32usize;
     let batch_rows = 96usize;
     let flows: Vec<_> = (0..batches)
@@ -234,8 +247,8 @@ fn bench_serving_under_training(c: &mut Criterion) {
                 } else {
                     let mut rows = 0u64;
                     for flow in &flows {
-                        let (n, _) = model.score_batch(flow).expect("serving batch succeeds");
-                        rows += n as u64;
+                        let score = handle.answer(flow, 0).expect("serving batch succeeds");
+                        rows += score.map_or(0, |s| s.rows) as u64;
                     }
                     rows
                 }

@@ -34,8 +34,8 @@
 use kinet_bench::gate::{self, Args, ProbeRecord, THREAD_COUNTS};
 use kinet_datasets::lab::LabSimulator;
 use kinet_fleet::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetReport, FleetSim, ModelKind,
-    ResilienceConfig, SharingPolicy, UnionConfig, EXIT_QUORUM_LOST,
+    DeviceFaultSpec, FaultKind, FleetConfig, FleetReport, FleetSim, ModelKind, ResilienceConfig,
+    SharingPolicy, EXIT_QUORUM_LOST,
 };
 use kinet_obs::Recorder;
 use serde::Serialize;
@@ -49,7 +49,7 @@ const RECALL_FLOOR: f64 = 0.6;
 struct Scenario {
     name: &'static str,
     description: &'static str,
-    fault: FaultConfig,
+    fault: Vec<DeviceFaultSpec>,
     resilience: ResilienceConfig,
     /// Recall floor asserted in full mode only.
     recall_floor: Option<f64>,
@@ -64,7 +64,7 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "fault-free",
             description: "no injection: the recovery layer must be invisible",
-            fault: FaultConfig::default(),
+            fault: Vec::new(),
             resilience: ResilienceConfig::default(),
             recall_floor: Some(RECALL_FLOOR),
             expect_reported: 4,
@@ -75,11 +75,7 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "crash-1-of-4",
             description: "permanent acquire crash on benign device 2; quorum 0.5 commits at 3/4",
-            fault: FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-                2,
-                FaultKind::CrashAcquire,
-            )
-            .with_magnitude(40)]),
+            fault: vec![DeviceFaultSpec::permanent(2, FaultKind::CrashAcquire).with_magnitude(40)],
             resilience: ResilienceConfig::tolerant(),
             recall_floor: Some(RECALL_FLOOR),
             expect_reported: 3,
@@ -90,10 +86,7 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "corrupt-share-25pct",
             description: "device 3 (1 of 4 shares) releases a NaN-poisoned table; quarantined",
-            fault: FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-                3,
-                FaultKind::PoisonShareNan,
-            )]),
+            fault: vec![DeviceFaultSpec::permanent(3, FaultKind::PoisonShareNan)],
             resilience: ResilienceConfig::tolerant(),
             recall_floor: Some(RECALL_FLOOR),
             expect_reported: 3,
@@ -104,12 +97,7 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "straggler-retry",
             description: "device 1 stalls past the straggler budget once, then heals on retry",
-            fault: FaultConfig::scripted(vec![DeviceFaultSpec::transient(
-                1,
-                FaultKind::Straggle,
-                1,
-            )
-            .with_magnitude(2500)]),
+            fault: vec![DeviceFaultSpec::transient(1, FaultKind::Straggle, 1).with_magnitude(2500)],
             resilience: ResilienceConfig::default(),
             recall_floor: Some(RECALL_FLOOR),
             expect_reported: 4,
@@ -120,7 +108,7 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "vocab-drop",
             description: "the attack observer's vocab message is lost; union falls back",
-            fault: FaultConfig::scripted(vec![DeviceFaultSpec::permanent(0, FaultKind::DropVocab)]),
+            fault: vec![DeviceFaultSpec::permanent(0, FaultKind::DropVocab)],
             resilience: ResilienceConfig::default(),
             recall_floor: None,
             expect_reported: 4,
@@ -143,7 +131,7 @@ fn base_config(args: &Args) -> FleetConfig {
         model_epochs: epochs,
         seed: args.seed,
         device_attack_fraction: vec![(1, 0.0), (2, 0.0), (3, 0.0)],
-        union: UnionConfig::enabled(),
+        union: true,
         ..FleetConfig::default()
     }
 }
@@ -229,10 +217,10 @@ fn run_scenario(args: &Args, sc: &Scenario, journal: &mut Recorder) -> ScenarioR
                 f.retries, sc.expect_min_retries
             ));
         }
-        if sc.fault.enabled && f.observed.is_empty() && !sc.fault.specs.is_empty() {
+        if !sc.fault.is_empty() && f.observed.is_empty() {
             failures.push("injected faults were never observed".into());
         }
-        if !sc.fault.enabled && !f.observed.is_empty() {
+        if sc.fault.is_empty() && !f.observed.is_empty() {
             failures.push(format!("phantom fault observations: {:?}", f.observed));
         }
         if sc.name == "vocab-drop" {
@@ -282,8 +270,8 @@ fn quorum_probe(args: &Args) -> ProbeRecord {
     let mut cfg = base_config(args);
     // Raw sharing: the probe is about the quorum verdict, not training.
     cfg.policy = SharingPolicy::Raw;
-    cfg.union = UnionConfig::default();
-    cfg.fault = FaultConfig::scripted(vec![DeviceFaultSpec::permanent(1, FaultKind::CrashAcquire)]);
+    cfg.union = false;
+    cfg.fault = vec![DeviceFaultSpec::permanent(1, FaultKind::CrashAcquire)];
     cfg.resilience = ResilienceConfig::default(); // quorum_frac 1.0
     ProbeRecord::expect_exit(
         "permanent crash under quorum_frac=1.0 must exit with the quorum-lost code",

@@ -35,9 +35,8 @@
 
 use kinet_bench::write_json;
 use kinet_fleet::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetReport, FleetService, FleetSim,
-    MemStorage, ModelKind, RoundVerdict, ServiceConfig, ServingConfig, SharingPolicy,
-    SnapshotStore, UnionConfig,
+    DeviceFaultSpec, FaultKind, FleetConfig, FleetReport, FleetService, FleetSim, MemStorage,
+    ModelKind, RoundVerdict, ServiceConfig, ServingConfig, SharingPolicy, SnapshotStore,
 };
 use kinet_obs::Recorder;
 
@@ -202,7 +201,7 @@ fn union_ab(args: &Args, failures: &mut Failures, journal: &mut Recorder) -> Vec
         ..FleetConfig::default()
     };
     let mut with_union = base.clone();
-    with_union.union = UnionConfig::enabled();
+    with_union.union = true;
     let mut out = Vec::new();
     for (label, cfg) in [("union off", base), ("union on ", with_union)] {
         match FleetSim::new(cfg).run_recorded(journal) {
@@ -258,11 +257,9 @@ fn serve_demo(args: &Args, failures: &mut Failures, journal: &mut Recorder) {
     };
     // Round 1: every device crashes on acquire under the default
     // full-quorum policy — the round fails outright.
-    let kill_round = FaultConfig::scripted(
-        (0..devices)
-            .map(|d| DeviceFaultSpec::permanent(d, FaultKind::CrashAcquire))
-            .collect(),
-    );
+    let kill_round = (0..devices)
+        .map(|d| DeviceFaultSpec::permanent(d, FaultKind::CrashAcquire))
+        .collect();
     let cfg = ServiceConfig {
         fleet,
         rounds: 3,

@@ -30,8 +30,8 @@
 
 use kinet_bench::gate::{self, Args, THREAD_COUNTS};
 use kinet_fleet::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetError, FleetSim, ModelKind,
-    ResilienceConfig, ServingModel, SharingPolicy, UnionConfig,
+    DeviceFaultSpec, FaultKind, FleetConfig, FleetError, FleetSim, ModelKind, ResilienceConfig,
+    ServingHandle, ServingModel, SharingPolicy,
 };
 use kinet_obs::Recorder;
 use serde::Serialize;
@@ -71,11 +71,11 @@ fn faulted_config(args: &Args) -> FleetConfig {
         policy: SharingPolicy::Synthetic(ModelKind::KinetGan),
         model_epochs: epochs,
         seed: args.seed,
-        union: UnionConfig::enabled(),
-        fault: FaultConfig::scripted(vec![
+        union: true,
+        fault: vec![
             DeviceFaultSpec::transient(1, FaultKind::Straggle, 1).with_magnitude(2500),
             DeviceFaultSpec::permanent(3, FaultKind::PoisonShareNan),
-        ]),
+        ],
         resilience,
         ..FleetConfig::default()
     }
@@ -252,13 +252,14 @@ fn run_serving_probe(
             return None;
         }
     };
-    let model = match ServingModel::train(&pool, if args.quick { 10 } else { 25 }, args.seed ^ 7) {
-        Ok(m) => m,
+    let mut handle = ServingHandle::empty();
+    match ServingModel::train(&pool, if args.quick { 10 } else { 25 }, args.seed ^ 7) {
+        Ok(model) => handle.install(model, 1, 0),
         Err(e) => {
             failures.push(format!("serving model training failed: {e}"));
             return None;
         }
-    };
+    }
     let batches = if args.quick { 40 } else { 200 };
     let mut flows = Vec::with_capacity(batches);
     for b in 0..batches {
@@ -276,8 +277,10 @@ fn run_serving_probe(
     let t0 = Instant::now();
     let mut rows_scored = 0u64;
     for flow in &flows {
-        match model.score_batch(flow) {
-            Ok((rows, _)) => rows_scored += rows as u64,
+        match handle.answer(flow, 0) {
+            // An installed handle always answers; a `None` would show as
+            // a row shortfall below.
+            Ok(score) => rows_scored += score.map_or(0, |s| s.rows) as u64,
             Err(e) => {
                 failures.push(format!("serving burst batch failed: {e}"));
                 break;

@@ -33,10 +33,9 @@
 
 use kinet_bench::gate::{self, Args, ProbeRecord, THREAD_COUNTS};
 use kinet_fleet::{
-    ChurnConfig, DeviceFaultSpec, FaultConfig, FaultKind, FaultStorage, FleetConfig, FleetError,
-    FleetService, MemStorage, ModelKind, RoundVerdict, ServiceConfig, ServiceReport, ServingConfig,
-    SharingPolicy, SnapshotStore, StorageFaultKind, StorageFaultSpec, UnionConfig, WatchdogConfig,
-    EXIT_MEMBERSHIP_COLLAPSE,
+    ChurnConfig, DeviceFaultSpec, FaultKind, FaultStorage, FleetConfig, FleetError, FleetService,
+    MemStorage, ModelKind, RoundVerdict, ServiceConfig, ServiceReport, ServingConfig,
+    SharingPolicy, SnapshotStore, StorageFaultKind, StorageFaultSpec, EXIT_MEMBERSHIP_COLLAPSE,
 };
 use kinet_obs::Recorder;
 use serde::Serialize;
@@ -75,12 +74,10 @@ fn raw_fleet(args: &Args) -> FleetConfig {
 
 /// Every device crashes on acquire: under the default full-quorum policy
 /// the round fails outright.
-fn kill_all(n_devices: usize) -> FaultConfig {
-    FaultConfig::scripted(
-        (0..n_devices)
-            .map(|d| DeviceFaultSpec::permanent(d, FaultKind::CrashAcquire))
-            .collect(),
-    )
+fn kill_all(n_devices: usize) -> Vec<DeviceFaultSpec> {
+    (0..n_devices)
+        .map(|d| DeviceFaultSpec::permanent(d, FaultKind::CrashAcquire))
+        .collect()
 }
 
 fn scenarios() -> Vec<Scenario> {
@@ -139,12 +136,11 @@ fn scenarios() -> Vec<Scenario> {
                         policy: SharingPolicy::Synthetic(ModelKind::KinetGan),
                         model_epochs: epochs,
                         seed: args.seed,
-                        union: UnionConfig::enabled(),
+                        union: true,
                         ..FleetConfig::default()
                     },
                     rounds: 2,
                     churn: ChurnConfig {
-                        enabled: true,
                         scripted_joins: vec![(1, 1)],
                         min_members: 1,
                         ..ChurnConfig::default()
@@ -200,17 +196,13 @@ fn scenarios() -> Vec<Scenario> {
                           round aborts and the service proceeds",
             config: |args| {
                 let mut fleet = raw_fleet(args);
-                fleet.watchdog = WatchdogConfig::armed(500);
+                fleet.watchdog_ticks = Some(500);
                 ServiceConfig {
                     fleet,
                     rounds: 3,
                     round_faults: vec![(
                         1,
-                        FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-                            1,
-                            FaultKind::Straggle,
-                        )
-                        .with_magnitude(900)]),
+                        vec![DeviceFaultSpec::permanent(1, FaultKind::Straggle).with_magnitude(900)],
                     )],
                     ..ServiceConfig::default()
                 }
@@ -424,7 +416,6 @@ fn collapse_probe(args: &Args) -> ProbeRecord {
         fleet: raw_fleet(args),
         rounds: 3,
         churn: ChurnConfig {
-            enabled: true,
             scripted_leaves: vec![(1, 0), (1, 1)],
             min_members: 2,
             ..ChurnConfig::default()

@@ -1,10 +1,9 @@
 //! Fleet run configuration: sharing policies, scale knobs, memory bounds,
-//! the condition-union protocol settings, and the fault/recovery policies.
+//! the condition-union switch, and the fault/recovery policies.
 
 use crate::error::FleetError;
-use crate::fault::FaultConfig;
+use crate::fault::{self, DeviceFaultSpec};
 use crate::resilience::ResilienceConfig;
-use kinet_data::sampler::BalanceMode;
 
 /// Which synthesizer devices use under [`SharingPolicy::Synthetic`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,98 +46,6 @@ impl SharingPolicy {
     }
 }
 
-/// The condition-union protocol settings (§VI-flavored fleet extension):
-/// devices exchange their observed event-class vocabularies, the fleet
-/// computes the union, and devices missing a class receive knowledge-graph
-/// synthesized seed rows for it so their generator — and its sampling-time
-/// condition drawer — can emit the class.
-#[derive(Clone, Debug, PartialEq)]
-pub struct UnionConfig {
-    /// Master switch. Off reproduces the pre-fleet behavior: a device
-    /// whose shard misses a class can never emit it.
-    pub enabled: bool,
-    /// KG-synthesized seed rows appended per missing class.
-    pub seeds_per_class: usize,
-    /// Device indices that decline union requests (privacy or capability
-    /// policy); they train on their own shard only.
-    pub opt_out: Vec<usize>,
-    /// Sampling-time condition balance applied to devices that received
-    /// union seeds, so a class backed by a handful of seed rows is
-    /// actually drawn at release time. Devices with full local coverage
-    /// keep the model default.
-    pub sample_balance: BalanceMode,
-}
-
-impl Default for UnionConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            seeds_per_class: 16,
-            opt_out: Vec::new(),
-            sample_balance: BalanceMode::LogFreq,
-        }
-    }
-}
-
-impl UnionConfig {
-    /// The protocol switched on with default seeding.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// `true` when device `d` participates in union seeding.
-    pub fn participates(&self, device_index: usize) -> bool {
-        self.enabled && !self.opt_out.contains(&device_index)
-    }
-}
-
-/// Per-phase virtual-tick deadlines for one fleet round. Disabled by
-/// default — the pre-watchdog behavior. When enabled, a phase whose
-/// devices burn more virtual ticks than its deadline (stragglers, retry
-/// backoff, vocab delays) aborts the round with
-/// [`FleetError::Watchdog`](crate::error::FleetError::Watchdog) instead of
-/// waiting forever; the resident service records the abort and proceeds.
-/// Deadlines are *virtual* ticks on the
-/// [`VirtualClock`](crate::fault::VirtualClock), never wall time, so a
-/// watchdog verdict is bit-reproducible.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Deadline for the acquire phase (streaming + stalls + backoff).
-    pub acquire_deadline_ticks: u64,
-    /// Deadline for the union phase (vocab delays).
-    pub union_deadline_ticks: u64,
-    /// Deadline for the prepare phase (fit retries + backoff).
-    pub prepare_deadline_ticks: u64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            acquire_deadline_ticks: 10_000,
-            union_deadline_ticks: 10_000,
-            prepare_deadline_ticks: 10_000,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// An armed watchdog with uniform per-phase deadlines.
-    pub fn armed(deadline_ticks: u64) -> Self {
-        Self {
-            enabled: true,
-            acquire_deadline_ticks: deadline_ticks,
-            union_deadline_ticks: deadline_ticks,
-            prepare_deadline_ticks: deadline_ticks,
-        }
-    }
-}
-
 /// Configuration of one fleet run over the lab IoT deployment.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -163,19 +70,21 @@ pub struct FleetConfig {
     /// rows for raw sharing). `None` keeps the whole shard decoded — the
     /// pre-fleet behavior, appropriate for small shards.
     pub device_window: Option<usize>,
-    /// Synthetic release size per device. `None` matches the shard size
-    /// (the pre-fleet behavior).
-    pub release_rows: Option<usize>,
     /// Fraction of records that are attacks (default 0.08, the lab mix).
     pub attack_fraction: f64,
     /// Per-device attack-fraction overrides, for crafted class-skewed
     /// splits (`(device_index, fraction)`).
     pub device_attack_fraction: Vec<(usize, f64)>,
-    /// Condition-union protocol settings.
-    pub union: UnionConfig,
-    /// Fault-injection plan settings (off by default).
-    pub fault: FaultConfig,
-    /// Recovery policy: retry, quarantine, and quorum knobs. Defaults
+    /// The condition-union protocol (§VI-flavored fleet extension):
+    /// devices exchange their observed event-class vocabularies, and every
+    /// device missing a class of the union trains on
+    /// [`crate::union::SEEDS_PER_CLASS`] knowledge-graph-synthesized seed
+    /// rows for it. Off reproduces the pre-fleet behavior: a device whose
+    /// shard misses a class can never emit it.
+    pub union: bool,
+    /// Scripted faults to inject (none by default).
+    pub fault: Vec<DeviceFaultSpec>,
+    /// Recovery policy: the quorum and the share-validity floor. Defaults
     /// reproduce the pre-recovery behavior (full quorum, no floor).
     pub resilience: ResilienceConfig,
     /// Stable member identities behind the device slots, for resident
@@ -185,8 +94,17 @@ pub struct FleetConfig {
     /// Empty (the default) means slot index = member id — bit-identical to
     /// the pre-service behavior.
     pub member_ids: Vec<u64>,
-    /// Per-phase round watchdog (disabled by default).
-    pub watchdog: WatchdogConfig,
+    /// Round watchdog deadline in virtual ticks, checked against each of
+    /// the acquire, union and prepare phases. A phase whose devices burn
+    /// more ticks than this (stragglers, retry backoff, vocab delays)
+    /// aborts the round with
+    /// [`FleetError::Watchdog`](crate::error::FleetError::Watchdog)
+    /// instead of waiting forever; the resident service records the abort
+    /// and proceeds. Ticks are *virtual* ticks on the
+    /// [`VirtualClock`](crate::fault::VirtualClock), never wall time, so a
+    /// watchdog verdict is bit-reproducible. `None` (the default) never
+    /// aborts.
+    pub watchdog_ticks: Option<u64>,
 }
 
 impl Default for FleetConfig {
@@ -202,14 +120,13 @@ impl Default for FleetConfig {
             seed: 42,
             chunk_rows: 1024,
             device_window: None,
-            release_rows: None,
             attack_fraction: 0.08,
             device_attack_fraction: Vec::new(),
-            union: UnionConfig::default(),
-            fault: FaultConfig::default(),
+            union: false,
+            fault: Vec::new(),
             resilience: ResilienceConfig::default(),
             member_ids: Vec::new(),
-            watchdog: WatchdogConfig::default(),
+            watchdog_ticks: None,
         }
     }
 }
@@ -267,9 +184,6 @@ impl FleetConfig {
         if self.device_window == Some(0) {
             return bad("device_window must be positive when set");
         }
-        if self.release_rows == Some(0) {
-            return bad("release_rows must be positive when set");
-        }
         if !(0.0..=1.0).contains(&self.attack_fraction) {
             return bad("attack_fraction must be in [0, 1]");
         }
@@ -285,9 +199,6 @@ impl FleetConfig {
                 )));
             }
         }
-        if self.union.enabled && self.union.seeds_per_class == 0 {
-            return bad("union.seeds_per_class must be positive when enabled");
-        }
         if !self.member_ids.is_empty() {
             if self.member_ids.len() != self.n_devices {
                 return Err(FleetError::Config(format!(
@@ -301,14 +212,10 @@ impl FleetConfig {
                 return bad("member_ids must be unique");
             }
         }
-        if self.watchdog.enabled
-            && (self.watchdog.acquire_deadline_ticks == 0
-                || self.watchdog.union_deadline_ticks == 0
-                || self.watchdog.prepare_deadline_ticks == 0)
-        {
-            return bad("watchdog deadlines must be positive when armed");
+        if self.watchdog_ticks == Some(0) {
+            return bad("watchdog_ticks must be positive when set");
         }
-        self.fault.validate(self.n_devices)?;
+        fault::validate_specs(&self.fault, self.n_devices).map_err(FleetError::Config)?;
         self.resilience.validate()?;
         Ok(())
     }
@@ -317,6 +224,7 @@ impl FleetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
 
     #[test]
     fn labels() {
@@ -348,15 +256,13 @@ mod tests {
         assert!(bad(|c| c.device_window = Some(0)).is_err());
         assert!(bad(|c| c.attack_fraction = 1.5).is_err());
         assert!(bad(|c| c.device_attack_fraction = vec![(9, 0.5)]).is_err());
-        assert!(bad(|c| {
-            c.union = UnionConfig::enabled();
-            c.union.seeds_per_class = 0;
-        })
-        .is_err());
         assert!(bad(|c| c.resilience.quorum_frac = 2.0).is_err());
         assert!(bad(|c| {
-            c.fault.enabled = true;
-            c.fault.rates.crash = -0.5;
+            c.fault = vec![DeviceFaultSpec::permanent(4, FaultKind::CrashAcquire)];
+        })
+        .is_err());
+        assert!(bad(|c| {
+            c.fault = vec![DeviceFaultSpec::transient(1, FaultKind::DropVocab, 0)];
         })
         .is_err());
     }
@@ -410,24 +316,12 @@ mod tests {
             bad(|c| c.member_ids = vec![1, 2, 2, 3]).is_err(),
             "duplicate ids"
         );
-        assert!(bad(|c| {
-            c.watchdog = WatchdogConfig::armed(0);
-        })
-        .is_err());
+        assert!(bad(|c| c.watchdog_ticks = Some(0)).is_err());
         assert!(FleetConfig {
-            watchdog: WatchdogConfig::armed(500),
+            watchdog_ticks: Some(500),
             ..FleetConfig::default()
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn union_participation_respects_opt_out() {
-        let mut u = UnionConfig::enabled();
-        u.opt_out = vec![1];
-        assert!(u.participates(0));
-        assert!(!u.participates(1));
-        assert!(!UnionConfig::default().participates(0), "off by default");
     }
 }

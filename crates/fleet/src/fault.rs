@@ -4,11 +4,11 @@
 //! case (FLVision-style deployments; NE-GM-GAN's non-exhaustive classes).
 //! This module makes those behaviors first-class and — crucially —
 //! **reproducible**: a [`FaultPlan`] is a pure function of the fleet seed
-//! and a [`FaultConfig`], so a chaotic run is exactly as bit-reproducible
-//! across `KINET_THREADS` values as a healthy one. Time never comes from
-//! the wall clock: stragglers and retry backoff spend ticks on a
-//! [`VirtualClock`], keeping the `wall-clock` lint rule green and the
-//! fingerprint stable.
+//! and the scripted [`DeviceFaultSpec`]s, so a chaotic run is exactly as
+//! bit-reproducible across `KINET_THREADS` values as a healthy one. Time
+//! never comes from the wall clock: stragglers and retry backoff spend
+//! ticks on a [`VirtualClock`], keeping the `wall-clock` lint rule green
+//! and the fingerprint stable.
 //!
 //! Fault taxonomy (DESIGN.md §2.7):
 //!
@@ -24,7 +24,6 @@
 //! | `DelayVocab` | union | vocab message late by `magnitude` ticks |
 //! | `Straggle` | acquire | device stalls `magnitude` virtual ticks |
 
-use crate::error::FleetError;
 use kinet_data::stream::ChunkFaultSpec;
 use kinet_data::Table;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -71,22 +70,6 @@ impl FaultKind {
             FaultKind::DelayVocab => "delay-vocab",
             FaultKind::Straggle => "straggle",
         }
-    }
-
-    /// Every kind, in declaration order (random-rate derivation walks this
-    /// so the RNG consumption order is fixed).
-    pub fn all() -> [FaultKind; 9] {
-        [
-            FaultKind::CrashAcquire,
-            FaultKind::CrashMidFit,
-            FaultKind::TruncateChunks,
-            FaultKind::CorruptChunks,
-            FaultKind::PoisonShareNan,
-            FaultKind::PoisonShareKg,
-            FaultKind::DropVocab,
-            FaultKind::DelayVocab,
-            FaultKind::Straggle,
-        ]
     }
 }
 
@@ -138,101 +121,27 @@ impl DeviceFaultSpec {
     }
 }
 
-/// Per-kind probabilities for devices without an explicit spec. Each
-/// device/kind pair is resolved once from the plan seed, so the same
-/// config and seed always breaks the same devices the same way.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FaultRates {
-    /// Probability of a mid-stream acquisition crash.
-    pub crash: f64,
-    /// Probability of NaN-corrupted chunks.
-    pub corrupt_chunks: f64,
-    /// Probability of a NaN-poisoned share.
-    pub poison_share: f64,
-    /// Probability of a lost vocabulary message.
-    pub drop_vocab: f64,
-    /// Probability of straggling.
-    pub straggle: f64,
-}
-
-impl FaultRates {
-    fn rate_for(&self, kind: FaultKind) -> f64 {
-        match kind {
-            FaultKind::CrashAcquire => self.crash,
-            FaultKind::CorruptChunks => self.corrupt_chunks,
-            FaultKind::PoisonShareNan => self.poison_share,
-            FaultKind::DropVocab => self.drop_vocab,
-            FaultKind::Straggle => self.straggle,
-            // Only spec-addressable: scripted scenarios own these shapes.
-            FaultKind::CrashMidFit
-            | FaultKind::TruncateChunks
-            | FaultKind::PoisonShareKg
-            | FaultKind::DelayVocab => 0.0,
+/// Validates scripted fault targets against the fleet size.
+///
+/// # Errors
+///
+/// Returns a message naming the first invalid spec.
+pub fn validate_specs(specs: &[DeviceFaultSpec], n_devices: usize) -> Result<(), String> {
+    for spec in specs {
+        if spec.device_index >= n_devices {
+            return Err(format!(
+                "fault spec targets unknown device {}",
+                spec.device_index
+            ));
+        }
+        if spec.attempts == 0 {
+            return Err(format!(
+                "fault spec for device {} fires on zero attempts",
+                spec.device_index
+            ));
         }
     }
-}
-
-/// Fault-injection settings for one fleet run. Disabled by default: a
-/// default-configured fleet is bit-identical to the pre-fault code path.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Explicitly scripted faults (chaos-matrix scenarios).
-    pub specs: Vec<DeviceFaultSpec>,
-    /// Random per-device fault rates for everything not scripted.
-    pub rates: FaultRates,
-    /// Attempts a randomly drawn fault persists before healing.
-    pub transient_attempts: usize,
-}
-
-impl FaultConfig {
-    /// Scripted faults only.
-    pub fn scripted(specs: Vec<DeviceFaultSpec>) -> Self {
-        Self {
-            enabled: true,
-            specs,
-            rates: FaultRates::default(),
-            transient_attempts: 1,
-        }
-    }
-
-    /// Validates rates and spec targets against the fleet size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Config`] naming the first invalid field.
-    pub fn validate(&self, n_devices: usize) -> Result<(), FleetError> {
-        let rates = [
-            ("crash", self.rates.crash),
-            ("corrupt_chunks", self.rates.corrupt_chunks),
-            ("poison_share", self.rates.poison_share),
-            ("drop_vocab", self.rates.drop_vocab),
-            ("straggle", self.rates.straggle),
-        ];
-        for (name, r) in rates {
-            if !(0.0..=1.0).contains(&r) {
-                return Err(FleetError::Config(format!(
-                    "fault rate {name}={r} out of [0, 1]"
-                )));
-            }
-        }
-        for spec in &self.specs {
-            if spec.device_index >= n_devices {
-                return Err(FleetError::Config(format!(
-                    "fault spec targets unknown device {}",
-                    spec.device_index
-                )));
-            }
-            if spec.attempts == 0 {
-                return Err(FleetError::Config(format!(
-                    "fault spec for device {} fires on zero attempts",
-                    spec.device_index
-                )));
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// One fault the plan will inject.
@@ -297,39 +206,32 @@ impl DevicePlan {
         }
         spec
     }
-
-    /// `true` when nothing is planned for this device.
-    pub fn is_healthy(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 /// The deterministic fault schedule of one run: which device breaks, how,
 /// on which attempts, and how hard. Derived once from
-/// `(seed, n_devices, FaultConfig)` before any device task starts, so the
-/// plan is identical for every thread count and every re-run.
+/// `(seed, n_devices, specs)` before any device task starts, so the plan
+/// is identical for every thread count and every re-run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     devices: Vec<DevicePlan>,
 }
 
-/// Domain-separation salt for fault randomness (fault draws must never
-/// perturb the data/model RNG streams, or a fault-free run with
-/// `enabled = true` would diverge from one with `enabled = false`).
+/// Domain-separation salt for fault randomness (magnitude draws must never
+/// perturb the data/model RNG streams).
 const FAULT_SALT: u64 = 0x0fa1_7000;
 
 impl FaultPlan {
-    /// Derives the plan. Deterministic: same inputs, same plan.
-    pub fn derive(seed: u64, n_devices: usize, cfg: &FaultConfig) -> Self {
+    /// Derives the plan. Deterministic: same inputs, same plan. Each
+    /// device draws the magnitudes its specs leave open from its own
+    /// seeded RNG, in spec order, so a spec on one device never reshuffles
+    /// another device's draws.
+    pub fn derive(seed: u64, n_devices: usize, specs: &[DeviceFaultSpec]) -> Self {
         let mut devices = vec![DevicePlan::default(); n_devices];
-        if !cfg.enabled {
-            return Self { devices };
-        }
         for (d, plan) in devices.iter_mut().enumerate() {
             let mut rng =
                 StdRng::seed_from_u64(seed ^ FAULT_SALT ^ (d as u64).wrapping_mul(0x9e37_79b9));
-            // Scripted faults first, in spec order.
-            for spec in cfg.specs.iter().filter(|s| s.device_index == d) {
+            for spec in specs.iter().filter(|s| s.device_index == d) {
                 let magnitude = spec
                     .magnitude
                     .unwrap_or_else(|| default_magnitude(spec.kind, &mut rng));
@@ -339,25 +241,6 @@ impl FaultPlan {
                     magnitude,
                 });
             }
-            // Random-rate faults for kinds not already scripted. Every
-            // device consumes the RNG identically (one draw per kind, a
-            // magnitude draw only when it fires), so adding a spec for one
-            // device never reshuffles another device's draws.
-            for kind in FaultKind::all() {
-                let rate = cfg.rates.rate_for(kind);
-                let roll = rng.random_range(0.0..1.0f64);
-                if plan.faults.iter().any(|f| f.kind == kind) {
-                    continue;
-                }
-                if rate > 0.0 && roll < rate {
-                    let magnitude = default_magnitude(kind, &mut rng);
-                    plan.faults.push(PlannedFault {
-                        kind,
-                        attempts: cfg.transient_attempts.max(1),
-                        magnitude,
-                    });
-                }
-            }
         }
         Self { devices }
     }
@@ -365,11 +248,6 @@ impl FaultPlan {
     /// The plan for device `d`.
     pub fn device(&self, d: usize) -> &DevicePlan {
         &self.devices[d]
-    }
-
-    /// `true` when no device has any fault planned.
-    pub fn is_trivial(&self) -> bool {
-        self.devices.iter().all(DevicePlan::is_healthy)
     }
 
     /// Canonical one-line-per-fault rendering for the report's injected
@@ -407,10 +285,8 @@ fn default_magnitude(kind: FaultKind, rng: &mut StdRng) -> u64 {
 }
 
 /// The injectable storage-layer fault classes, targeting the snapshot
-/// store's `write_atomic` path (DESIGN.md §2.8). These live in their own
-/// enum — not [`FaultKind`] — because the rate-rolled device plan walks
-/// [`FaultKind::all`] in declaration order and extending that array would
-/// silently reshuffle every existing seeded plan's RNG consumption.
+/// store's `write_atomic` path (DESIGN.md §2.8). They live in their own
+/// enum, not [`FaultKind`], because they strike the store, not a device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageFaultKind {
     /// Only a prefix of the record reaches the medium (torn/truncated
@@ -556,72 +432,50 @@ mod tests {
     use super::*;
     use kinet_data::{ColumnKind, ColumnMeta, Schema, Value};
 
-    fn cfg_with_rates(rates: FaultRates) -> FaultConfig {
-        FaultConfig {
-            enabled: true,
-            specs: Vec::new(),
-            rates,
-            transient_attempts: 1,
-        }
-    }
-
     #[test]
     fn disabled_config_plans_nothing() {
-        let plan = FaultPlan::derive(42, 8, &FaultConfig::default());
-        assert!(plan.is_trivial());
+        let plan = FaultPlan::derive(42, 8, &[]);
         assert!(plan.describe().is_empty());
+        assert!((0..8).all(|d| plan.device(d).faults().is_empty()));
     }
 
     #[test]
     fn plan_is_deterministic_in_seed_and_config() {
-        let cfg = cfg_with_rates(FaultRates {
-            crash: 0.5,
-            corrupt_chunks: 0.3,
-            poison_share: 0.3,
-            drop_vocab: 0.2,
-            straggle: 0.4,
-        });
-        let a = FaultPlan::derive(7, 16, &cfg);
-        let b = FaultPlan::derive(7, 16, &cfg);
+        let specs: Vec<DeviceFaultSpec> = [
+            FaultKind::CrashAcquire,
+            FaultKind::CorruptChunks,
+            FaultKind::TruncateChunks,
+            FaultKind::Straggle,
+            FaultKind::DelayVocab,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(d, kind)| DeviceFaultSpec::transient(d, kind, 1))
+        .collect();
+        let a = FaultPlan::derive(7, 16, &specs);
+        let b = FaultPlan::derive(7, 16, &specs);
         assert_eq!(a, b, "same seed, same plan");
-        let c = FaultPlan::derive(8, 16, &cfg);
-        assert_ne!(a, c, "different seed, different plan");
-        assert!(!a.is_trivial(), "these rates break someone in 16 devices");
-    }
-
-    #[test]
-    fn scripted_specs_override_rates_per_kind() {
-        let mut cfg = cfg_with_rates(FaultRates {
-            crash: 1.0,
-            ..FaultRates::default()
-        });
-        cfg.specs =
-            vec![DeviceFaultSpec::transient(2, FaultKind::CrashAcquire, 2).with_magnitude(40)];
-        let plan = FaultPlan::derive(1, 4, &cfg);
-        // Device 2 keeps the scripted shape, not a second random crash.
-        let crashes: Vec<&PlannedFault> = plan
-            .device(2)
-            .faults()
-            .iter()
-            .filter(|f| f.kind == FaultKind::CrashAcquire)
-            .collect();
-        assert_eq!(crashes.len(), 1);
-        assert_eq!(crashes[0].attempts, 2);
-        assert_eq!(crashes[0].magnitude, 40);
-        // Rate 1.0 crashes every other device too.
-        for d in [0, 1, 3] {
-            assert!(
-                plan.device(d).fires(FaultKind::CrashAcquire, 0),
-                "device {d}"
-            );
-        }
+        let c = FaultPlan::derive(8, 16, &specs);
+        assert_ne!(a, c, "different seed, different magnitudes");
+        assert_eq!(a.describe().len(), specs.len());
+        // A spec on another device never reshuffles device 0's draws.
+        let mut more = specs.clone();
+        more.push(DeviceFaultSpec::permanent(9, FaultKind::Straggle));
+        let d = FaultPlan::derive(7, 16, &more);
+        assert_eq!(a.device(0), d.device(0));
+        // An explicit magnitude is taken as given.
+        let fixed = [DeviceFaultSpec::permanent(2, FaultKind::Straggle).with_magnitude(40)];
+        let plan = FaultPlan::derive(7, 4, &fixed);
+        assert_eq!(plan.device(2).magnitude(FaultKind::Straggle), Some(40));
     }
 
     #[test]
     fn transient_faults_heal_after_their_attempts() {
-        let cfg =
-            FaultConfig::scripted(vec![DeviceFaultSpec::transient(0, FaultKind::Straggle, 2)]);
-        let plan = FaultPlan::derive(3, 1, &cfg);
+        let plan = FaultPlan::derive(
+            3,
+            1,
+            &[DeviceFaultSpec::transient(0, FaultKind::Straggle, 2)],
+        );
         let dp = plan.device(0);
         assert!(dp.fires(FaultKind::Straggle, 0));
         assert!(dp.fires(FaultKind::Straggle, 1));
@@ -630,24 +484,9 @@ mod tests {
         let permanent = FaultPlan::derive(
             3,
             1,
-            &FaultConfig::scripted(vec![DeviceFaultSpec::permanent(0, FaultKind::CrashMidFit)]),
+            &[DeviceFaultSpec::permanent(0, FaultKind::CrashMidFit)],
         );
         assert!(permanent.device(0).fires(FaultKind::CrashMidFit, 999));
-    }
-
-    #[test]
-    fn validation_rejects_bad_rates_and_targets() {
-        let mut cfg = cfg_with_rates(FaultRates {
-            crash: 1.5,
-            ..FaultRates::default()
-        });
-        assert!(cfg.validate(4).is_err());
-        cfg.rates.crash = 0.5;
-        assert!(cfg.validate(4).is_ok());
-        cfg.specs = vec![DeviceFaultSpec::permanent(9, FaultKind::DropVocab)];
-        assert!(cfg.validate(4).is_err(), "unknown device");
-        cfg.specs = vec![DeviceFaultSpec::transient(1, FaultKind::DropVocab, 0)];
-        assert!(cfg.validate(4).is_err(), "zero attempts");
     }
 
     fn share() -> Table {

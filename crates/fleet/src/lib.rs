@@ -20,12 +20,12 @@
 //!   vocabularies (names only), the fleet computes the union, and devices
 //!   missing a class receive knowledge-graph-synthesized seed rows so
 //!   their generator and its sampling-time condition drawer can emit it;
-//!   per-device opt-out and coverage accounting included.
+//!   coverage accounting included.
 //! * **Reloadable run snapshots** — [`FleetReport`] round-trips through
 //!   the vendored serde JSON deserializer, so gates diff fresh runs
 //!   against persisted baselines.
 //! * **Fault injection and recovery** ([`fault`], [`resilience`]) —
-//!   seeded deterministic fault plans (crashes, corrupt streams, poisoned
+//!   scripted, seeded fault plans (crashes, corrupt streams, poisoned
 //!   shares, vocab drops, stragglers on a virtual clock), typed
 //!   [`FleetError`]s, bounded retry with capped backoff, share
 //!   validation + quarantine, and quorum aggregation so a round degrades
@@ -33,7 +33,7 @@
 //! * **The resident service** ([`service`], [`storage`]) — a
 //!   [`FleetService`] owns many rounds: durable generation-stamped
 //!   snapshots with restart-resume (torn/corrupted records roll back to
-//!   the newest intact generation), seeded membership churn with
+//!   the newest intact generation), scripted membership churn with
 //!   per-round quorum re-derivation, virtual-tick watchdog deadlines
 //!   that abort a round without killing the service, and degraded-mode
 //!   serving — flow batches keep being answered from the last committed
@@ -52,14 +52,13 @@ pub mod sim;
 pub mod storage;
 pub mod union;
 
-pub use config::{FleetConfig, ModelKind, SharingPolicy, UnionConfig, WatchdogConfig};
+pub use config::{FleetConfig, ModelKind, SharingPolicy};
 pub use error::{
     DeviceFaultKind, FleetError, EXIT_CONFIG_INVALID, EXIT_INTERNAL, EXIT_MEMBERSHIP_COLLAPSE,
     EXIT_QUORUM_LOST,
 };
 pub use fault::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FaultPlan, FaultRates, StorageFaultKind,
-    StorageFaultSpec, VirtualClock,
+    DeviceFaultSpec, FaultKind, FaultPlan, StorageFaultKind, StorageFaultSpec, VirtualClock,
 };
 pub use report::{
     DeviceReport, DeviceTrainingDiag, FaultReport, FleetReport, RoundRecord, RoundServingStats,

@@ -49,8 +49,7 @@ pub struct DeviceReport {
     /// Event classes observed in the shard (sorted).
     pub shard_classes: Vec<String>,
     /// Union classes this device was seeded with (empty when the union
-    /// protocol is off, the device opted out, or local coverage was
-    /// already complete).
+    /// protocol is off or local coverage was already complete).
     pub seeded_classes: Vec<String>,
     /// Rows the device shipped to the aggregator.
     pub share_rows: usize,
@@ -72,7 +71,8 @@ pub struct UnionReport {
     pub enabled: bool,
     /// The fleet-wide class union (sorted).
     pub classes: Vec<String>,
-    /// Devices that participated (did not opt out).
+    /// Devices that took part: the whole fleet whenever the protocol
+    /// runs (kept so reports and fingerprints keep their shape).
     pub devices_opted_in: usize,
     /// `(device, class)` seedings performed.
     pub seeded_pairs: usize,
@@ -93,7 +93,7 @@ pub struct UnionReport {
 /// folded into [`FleetReport::deterministic_fingerprint`].
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct FaultReport {
-    /// Whether fault injection was enabled for the run.
+    /// Whether the run had any faults scripted.
     pub enabled: bool,
     /// Canonical rendering of the derived [`crate::fault::FaultPlan`].
     pub injected: Vec<String>,

@@ -2,10 +2,11 @@
 //! validation + quarantine, and quorum accounting.
 //!
 //! Where [`crate::fault`] decides what *breaks*, this module decides what
-//! the orchestrator *does about it*. The policy knobs live in
-//! [`ResilienceConfig`]; the defaults are chosen so a fault-free fleet
-//! behaves bit-identically to the pre-recovery code path (full quorum
-//! required, no validity floor, a few retries that never trigger).
+//! the orchestrator *does about it*. The two policy knobs live in
+//! [`ResilienceConfig`]; its defaults make a fault-free fleet behave
+//! bit-identically to the pre-recovery code path (full quorum required,
+//! no validity floor). Retry limit, backoff and wait budgets are fixed
+//! constants; on a fault-free round they never trigger.
 //!
 //! All waiting is simulated: backoff and straggler budgets are virtual
 //! ticks on the [`crate::fault::VirtualClock`], never wall-clock sleeps,
@@ -17,22 +18,23 @@ use kinet_data::stream::{ChunkSource, StreamValidity, TableChunks};
 use kinet_data::Table;
 use kinet_kg::NetworkKg;
 
+/// Retries after the first failed attempt of a device task (so a device
+/// gets `MAX_RETRIES + 1` attempts in total).
+pub const MAX_RETRIES: usize = 2;
+/// Backoff after the first failed attempt, in virtual ticks.
+pub const BACKOFF_BASE_TICKS: u64 = 100;
+/// Ceiling for the exponentially growing backoff.
+pub const BACKOFF_CAP_TICKS: u64 = 1600;
+/// Virtual ticks a device may spend straggling per attempt before the
+/// orchestrator declares it timed out.
+pub const STRAGGLER_BUDGET_TICKS: u64 = 1000;
+/// Virtual ticks the union phase waits for late vocabulary messages;
+/// vocabs delayed beyond this are treated as dropped.
+pub const VOCAB_WAIT_BUDGET_TICKS: u64 = 1000;
+
 /// Recovery policy for one fleet run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResilienceConfig {
-    /// Retries after the first failed attempt of a device task (so a
-    /// device gets `max_retries + 1` attempts total).
-    pub max_retries: usize,
-    /// Backoff after the first failed attempt, in virtual ticks.
-    pub backoff_base_ticks: u64,
-    /// Ceiling for the exponentially growing backoff.
-    pub backoff_cap_ticks: u64,
-    /// Virtual ticks a device may spend straggling per attempt before the
-    /// orchestrator declares it timed out.
-    pub straggler_budget_ticks: u64,
-    /// Virtual ticks the union phase waits for late vocabulary messages;
-    /// vocabs delayed beyond this are treated as dropped.
-    pub vocab_wait_budget_ticks: u64,
     /// Fraction of devices that must report for the round to commit.
     pub quorum_frac: f64,
     /// Minimum KG-validity rate a shared table must reach to be pooled;
@@ -43,11 +45,6 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         Self {
-            max_retries: 2,
-            backoff_base_ticks: 100,
-            backoff_cap_ticks: 1600,
-            straggler_budget_ticks: 1000,
-            vocab_wait_budget_ticks: 1000,
             quorum_frac: 1.0,
             min_share_validity: 0.0,
         }
@@ -61,7 +58,6 @@ impl ResilienceConfig {
         Self {
             quorum_frac: 0.5,
             min_share_validity: 0.3,
-            ..Self::default()
         }
     }
 
@@ -83,12 +79,6 @@ impl ResilienceConfig {
                 self.min_share_validity
             )));
         }
-        if self.backoff_base_ticks > self.backoff_cap_ticks {
-            return Err(FleetError::Config(format!(
-                "backoff_base_ticks={} exceeds backoff_cap_ticks={}",
-                self.backoff_base_ticks, self.backoff_cap_ticks
-            )));
-        }
         Ok(())
     }
 
@@ -103,18 +93,16 @@ impl ResilienceConfig {
     }
 }
 
-/// Deterministic capped exponential backoff: `base << attempt`, saturating
-/// at `cap`. Attempt 0 is the delay before the first retry.
-pub fn backoff_ticks(base: u64, cap: u64, attempt: usize) -> u64 {
-    if base == 0 {
-        return 0;
-    }
+/// Deterministic capped exponential backoff: [`BACKOFF_BASE_TICKS`]
+/// doubled `attempt` times, saturating at [`BACKOFF_CAP_TICKS`]. Attempt 0
+/// is the delay before the first retry.
+pub fn backoff_ticks(attempt: usize) -> u64 {
     let shifted = if attempt >= 63 {
         u64::MAX
     } else {
-        base.saturating_mul(1u64 << attempt)
+        BACKOFF_BASE_TICKS.saturating_mul(1u64 << attempt)
     };
-    shifted.min(cap)
+    shifted.min(BACKOFF_CAP_TICKS)
 }
 
 /// Why a share was rejected before pooling.
@@ -274,19 +262,17 @@ mod tests {
         cfg.min_share_validity = -0.1;
         assert!(cfg.validate().is_err());
         cfg.min_share_validity = 0.3;
-        cfg.backoff_base_ticks = 5000;
-        assert!(cfg.validate().is_err(), "base above cap");
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]
     fn backoff_doubles_then_caps() {
-        assert_eq!(backoff_ticks(100, 1600, 0), 100);
-        assert_eq!(backoff_ticks(100, 1600, 1), 200);
-        assert_eq!(backoff_ticks(100, 1600, 3), 800);
-        assert_eq!(backoff_ticks(100, 1600, 4), 1600);
-        assert_eq!(backoff_ticks(100, 1600, 40), 1600, "capped forever");
-        assert_eq!(backoff_ticks(100, 1600, 80), 1600, "no shift overflow");
-        assert_eq!(backoff_ticks(0, 1600, 5), 0, "zero base disables backoff");
+        assert_eq!(backoff_ticks(0), 100);
+        assert_eq!(backoff_ticks(1), 200);
+        assert_eq!(backoff_ticks(3), 800);
+        assert_eq!(backoff_ticks(4), 1600);
+        assert_eq!(backoff_ticks(40), 1600, "capped forever");
+        assert_eq!(backoff_ticks(80), 1600, "no shift overflow");
     }
 
     fn lab_share() -> Table {

@@ -14,7 +14,7 @@
 //!   loudly (they land in [`StorageFaultReport::rejected_snapshots`]),
 //!   resumes from the newest intact generation, and re-runs whatever the
 //!   lost suffix contained.
-//! * **Membership churn** — a seeded [`ChurnPlan`] adds and removes
+//! * **Membership churn** — a scripted [`ChurnPlan`] adds and removes
 //!   members between rounds. Each round's [`FleetConfig`] pins
 //!   `member_ids` to the surviving membership, so a member keeps its
 //!   shard stream no matter which slot churn leaves it in, quorum is
@@ -23,8 +23,8 @@
 //!   appear. Scripted leaves may shrink the fleet below
 //!   `ChurnConfig::min_members`, which fails the whole service with the
 //!   loud, distinctly-exit-coded [`FleetError::MembershipCollapse`].
-//! * **Watchdog deadlines** — rounds run with the per-phase virtual-tick
-//!   watchdog from [`crate::config::WatchdogConfig`]; a hung phase yields
+//! * **Watchdog deadlines** — rounds run with the virtual-tick watchdog
+//!   deadline [`FleetConfig::watchdog_ticks`]; a hung phase yields
 //!   [`RoundVerdict::Aborted`] and the service proceeds to the next round
 //!   instead of wedging forever.
 //! * **Degraded-mode serving** — a [`ServingHandle`] keeps the last
@@ -35,26 +35,23 @@
 //!   counter (rounds since that generation committed), so a consumer can
 //!   tell fresh verdicts from degraded ones.
 //!
-//! Everything the service does is deterministic: churn, round seeds, and
-//! serving flows derive from the config seed; all waiting is virtual
+//! Everything the service does is deterministic: churn is scripted, round
+//! seeds and serving flows derive from the config seed; all waiting is virtual
 //! ticks. The final [`ServiceReport::deterministic_fingerprint`] is
 //! bit-identical for every `KINET_THREADS` value, and a resumed run
 //! converges to the same ledger as an uninterrupted one.
 
 use crate::config::FleetConfig;
 use crate::error::FleetError;
-use crate::fault::FaultConfig;
+use crate::fault::{self, DeviceFaultSpec};
 use crate::report::{RoundRecord, RoundServingStats, RoundVerdict, ServiceReport};
 use crate::sim::FleetSim;
 use crate::storage::{fnv1a64, SnapshotStore};
 use kinet_data::{ColumnKind, Table};
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 use kinet_obs::{kv, Recorder};
-use rand::{rngs::StdRng, RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Domain-separation salt for per-round churn draws.
-const CHURN_SALT: u64 = 0x43_48_55_52_4e; // "CHURN"
 /// Domain-separation salt for served flow batches.
 const SERVE_SALT: u64 = 0x53_45_52_56_45; // "SERVE"
 /// Full-batch gradient-descent epochs for the serving classifier trained
@@ -67,11 +64,10 @@ pub const MAX_SERVING_CLASSES: usize = 16;
 /// so a 1-round service is bit-identical to a bare `FleetSim` run).
 const ROUND_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Membership churn policy for a resident service.
+/// Scripted membership churn for a resident service. The default (no
+/// joins, no leaves) keeps the bootstrap membership for every round.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChurnConfig {
-    /// Master switch. Off keeps the bootstrap membership for every round.
-    pub enabled: bool,
     /// `(round, count)`: exactly `count` fresh members join before the
     /// named round (ids continue from the highest ever seen).
     pub scripted_joins: Vec<(usize, usize)>,
@@ -79,28 +75,17 @@ pub struct ChurnConfig {
     /// round. Scripted leaves ignore `min_members` — they exist to model
     /// real outages, including fatal ones.
     pub scripted_leaves: Vec<(usize, u64)>,
-    /// Per-round probability that one fresh member joins.
-    pub join_rate: f64,
-    /// Per-member per-round probability of leaving. Random leaves never
-    /// shrink the fleet below `min_members`.
-    pub leave_rate: f64,
     /// Membership floor: a round scheduled with fewer members fails the
     /// service with [`FleetError::MembershipCollapse`].
     pub min_members: usize,
-    /// Ceiling for random joins (scripted joins may exceed it).
-    pub max_members: usize,
 }
 
 impl Default for ChurnConfig {
     fn default() -> Self {
         Self {
-            enabled: false,
             scripted_joins: Vec::new(),
             scripted_leaves: Vec::new(),
-            join_rate: 0.0,
-            leave_rate: 0.0,
             min_members: 1,
-            max_members: 16,
         }
     }
 }
@@ -117,7 +102,7 @@ pub struct RoundMembership {
 }
 
 /// The fully derived churn schedule: membership for every round, a pure
-/// function of `(seed, rounds, initial membership, config)`.
+/// function of `(rounds, initial membership, config)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChurnPlan {
     /// Per-round memberships, `rounds` entries.
@@ -126,10 +111,9 @@ pub struct ChurnPlan {
 
 impl ChurnPlan {
     /// Derives the schedule. Round 0 always runs the bootstrap
-    /// membership; churn (scripted, then random) applies before each
-    /// later round, with its own domain-separated per-round RNG so one
-    /// round's draws cannot reshuffle another's.
-    pub fn derive(seed: u64, rounds: usize, initial: &[u64], cfg: &ChurnConfig) -> Self {
+    /// membership; the scripted leaves, then the scripted joins, apply
+    /// before each later round.
+    pub fn derive(rounds: usize, initial: &[u64], cfg: &ChurnConfig) -> Self {
         let mut current: Vec<u64> = initial.to_vec();
         current.sort_unstable();
         let mut next_id = current.iter().max().map(|m| m + 1).unwrap_or(0);
@@ -137,9 +121,7 @@ impl ChurnPlan {
         for r in 0..rounds {
             let mut joined = Vec::new();
             let mut left = Vec::new();
-            if cfg.enabled && r > 0 {
-                let mut rng =
-                    StdRng::seed_from_u64(seed ^ CHURN_SALT ^ (r as u64).wrapping_mul(0x9e37_79b9));
+            if r > 0 {
                 for (round, id) in &cfg.scripted_leaves {
                     if *round == r {
                         if let Some(pos) = current.iter().position(|m| m == id) {
@@ -156,19 +138,6 @@ impl ChurnPlan {
                             next_id += 1;
                         }
                     }
-                }
-                for id in current.clone() {
-                    if current.len() > cfg.min_members && rng.random_bool(cfg.leave_rate) {
-                        if let Some(pos) = current.iter().position(|m| *m == id) {
-                            current.remove(pos);
-                            left.push(id);
-                        }
-                    }
-                }
-                if current.len() < cfg.max_members && rng.random_bool(cfg.join_rate) {
-                    current.push(next_id);
-                    joined.push(next_id);
-                    next_id += 1;
                 }
                 current.sort_unstable();
                 joined.sort_unstable();
@@ -227,19 +196,17 @@ pub struct ServiceConfig {
     pub fleet: FleetConfig,
     /// Rounds to schedule.
     pub rounds: usize,
-    /// Membership churn policy.
+    /// Scripted membership churn.
     pub churn: ChurnConfig,
-    /// `(round, plan)` fault-injection overrides for specific rounds;
-    /// other rounds use the template's plan.
-    pub round_faults: Vec<(usize, FaultConfig)>,
+    /// `(round, faults)` fault-injection overrides for specific rounds;
+    /// other rounds use the template's faults. Device indices address
+    /// that round's churned membership.
+    pub round_faults: Vec<(usize, Vec<DeviceFaultSpec>)>,
     /// `(member_id, fraction)` attack-mix overrides that follow members
     /// across slots as churn reshuffles them.
     pub member_attack_fraction: Vec<(u64, f64)>,
     /// Degraded-mode serving knobs.
     pub serving: ServingConfig,
-    /// Fail the whole service on the first [`RoundVerdict::Failed`]
-    /// round instead of proceeding degraded.
-    pub halt_on_round_failure: bool,
 }
 
 impl Default for ServiceConfig {
@@ -251,13 +218,13 @@ impl Default for ServiceConfig {
             round_faults: Vec::new(),
             member_attack_fraction: Vec::new(),
             serving: ServingConfig::default(),
-            halt_on_round_failure: false,
         }
     }
 }
 
 impl ServiceConfig {
-    /// Validates internal consistency.
+    /// Validates internal consistency, including every round's faults
+    /// against the membership churn leaves that round with.
     ///
     /// # Errors
     ///
@@ -270,14 +237,6 @@ impl ServiceConfig {
         }
         if self.churn.min_members == 0 {
             return bad("churn.min_members must be positive");
-        }
-        if self.churn.max_members < self.churn.min_members {
-            return bad("churn.max_members must be >= churn.min_members");
-        }
-        if !(0.0..=1.0).contains(&self.churn.join_rate)
-            || !(0.0..=1.0).contains(&self.churn.leave_rate)
-        {
-            return bad("churn rates must be in [0, 1]");
         }
         let scripted_rounds = self
             .churn
@@ -293,13 +252,22 @@ impl ServiceConfig {
                 )));
             }
         }
-        for (round, fault) in &self.round_faults {
+        for (round, _) in &self.round_faults {
             if *round >= self.rounds {
                 return Err(FleetError::Config(format!(
                     "fault override for unscheduled round {round}"
                 )));
             }
-            fault.validate(self.fleet.n_devices)?;
+        }
+        // A round below `min_members` collapses the service, so neither
+        // it nor any later round runs; their faults go unchecked.
+        let plan = ChurnPlan::derive(self.rounds, &self.initial_members(), &self.churn);
+        for (round, membership) in plan.rounds.iter().enumerate() {
+            if membership.members.len() < self.churn.min_members {
+                break;
+            }
+            fault::validate_specs(self.faults_for(round), membership.members.len())
+                .map_err(|m| FleetError::Config(format!("round {round}: {m}")))?;
         }
         for (_, f) in &self.member_attack_fraction {
             if !(0.0..=1.0).contains(f) {
@@ -312,6 +280,24 @@ impl ServiceConfig {
             return bad("serving knobs must be positive when serving is enabled");
         }
         Ok(())
+    }
+
+    /// Bootstrap membership: explicit `member_ids` or slot indices.
+    fn initial_members(&self) -> Vec<u64> {
+        if self.fleet.member_ids.is_empty() {
+            (0..self.fleet.n_devices as u64).collect()
+        } else {
+            self.fleet.member_ids.clone()
+        }
+    }
+
+    /// The faults round `round` runs with: its override, else the
+    /// template's.
+    fn faults_for(&self, round: usize) -> &[DeviceFaultSpec] {
+        self.round_faults
+            .iter()
+            .find(|(r, _)| *r == round)
+            .map_or(&self.fleet.fault, |(_, faults)| faults)
     }
 }
 
@@ -556,13 +542,6 @@ impl ServingModel {
             class_bias,
             is_attack,
         })
-    }
-
-    /// Scores one flow batch. Returns `(rows, attack_flagged)`; rows
-    /// rejected as non-finite are not counted in either.
-    pub fn score_batch(&self, flows: &Table) -> Result<(usize, usize), FleetError> {
-        let score = self.score(flows, &self.feature_major())?;
-        Ok((score.rows, score.attack_flagged))
     }
 
     /// The classifier weights feature-major (`width × labels`), the
@@ -930,15 +909,6 @@ impl FleetService {
         format!("{:?}", self.cfg)
     }
 
-    /// Bootstrap membership: explicit `member_ids` or slot indices.
-    fn initial_members(&self) -> Vec<u64> {
-        if self.cfg.fleet.member_ids.is_empty() {
-            (0..self.cfg.fleet.n_devices as u64).collect()
-        } else {
-            self.cfg.fleet.member_ids.clone()
-        }
-    }
-
     /// The per-round [`FleetConfig`]: churned membership, member-pinned
     /// attack mixes, per-round seed and fault plan.
     fn round_config(&self, round: usize, membership: &RoundMembership) -> FleetConfig {
@@ -962,9 +932,7 @@ impl FleetService {
                     .map(|(_, f)| (slot, *f))
             })
             .collect();
-        if let Some((_, fault)) = self.cfg.round_faults.iter().find(|(r, _)| *r == round) {
-            cfg.fault = fault.clone();
-        }
+        cfg.fault = self.cfg.faults_for(round).to_vec();
         cfg
     }
 
@@ -972,9 +940,8 @@ impl FleetService {
     ///
     /// # Errors
     ///
-    /// Fatal failures only: invalid config, membership collapse, a
-    /// corrupt store backend, or (with `halt_on_round_failure`) the
-    /// first failed round. Watchdog aborts and quorum-lost rounds are
+    /// Fatal failures only: invalid config, membership collapse, or a
+    /// corrupt store backend. Watchdog aborts and quorum-lost rounds are
     /// *recorded*, not fatal.
     pub fn run(&self, store: &mut SnapshotStore) -> Result<ServiceReport, FleetError> {
         self.run_recorded(store, &mut Recorder::new())
@@ -996,9 +963,8 @@ impl FleetService {
         self.cfg.validate()?;
         let key = hex_digest(&self.config_key());
         let plan = ChurnPlan::derive(
-            self.cfg.fleet.seed,
             self.cfg.rounds,
-            &self.initial_members(),
+            &self.cfg.initial_members(),
             &self.cfg.churn,
         );
 
@@ -1101,7 +1067,6 @@ impl FleetService {
                 serving: RoundServingStats::default(),
             };
 
-            let mut fatal = None;
             match FleetSim::new(round_cfg).run_recorded(journal) {
                 Ok((fleet_report, pool)) => {
                     generation += 1;
@@ -1151,9 +1116,6 @@ impl FleetService {
                         error: e.to_string(),
                     };
                     report.failed_rounds += 1;
-                    if self.cfg.halt_on_round_failure {
-                        fatal = Some(e);
-                    }
                 }
             }
 
@@ -1162,9 +1124,6 @@ impl FleetService {
             }
             report.rounds.push(record);
             report.final_generation = (generation > 0).then_some(generation);
-            if let Some(e) = fatal {
-                return Err(e);
-            }
 
             // The snapshot takes the live ledger for the encode and hands
             // it back, instead of cloning it every round.
@@ -1249,7 +1208,7 @@ impl FleetService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{SharingPolicy, WatchdogConfig};
+    use crate::config::SharingPolicy;
     use crate::error::EXIT_MEMBERSHIP_COLLAPSE;
     use crate::fault::{DeviceFaultSpec, FaultKind};
     use crate::storage::{MemStorage, SnapshotStore};
@@ -1275,28 +1234,18 @@ mod tests {
     #[test]
     fn churn_plan_is_deterministic_and_scripted() {
         let cfg = ChurnConfig {
-            enabled: true,
             scripted_joins: vec![(1, 2)],
-            scripted_leaves: vec![(2, 0)],
-            leave_rate: 0.3,
-            join_rate: 0.3,
+            scripted_leaves: vec![(2, 0), (3, 9)],
             min_members: 2,
-            max_members: 8,
         };
-        let a = ChurnPlan::derive(7, 4, &[0, 1, 2], &cfg);
-        let b = ChurnPlan::derive(7, 4, &[0, 1, 2], &cfg);
-        assert_eq!(a, b, "pure function of the seed");
+        let a = ChurnPlan::derive(4, &[2, 0, 1], &cfg);
+        assert_eq!(a, ChurnPlan::derive(4, &[2, 0, 1], &cfg));
         assert_eq!(a.rounds[0].members, vec![0, 1, 2], "round 0 is bootstrap");
-        assert!(a.rounds[1].joined.contains(&3), "scripted join fires");
-        assert!(a.rounds[1].joined.contains(&4));
-        assert!(a.rounds[2].left.contains(&0), "scripted leave fires");
-        for rm in &a.rounds {
-            assert!(rm.members.len() >= cfg.min_members, "random clamp holds");
-            let mut sorted = rm.members.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, rm.members, "memberships are sorted");
-        }
-        let off = ChurnPlan::derive(7, 4, &[0, 1, 2], &ChurnConfig::default());
+        assert_eq!(a.rounds[1].joined, vec![3, 4], "scripted join fires");
+        assert_eq!(a.rounds[2].left, vec![0], "scripted leave fires");
+        assert_eq!(a.rounds[2].members, vec![1, 2, 3, 4]);
+        assert!(a.rounds[3].left.is_empty(), "an absent member cannot leave");
+        let off = ChurnPlan::derive(4, &[0, 1, 2], &ChurnConfig::default());
         assert!(off.rounds.iter().all(|rm| rm.members == vec![0, 1, 2]));
     }
 
@@ -1309,20 +1258,22 @@ mod tests {
         let flows = LabSimulator::new(LabSimConfig::small(128, 12))
             .generate()
             .unwrap();
-        let (rows, flagged) = model.score_batch(&flows).unwrap();
-        assert_eq!(rows, 128);
-        assert!(flagged <= rows);
-        // The committed model survives a JSON round-trip bit-identically.
-        let json = serde_json::to_string(&model).unwrap();
-        let back: ServingModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.score_batch(&flows).unwrap(), (rows, flagged));
         // An empty handle refuses politely; an installed one stamps
         // generation and staleness.
         let mut handle = ServingHandle::empty();
         assert!(handle.answer(&flows, 3).unwrap().is_none());
-        handle.install(model, 2, 1);
+        handle.install(model.clone(), 2, 1);
         let fresh = handle.answer(&flows, 1).unwrap().unwrap();
+        assert_eq!(fresh.rows, 128);
+        assert!(fresh.attack_flagged <= fresh.rows);
         assert_eq!(fresh.staleness, 0, "same round as the commit");
+        // The committed model survives a JSON round-trip bit-identically.
+        let json = serde_json::to_string(&model).unwrap();
+        let back: ServingModel = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, model);
+        let mut reloaded = ServingHandle::empty();
+        reloaded.install(back, 2, 1);
+        assert_eq!(reloaded.answer(&flows, 1).unwrap().unwrap(), fresh);
         let score = handle.answer(&flows, 3).unwrap().unwrap();
         assert_eq!(score.generation, 2);
         assert_eq!(score.staleness, 2);
@@ -1377,7 +1328,7 @@ mod tests {
         out
     }
 
-    /// `ServingModel::score_batch` before it read columns, kept as the
+    /// The batch scorer before it read columns, kept as the
     /// reference the column scorer must agree with: dense encoded rows,
     /// one class-major dot product per class, argmax. Returns the flagged
     /// count.
@@ -1665,10 +1616,13 @@ mod tests {
         // Per row too: each row of a mixed batch scored alone.
         let flows = pool_with_zero_cells(60, 3);
         let flows = with_cells(&flows, &[(4, "src_ip", unseen.clone())]);
+        let mut handle = ServingHandle::empty();
+        handle.install(model, 1, 0);
         for r in 0..flows.n_rows() {
             let one = flows.select_rows(&[r]);
-            let (rows, flagged) = model.score_batch(&one).unwrap();
-            assert_eq!((rows, flagged), (1, dense_reference_flagged(&model, &one)));
+            let score = handle.answer(&one, 0).unwrap().unwrap();
+            let flagged = dense_reference_flagged(handle.model().unwrap(), &one);
+            assert_eq!((score.rows, score.attack_flagged), (1, flagged));
         }
     }
 
@@ -1765,10 +1719,10 @@ mod tests {
     fn failed_round_serves_degraded_from_the_last_commit() {
         let mut cfg = mini_service(3);
         // Round 1: both devices crash on acquire and quorum demands all.
-        let fault = crate::fault::FaultConfig::scripted(vec![
+        let fault = vec![
             DeviceFaultSpec::permanent(0, FaultKind::CrashAcquire),
             DeviceFaultSpec::permanent(1, FaultKind::CrashAcquire),
-        ]);
+        ];
         cfg.round_faults = vec![(1, fault)];
         let report = FleetService::new(cfg).run(&mut mem_store()).unwrap();
         assert_eq!(report.committed_rounds, 2);
@@ -1786,12 +1740,8 @@ mod tests {
     fn watchdog_abort_is_recorded_not_fatal() {
         let mut cfg = mini_service(2);
         cfg.serving.enabled = false;
-        cfg.fleet.watchdog = WatchdogConfig::armed(500);
-        let fault = crate::fault::FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-            1,
-            FaultKind::Straggle,
-        )
-        .with_magnitude(900)]);
+        cfg.fleet.watchdog_ticks = Some(500);
+        let fault = vec![DeviceFaultSpec::permanent(1, FaultKind::Straggle).with_magnitude(900)];
         cfg.round_faults = vec![(0, fault)];
         let report = FleetService::new(cfg).run(&mut mem_store()).unwrap();
         assert_eq!(report.aborted_rounds, 1);
@@ -1808,7 +1758,6 @@ mod tests {
         let mut cfg = mini_service(3);
         cfg.serving.enabled = false;
         cfg.churn = ChurnConfig {
-            enabled: true,
             scripted_leaves: vec![(1, 0), (1, 1)],
             min_members: 2,
             ..ChurnConfig::default()
@@ -1823,6 +1772,35 @@ mod tests {
             }
         ));
         assert_eq!(err.exit_code(), EXIT_MEMBERSHIP_COLLAPSE);
+    }
+
+    /// A round fault addresses that round's churned membership: a fault
+    /// on slot 3 of a round that a leave shrank to 3 members is refused
+    /// before round 0 runs, not after it has committed.
+    #[test]
+    fn round_fault_outside_its_churned_membership_fails_at_startup() {
+        let mut cfg = mini_service(2);
+        cfg.fleet.n_devices = 4;
+        cfg.churn.scripted_leaves = vec![(1, 0)];
+        cfg.round_faults = vec![(
+            1,
+            vec![DeviceFaultSpec::permanent(3, FaultKind::CrashAcquire)],
+        )];
+        assert!(cfg.fleet.validate().is_ok(), "slot 3 exists at bootstrap");
+        let mut store = mem_store();
+        let mut journal = Recorder::new();
+        let err = FleetService::new(cfg)
+            .run_recorded(&mut store, &mut journal)
+            .unwrap_err();
+        match &err {
+            FleetError::Config(msg) => assert!(
+                msg.contains("round 1") && msg.contains("unknown device 3"),
+                "{msg}"
+            ),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+        assert_eq!(journal.events_for("service.commit").count(), 0);
+        assert!(store.load_latest().unwrap().is_none(), "nothing committed");
     }
 
     #[test]
@@ -1840,9 +1818,8 @@ mod tests {
     /// from the same per-round configuration.
     fn round_fingerprints(service: &FleetService) -> Vec<String> {
         let plan = ChurnPlan::derive(
-            service.cfg.fleet.seed,
             service.cfg.rounds,
-            &service.initial_members(),
+            &service.cfg.initial_members(),
             &service.cfg.churn,
         );
         plan.rounds
@@ -1917,10 +1894,10 @@ mod tests {
         // serving handle's staleness anchor, not just the ledger.
         cfg.round_faults = vec![(
             1,
-            crate::fault::FaultConfig::scripted(vec![
+            vec![
                 DeviceFaultSpec::permanent(0, FaultKind::CrashAcquire),
                 DeviceFaultSpec::permanent(1, FaultKind::CrashAcquire),
-            ]),
+            ],
         )];
         let service = FleetService::new(cfg);
         let whole = service.run(&mut mem_store()).unwrap();
@@ -2062,18 +2039,12 @@ mod tests {
         };
         assert!(bad(|c| c.rounds = 0).is_err());
         assert!(bad(|c| c.churn.min_members = 0).is_err());
+        assert!(bad(|c| c.churn.scripted_joins = vec![(0, 1)]).is_err());
+        assert!(bad(|c| c.round_faults = vec![(9, Vec::new())]).is_err());
         assert!(bad(|c| {
-            c.churn.min_members = 4;
-            c.churn.max_members = 2;
+            c.round_faults = vec![(1, vec![DeviceFaultSpec::permanent(2, FaultKind::DropVocab)])];
         })
         .is_err());
-        assert!(bad(|c| c.churn.join_rate = 1.5).is_err());
-        assert!(bad(|c| {
-            c.churn.enabled = true;
-            c.churn.scripted_joins = vec![(0, 1)];
-        })
-        .is_err());
-        assert!(bad(|c| c.round_faults = vec![(9, FaultConfig::default())]).is_err());
         assert!(bad(|c| c.member_attack_fraction = vec![(0, 2.0)]).is_err());
         assert!(bad(|c| c.serving.batch_rows = 0).is_err());
         assert!(mini_service(2).validate().is_ok());

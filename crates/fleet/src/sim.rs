@@ -31,7 +31,9 @@ use crate::fault::{poison_share, FaultKind, FaultPlan, PoisonKind, VirtualClock}
 use crate::report::{
     DeviceReport, DeviceTrainingDiag, FaultReport, FleetReport, UnionReport, DEVICE_OK,
 };
-use crate::resilience::{self, backoff_ticks};
+use crate::resilience::{
+    self, backoff_ticks, MAX_RETRIES, STRAGGLER_BUDGET_TICKS, VOCAB_WAIT_BUDGET_TICKS,
+};
 use crate::{schedule, union};
 use kinet_baselines::{common::BaselineConfig, CtGan};
 use kinet_data::stream::{
@@ -111,7 +113,7 @@ impl FleetSim {
     /// # Errors
     ///
     /// Same contract as [`FleetSim::run`], plus [`FleetError::Watchdog`]
-    /// when an armed [`crate::config::WatchdogConfig`] deadline is blown.
+    /// when a phase overruns [`FleetConfig::watchdog_ticks`].
     pub fn run_detailed(&self) -> Result<(FleetReport, Option<Table>), FleetError> {
         self.run_recorded(&mut Recorder::new())
     }
@@ -173,17 +175,12 @@ impl FleetSim {
             acquire_ticks,
             &[kv("ticks", acquire_ticks), kv("rows", acquired_rows)],
         );
-        Self::check_watchdog(
-            cfg,
-            "acquire",
-            acquire_ticks,
-            cfg.watchdog.acquire_deadline_ticks,
-        )?;
+        Self::check_watchdog(cfg, "acquire", acquire_ticks)?;
 
         // ---- phase 2: condition-union exchange over surviving vocabs ----
         journal.span_open("fleet.union", acquire_ticks, &[]);
         let mut union_events: Vec<Vec<String>> = vec![Vec::new(); cfg.n_devices];
-        let union_classes = if cfg.union.enabled {
+        let union_classes = if cfg.union {
             let mut vocabs = Vec::new();
             for (d, a) in acquired.iter().enumerate() {
                 let Ok(stage) = &a.result else { continue };
@@ -198,7 +195,7 @@ impl FleetSim {
                 }
                 if dp.fires(FaultKind::DelayVocab, 0) {
                     let delay = dp.magnitude(FaultKind::DelayVocab).unwrap_or(0);
-                    let budget = cfg.resilience.vocab_wait_budget_ticks;
+                    let budget = VOCAB_WAIT_BUDGET_TICKS;
                     clock.advance(delay.min(budget));
                     if delay > budget {
                         union_events[d].push(format!(
@@ -219,14 +216,12 @@ impl FleetSim {
         } else {
             BTreeSet::new()
         };
+        // With the union off, `union_classes` is empty and nothing is missing.
         let missing: Vec<Vec<String>> = acquired
             .iter()
-            .enumerate()
-            .map(|(d, a)| match &a.result {
-                Ok(stage) if cfg.union.participates(d) => {
-                    union::missing_classes(&stage.vocab, &union_classes)
-                }
-                _ => Vec::new(),
+            .map(|a| match &a.result {
+                Ok(stage) => union::missing_classes(&stage.vocab, &union_classes),
+                Err(_) => Vec::new(),
             })
             .collect();
         let union_end_ticks = clock.total();
@@ -240,12 +235,7 @@ impl FleetSim {
                 kv("seeded", union_seeded),
             ],
         );
-        Self::check_watchdog(
-            cfg,
-            "union",
-            union_end_ticks - acquire_ticks,
-            cfg.watchdog.union_deadline_ticks,
-        )?;
+        Self::check_watchdog(cfg, "union", union_end_ticks - acquire_ticks)?;
 
         // ---- phase 3: prepare shares (parallel, retried) ----
         journal.span_open("fleet.prepare", union_end_ticks, &[]);
@@ -266,12 +256,7 @@ impl FleetSim {
             prepare_end_ticks,
             &[kv("ticks", prepare_end_ticks - union_end_ticks)],
         );
-        Self::check_watchdog(
-            cfg,
-            "prepare",
-            prepare_end_ticks - union_end_ticks,
-            cfg.watchdog.prepare_deadline_ticks,
-        )?;
+        Self::check_watchdog(cfg, "prepare", prepare_end_ticks - union_end_ticks)?;
 
         // ---- aggregation, in device-index order ----
         let out = self.aggregate(
@@ -296,21 +281,16 @@ impl FleetSim {
         out
     }
 
-    /// Errors out of the round when an armed watchdog deadline is blown.
-    fn check_watchdog(
-        cfg: &FleetConfig,
-        phase: &str,
-        spent_ticks: u64,
-        deadline_ticks: u64,
-    ) -> Result<(), FleetError> {
-        if cfg.watchdog.enabled && spent_ticks > deadline_ticks {
-            return Err(FleetError::Watchdog {
+    /// Errors out of the round when a phase overran the watchdog deadline.
+    fn check_watchdog(cfg: &FleetConfig, phase: &str, spent_ticks: u64) -> Result<(), FleetError> {
+        match cfg.watchdog_ticks {
+            Some(deadline_ticks) if spent_ticks > deadline_ticks => Err(FleetError::Watchdog {
                 phase: phase.to_string(),
                 spent_ticks,
                 deadline_ticks,
-            });
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Phase 1 for one device, driven through the retry policy. Straggler
@@ -327,14 +307,13 @@ impl FleetSim {
         let cfg = &self.config;
         let device = DEVICE_CYCLE[cfg.member_id(d) as usize % DEVICE_CYCLE.len()];
         let dp = plan.device(d);
-        let res = &cfg.resilience;
         let mut observed = Vec::new();
         let mut retries = 0;
         let mut attempt = 0;
         loop {
             if dp.fires(FaultKind::Straggle, attempt) {
                 let stall = dp.magnitude(FaultKind::Straggle).unwrap_or(0);
-                let budget = res.straggler_budget_ticks;
+                let budget = STRAGGLER_BUDGET_TICKS;
                 if stall > budget {
                     // The orchestrator waits out the budget, then gives up
                     // on the attempt.
@@ -349,12 +328,8 @@ impl FleetSim {
                         DeviceFaultKind::Straggler,
                         format!("stalled {stall} virtual ticks (budget {budget})"),
                     );
-                    if attempt < res.max_retries {
-                        clock.advance(backoff_ticks(
-                            res.backoff_base_ticks,
-                            res.backoff_cap_ticks,
-                            attempt,
-                        ));
+                    if attempt < MAX_RETRIES {
+                        clock.advance(backoff_ticks(attempt));
                         retries += 1;
                         attempt += 1;
                         continue;
@@ -395,12 +370,8 @@ impl FleetSim {
                     };
                     let err = FleetError::device(d, device, kind, e.to_string());
                     observed.push(format!("{err} [attempt {attempt}]"));
-                    if attempt < res.max_retries {
-                        clock.advance(backoff_ticks(
-                            res.backoff_base_ticks,
-                            res.backoff_cap_ticks,
-                            attempt,
-                        ));
+                    if attempt < MAX_RETRIES {
+                        clock.advance(backoff_ticks(attempt));
                         retries += 1;
                         attempt += 1;
                         continue;
@@ -521,7 +492,6 @@ impl FleetSim {
     ) -> Attempted<DeviceOutcome> {
         let cfg = &self.config;
         let dp = plan.device(d);
-        let res = &cfg.resilience;
         let seed = cfg.seed.wrapping_add(cfg.member_id(d).wrapping_mul(101));
         let mut observed = Vec::new();
         let mut retries = 0;
@@ -564,12 +534,8 @@ impl FleetSim {
                 }
                 Err(e) => {
                     observed.push(format!("{e} [attempt {attempt}]"));
-                    if attempt < res.max_retries && e.is_retryable() {
-                        clock.advance(backoff_ticks(
-                            res.backoff_base_ticks,
-                            res.backoff_cap_ticks,
-                            attempt,
-                        ));
+                    if attempt < MAX_RETRIES && e.is_retryable() {
+                        clock.advance(backoff_ticks(attempt));
                         retries += 1;
                         attempt += 1;
                         continue;
@@ -640,7 +606,7 @@ impl FleetSim {
                         &kg,
                         &stage.local,
                         missing,
-                        cfg.union.seeds_per_class,
+                        union::SEEDS_PER_CLASS,
                         seed ^ 0xc0de,
                     )?;
                     seeded_classes = seeds
@@ -659,7 +625,6 @@ impl FleetSim {
                         FleetError::device(d, device.clone(), DeviceFaultKind::Other, e.to_string())
                     })?;
                 }
-                let n_release = cfg.release_rows.unwrap_or(stage.shard_rows);
                 let mut diag = None;
                 let synth = match kind {
                     ModelKind::KinetGan => {
@@ -672,7 +637,7 @@ impl FleetSim {
                             .with_epochs(cfg.model_epochs)
                             .with_seed(seed);
                         if !seeded_classes.is_empty() {
-                            mcfg = mcfg.with_sample_balance(cfg.union.sample_balance);
+                            mcfg = mcfg.with_sample_balance(union::RELEASE_BALANCE);
                         }
                         let mut model = KinetGan::new(mcfg, kg);
                         model
@@ -687,7 +652,7 @@ impl FleetSim {
                             epochs: r.d_loss.len(),
                         });
                         model
-                            .sample(n_release, seed ^ 1)
+                            .sample(stage.shard_rows, seed ^ 1)
                             .map_err(|e| training(e.to_string()))?
                     }
                     ModelKind::CtGan => {
@@ -699,7 +664,7 @@ impl FleetSim {
                             .fit(&train_table)
                             .map_err(|e| training(e.to_string()))?;
                         model
-                            .sample(n_release, seed ^ 1)
+                            .sample(stage.shard_rows, seed ^ 1)
                             .map_err(|e| training(e.to_string()))?
                     }
                 };
@@ -969,14 +934,12 @@ impl FleetSim {
                 }
             };
 
-        let union_report = if cfg.union.enabled {
+        let union_report = if cfg.union {
             let n_live = live_devices.max(1) as f64;
             UnionReport {
                 enabled: true,
                 classes: union_classes.iter().cloned().collect(),
-                devices_opted_in: (0..cfg.n_devices)
-                    .filter(|&d| cfg.union.participates(d))
-                    .count(),
+                devices_opted_in: cfg.n_devices,
                 seeded_pairs,
                 coverage_before: coverage_before_sum / n_live,
                 coverage_after: coverage_after_sum / n_live,
@@ -987,7 +950,7 @@ impl FleetSim {
         };
 
         let fault_report = FaultReport {
-            enabled: cfg.fault.enabled,
+            enabled: !cfg.fault.is_empty(),
             injected: plan.describe(),
             observed,
             retries: total_retries,
@@ -1052,7 +1015,6 @@ fn record_retries(journal: &mut Recorder, retries: impl Iterator<Item = usize>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::UnionConfig;
     use crate::fault::DeviceFaultSpec;
 
     #[test]
@@ -1260,7 +1222,7 @@ mod tests {
         // exchange and the report plumbing cheaply. Device 1 is benign-only.
         let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
         cfg.device_attack_fraction = vec![(1, 0.0)];
-        cfg.union = UnionConfig::enabled();
+        cfg.union = true;
         let report = FleetSim::new(cfg).run().unwrap();
         assert!(report.union.enabled);
         assert!(!report.union.classes.is_empty());
@@ -1274,12 +1236,8 @@ mod tests {
     #[test]
     fn transient_crash_is_retried_and_the_round_stays_healthy() {
         let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
-        cfg.fault = crate::fault::FaultConfig::scripted(vec![DeviceFaultSpec::transient(
-            1,
-            FaultKind::CrashAcquire,
-            2,
-        )
-        .with_magnitude(40)]);
+        cfg.fault =
+            vec![DeviceFaultSpec::transient(1, FaultKind::CrashAcquire, 2).with_magnitude(40)];
         let report = FleetSim::new(cfg.clone()).run().unwrap();
         assert_eq!(report.devices[1].retries, 2, "two failed attempts retried");
         assert_eq!(report.devices[1].status, DEVICE_OK, "third attempt heals");
@@ -1293,7 +1251,7 @@ mod tests {
         // The healed shard is identical to a fault-free one: recovery costs
         // ticks, not data.
         let mut clean = cfg.clone();
-        clean.fault = crate::fault::FaultConfig::default();
+        clean.fault = Vec::new();
         let clean_report = FleetSim::new(clean).run().unwrap();
         assert_eq!(
             report.devices[1].shard_rows,
@@ -1305,11 +1263,7 @@ mod tests {
     #[test]
     fn permanent_crash_degrades_the_device_under_partial_quorum() {
         let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
-        cfg.fault = crate::fault::FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-            1,
-            FaultKind::CrashAcquire,
-        )
-        .with_magnitude(40)]);
+        cfg.fault = vec![DeviceFaultSpec::permanent(1, FaultKind::CrashAcquire).with_magnitude(40)];
         cfg.resilience.quorum_frac = 0.5;
         let report = FleetSim::new(cfg).run().unwrap();
         assert!(report.devices[1].status.starts_with("degraded:"));
@@ -1326,10 +1280,7 @@ mod tests {
     #[test]
     fn permanent_crash_with_full_quorum_fails_loud() {
         let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
-        cfg.fault = crate::fault::FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-            0,
-            FaultKind::CrashAcquire,
-        )]);
+        cfg.fault = vec![DeviceFaultSpec::permanent(0, FaultKind::CrashAcquire)];
         let err = FleetSim::new(cfg).run().unwrap_err();
         assert_eq!(err.exit_code(), crate::error::EXIT_QUORUM_LOST);
         assert!(err.to_string().contains("quorum lost"), "{err}");
@@ -1338,10 +1289,10 @@ mod tests {
     #[test]
     fn quorum_lost_to_quarantine_names_each_device_and_why() {
         let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
-        cfg.fault = crate::fault::FaultConfig::scripted(vec![
+        cfg.fault = vec![
             DeviceFaultSpec::permanent(0, FaultKind::CrashAcquire),
             DeviceFaultSpec::permanent(1, FaultKind::PoisonShareNan),
-        ]);
+        ];
         cfg.resilience.quorum_frac = 0.5;
         let err = FleetSim::new(cfg).run().unwrap_err();
         assert_eq!(err.exit_code(), crate::error::EXIT_QUORUM_LOST);
@@ -1357,10 +1308,7 @@ mod tests {
     #[test]
     fn poisoned_share_is_quarantined_not_pooled() {
         let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
-        cfg.fault = crate::fault::FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-            1,
-            FaultKind::PoisonShareNan,
-        )]);
+        cfg.fault = vec![DeviceFaultSpec::permanent(1, FaultKind::PoisonShareNan)];
         cfg.resilience.quorum_frac = 0.5;
         let report = FleetSim::new(cfg.clone()).run().unwrap();
         assert!(report.devices[1].status.starts_with("quarantined:"));
@@ -1368,7 +1316,7 @@ mod tests {
         assert_eq!(report.fault.devices_reported, 1);
         // The pool holds only the healthy device's share — and is finite.
         let mut clean = cfg;
-        clean.fault = crate::fault::FaultConfig::default();
+        clean.fault = Vec::new();
         let clean_report = FleetSim::new(clean).run().unwrap();
         assert_eq!(report.pool_rows, clean_report.pool_rows / 2);
         assert!(
@@ -1383,14 +1331,11 @@ mod tests {
         let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
         // Device 0 is the only one seeing attacks; its vocab message drops.
         cfg.device_attack_fraction = vec![(1, 0.0)];
-        cfg.union = UnionConfig::enabled();
-        cfg.fault = crate::fault::FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-            0,
-            FaultKind::DropVocab,
-        )]);
+        cfg.union = true;
+        cfg.fault = vec![DeviceFaultSpec::permanent(0, FaultKind::DropVocab)];
         let report = FleetSim::new(cfg.clone()).run().unwrap();
         let mut clean = cfg;
-        clean.fault = crate::fault::FaultConfig::default();
+        clean.fault = Vec::new();
         let clean_report = FleetSim::new(clean).run().unwrap();
         assert!(
             report.union.classes.len() < clean_report.union.classes.len(),
@@ -1435,12 +1380,8 @@ mod tests {
         let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
         // A straggler that stalls 900 ticks inside a 1000-tick budget is
         // absorbed — but blows a 500-tick watchdog deadline.
-        cfg.fault = crate::fault::FaultConfig::scripted(vec![DeviceFaultSpec::permanent(
-            1,
-            FaultKind::Straggle,
-        )
-        .with_magnitude(900)]);
-        cfg.watchdog = crate::config::WatchdogConfig::armed(500);
+        cfg.fault = vec![DeviceFaultSpec::permanent(1, FaultKind::Straggle).with_magnitude(900)];
+        cfg.watchdog_ticks = Some(500);
         let err = FleetSim::new(cfg.clone()).run().unwrap_err();
         match &err {
             FleetError::Watchdog {
@@ -1454,7 +1395,7 @@ mod tests {
             other => panic!("expected a watchdog abort, got {other:?}"),
         }
         // The same round with the watchdog disarmed commits normally.
-        cfg.watchdog.enabled = false;
+        cfg.watchdog_ticks = None;
         assert!(FleetSim::new(cfg).run().is_ok());
     }
 

@@ -11,20 +11,30 @@
 //!    only — no records cross the wire);
 //! 2. the fleet folds the vocabularies into their union (a set union, so
 //!    the result is insensitive to device order and arrival order);
-//! 3. each participating device receives its missing classes and
-//!    synthesizes a few **KG-valid seed rows** per class — the knowledge
+//! 3. each device receives its missing classes and synthesizes
+//!    [`SEEDS_PER_CLASS`] **KG-valid seed rows** per class — the knowledge
 //!    graph knows each class's discriminative structure (protocols, port
 //!    windows, destination constraints) even when the device has never
 //!    seen one — and appends them to its training shard;
-//! 4. the device's sampling-time condition drawer is switched to a
-//!    balancing mode so the seeded classes are actually drawn at release
-//!    time.
+//! 4. the device's sampling-time condition drawer is switched to
+//!    [`RELEASE_BALANCE`] so the seeded classes are actually drawn at
+//!    release time.
 
 use crate::error::FleetError;
+use kinet_data::sampler::BalanceMode;
 use kinet_data::{ColumnKind, Table, Value};
 use kinet_kg::{Assignment, AttrValue, NetworkKg};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// KG-synthesized seed rows appended per missing class.
+pub const SEEDS_PER_CLASS: usize = 16;
+
+/// Sampling-time condition balance for devices that received union
+/// seeds, so a class backed by a handful of seed rows is actually drawn
+/// at release time. Devices with full local coverage keep the model
+/// default.
+pub const RELEASE_BALANCE: BalanceMode = BalanceMode::LogFreq;
 
 /// Folds per-device class vocabularies into their union. A pure set fold:
 /// associative, commutative, and therefore independent of device order —

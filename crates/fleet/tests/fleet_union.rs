@@ -1,7 +1,7 @@
 //! Integration tests of the condition-union protocol and the fleet's
 //! determinism contract.
 
-use kinet_fleet::{FleetConfig, FleetSim, ModelKind, SharingPolicy, UnionConfig};
+use kinet_fleet::{FleetConfig, FleetSim, ModelKind, SharingPolicy};
 use kinet_tensor::pool::with_threads;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -84,7 +84,7 @@ fn fleet_fingerprint_invariant_across_thread_counts() {
     cfg.model_epochs = 2;
     cfg.chunk_rows = 64;
     cfg.device_attack_fraction = vec![(1, 0.0), (2, 0.0)];
-    cfg.union = UnionConfig::enabled();
+    cfg.union = true;
     let fingerprints: Vec<String> = [1usize, 2, 4]
         .iter()
         .map(|&t| {
@@ -119,7 +119,7 @@ fn union_recovers_attack_recall_on_skewed_split() {
         ..FleetConfig::default()
     };
     let mut with_union = base.clone();
-    with_union.union = UnionConfig::enabled();
+    with_union.union = true;
 
     let off = FleetSim::new(base).run().unwrap();
     let on = FleetSim::new(with_union).run().unwrap();
@@ -184,28 +184,4 @@ fn union_recovers_attack_recall_on_skewed_split() {
 fn off_release_coverage_bound(off: &kinet_fleet::FleetReport) -> f64 {
     assert_eq!(off.union.release_coverage, 0.0);
     0.0
-}
-
-/// Opted-out devices receive no seeds even when the protocol runs.
-#[test]
-fn opt_out_devices_are_not_seeded() {
-    let mut cfg = FleetConfig::fast(SharingPolicy::Synthetic(ModelKind::KinetGan));
-    cfg.n_devices = 3;
-    cfg.rows_per_device = 220;
-    cfg.model_epochs = 2;
-    cfg.device_attack_fraction = vec![(1, 0.0), (2, 0.0)];
-    cfg.union = UnionConfig::enabled();
-    cfg.union.opt_out = vec![2];
-    let report = FleetSim::new(cfg).run().unwrap();
-    assert_eq!(report.union.devices_opted_in, 2);
-    assert!(
-        !report.devices[1].seeded_classes.is_empty(),
-        "participating benign-only device is seeded: {:?}",
-        report.devices[1]
-    );
-    assert!(
-        report.devices[2].seeded_classes.is_empty(),
-        "opted-out device stays unseeded: {:?}",
-        report.devices[2]
-    );
 }

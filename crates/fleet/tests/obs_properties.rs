@@ -5,8 +5,8 @@
 //! deterministic fingerprint.
 
 use kinet_fleet::{
-    DeviceFaultSpec, FaultConfig, FaultKind, FleetConfig, FleetReport, FleetSim, ModelKind,
-    ResilienceConfig, SharingPolicy, UnionConfig,
+    DeviceFaultSpec, FaultKind, FleetConfig, FleetReport, FleetSim, ModelKind, ResilienceConfig,
+    SharingPolicy,
 };
 use kinet_obs::Recorder;
 use kinet_tensor::pool::with_threads;
@@ -23,15 +23,14 @@ fn faulted_config() -> FleetConfig {
     cfg.model_epochs = 2;
     cfg.chunk_rows = 64;
     cfg.device_attack_fraction = vec![(1, 0.0), (2, 0.0), (3, 0.0)];
-    cfg.union = UnionConfig::enabled();
-    cfg.fault = FaultConfig::scripted(vec![
+    cfg.union = true;
+    cfg.fault = vec![
         DeviceFaultSpec::transient(1, FaultKind::CrashAcquire, 1).with_magnitude(50),
         DeviceFaultSpec::permanent(3, FaultKind::PoisonShareNan),
-    ]);
+    ];
     cfg.resilience = ResilienceConfig {
         quorum_frac: 0.5,
         min_share_validity: 0.0,
-        ..ResilienceConfig::default()
     };
     cfg
 }

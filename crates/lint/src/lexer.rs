@@ -12,11 +12,6 @@
 //! keywords are ordinary identifiers, and every other byte is a single-char
 //! punctuation token. That is enough to recognize every pattern the rules
 //! hunt for while staying a few hundred lines of dependency-free code.
-//!
-//! [`ChunkedLexer`] is the resumable form: feed the source in arbitrary
-//! byte chunks (split on char boundaries) and the token stream is
-//! guaranteed identical to a whole-file [`lex`] — a property test pins
-//! this, so a finding can never be split or lost across a chunk boundary.
 
 /// What a token is, as far as the lint rules care.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,12 +71,6 @@ impl Token {
 /// whitespace skipped — adjacency checks like `vec` `!` or `Instant` `::`
 /// `now` see only meaningful tokens).
 pub fn lex(src: &str) -> Vec<Token> {
-    lex_spanned(src).into_iter().map(|(t, _)| t).collect()
-}
-
-/// [`lex`] plus each token's starting byte offset (the chunked lexer needs
-/// the offsets to cut its pending buffer precisely).
-fn lex_spanned(src: &str) -> Vec<(Token, usize)> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     let mut line = 1usize;
@@ -98,21 +87,18 @@ fn lex_spanned(src: &str) -> Vec<(Token, usize)> {
         let start = pos;
         let start_line = line;
         let kind = scan_one(src, &mut pos, &mut line);
-        out.push((
-            Token {
-                kind,
-                text: src[start..pos].to_string(),
-                line: start_line,
-            },
-            start,
-        ));
+        out.push(Token {
+            kind,
+            text: src[start..pos].to_string(),
+            line: start_line,
+        });
     }
     out
 }
 
 /// Scans the single token starting at `*pos`, advancing `pos` and `line`.
-/// An unterminated string or block comment extends to end of input (the
-/// chunked lexer relies on the tail always being one well-defined token).
+/// An unterminated string or block comment extends to end of input, so
+/// the tail is always one well-defined token.
 fn scan_one(src: &str, pos: &mut usize, line: &mut usize) -> TokKind {
     let bytes = src.as_bytes();
     let c = bytes[*pos];
@@ -325,94 +311,6 @@ fn scan_char_or_lifetime(src: &str, pos: &mut usize, line: &mut usize) -> TokKin
     TokKind::Char
 }
 
-/// A resumable lexer: accepts the source in chunks and yields the same
-/// token stream as a single [`lex`] over the concatenation.
-///
-/// Strategy: keep a pending buffer, lex it fully on every feed, emit every
-/// token except a small held-back tail, and carry the tail's bytes forward.
-/// The last token is always held (more input could extend it — maximal
-/// munch makes every earlier token final), plus any trailing run of `#`
-/// puncts and `r`/`b`/`br` identifiers: those are the only already-complete
-/// tokens a later chunk can *merge* (into a raw/byte string opener like
-/// `r#"…`), so they must not be emitted until a non-mergeable token lands
-/// after them. [`ChunkedLexer::finish`] flushes the remainder.
-#[derive(Default)]
-pub struct ChunkedLexer {
-    pending: String,
-    tokens: Vec<Token>,
-    lines_consumed: usize,
-}
-
-/// How many trailing tokens could still change with more input.
-fn hold_back(toks: &[(Token, usize)]) -> usize {
-    if toks.is_empty() {
-        return 0;
-    }
-    let mut hold = 1usize;
-    while hold < toks.len() {
-        let t = &toks[toks.len() - 1 - hold].0;
-        let mergeable = t.is_punct('#')
-            || (t.kind == TokKind::Ident && matches!(t.text.as_str(), "r" | "b" | "br"));
-        if !mergeable {
-            break;
-        }
-        hold += 1;
-    }
-    hold
-}
-
-impl ChunkedLexer {
-    /// A fresh lexer with no pending input.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one chunk (must split the source on a char boundary).
-    pub fn feed(&mut self, chunk: &str) {
-        self.pending.push_str(chunk);
-        let toks = lex_spanned(&self.pending);
-        let hold = hold_back(&toks);
-        if toks.len() <= hold {
-            return; // everything held; keep buffering
-        }
-        let emit = toks.len() - hold;
-        let cut = toks[emit].1;
-        for (mut t, _) in toks.into_iter().take(emit) {
-            t.line += self.lines_consumed;
-            self.tokens.push(t);
-        }
-        self.lines_consumed += self.pending[..cut].matches('\n').count();
-        self.pending.drain(..cut);
-    }
-
-    /// Flushes the pending tail and returns the full token stream.
-    pub fn finish(mut self) -> Vec<Token> {
-        for mut t in lex(&self.pending) {
-            t.line += self.lines_consumed;
-            self.tokens.push(t);
-        }
-        self.tokens
-    }
-}
-
-/// Lexes `src` fed to a [`ChunkedLexer`] in chunks of `chunk_chars`
-/// characters — test/diagnostic helper proving chunk-size independence.
-pub fn lex_chunked(src: &str, chunk_chars: usize) -> Vec<Token> {
-    let chunk_chars = chunk_chars.max(1);
-    let mut lexer = ChunkedLexer::new();
-    let mut rest = src;
-    while !rest.is_empty() {
-        let cut = rest
-            .char_indices()
-            .nth(chunk_chars)
-            .map(|(i, _)| i)
-            .unwrap_or(rest.len());
-        lexer.feed(&rest[..cut]);
-        rest = &rest[cut..];
-    }
-    lexer.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,15 +385,6 @@ mod tests {
         let toks = lex("// em — dash\nlet s = \"∀x\"; // ünïcode");
         assert!(toks.iter().any(|t| t.kind == TokKind::Str));
         assert!(toks.iter().filter(|t| t.is_comment()).count() == 2);
-    }
-
-    #[test]
-    fn chunked_matches_whole_file() {
-        let src = "fn main() { // KINET_THREADS\n  let m: HashMap<u8, u8> = r#\"x\"#; '\\n' }\n";
-        let whole = lex(src);
-        for chunk in 1..=src.chars().count() {
-            assert_eq!(lex_chunked(src, chunk), whole, "chunk_chars={chunk}");
-        }
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Determinism contracts of the interprocedural stage, pinned by
 //! property tests: the call graph is invariant to the order files are
-//! handed to the builder and to how the lexer's input is chunked, and
-//! the whole workspace report (findings and graph summary alike) is
+//! handed to the builder, and the whole workspace report (findings and graph summary alike) is
 //! byte-identical for any `KINET_THREADS`.
 
 use kinet_lint::callgraph::CallGraph;
-use kinet_lint::lexer::{lex, lex_chunked, Token};
 use kinet_lint::rules::{scan_file, LintConfig};
-use kinet_lint::symbols::parse_items;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -84,10 +81,6 @@ fn signature(g: &CallGraph) -> GraphSignature {
     )
 }
 
-fn code_tokens(toks: &[Token]) -> Vec<&Token> {
-    toks.iter().filter(|t| t.is_code()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -101,17 +94,6 @@ proptest! {
         order.sort_by_key(|a| a.0);
         let shuffled = signature(&graph_of(order.into_iter().map(|(_, f)| f).collect()));
         prop_assert_eq!(reference, shuffled);
-    }
-
-    #[test]
-    fn items_are_invariant_to_lexer_chunking(chunk in 1usize..64) {
-        for (_, src) in synthetic_files() {
-            let whole = lex(&src);
-            let chunked = lex_chunked(&src, chunk);
-            let a = parse_items(&code_tokens(&whole));
-            let b = parse_items(&code_tokens(&chunked));
-            prop_assert_eq!(a, b);
-        }
     }
 }
 
