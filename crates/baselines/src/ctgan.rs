@@ -141,7 +141,7 @@ impl TabularSynthesizer for CtGan {
         let mut g_opt = Adam::with_betas(g_params, cfg.lr, 0.5, 0.9);
         let mut d_opt = Adam::with_betas(nets.disc.params(), cfg.lr, 0.5, 0.9);
 
-        let encoded = transformer.transform(table, &mut rng);
+        let encoded = transformer.try_transform(table, &mut rng)?;
         let heads = transformer.head_layout();
         let steps = (table.n_rows() / cfg.batch_size).max(1);
         let fitted = Fitted {
@@ -264,9 +264,11 @@ impl TabularSynthesizer for CtGan {
         )
     }
 
-    fn critic_scores(&self, table: &Table) -> Option<Vec<f64>> {
-        let f = self.fitted.as_ref()?;
-        let encoded = f.transformer.transform_deterministic(table);
+    fn critic_scores(&self, table: &Table) -> Result<Option<Vec<f64>>, SynthError> {
+        let Some(f) = &self.fitted else {
+            return Ok(None);
+        };
+        let encoded = f.transformer.transform_deterministic(table)?;
         let c = Matrix::from_fn(table.n_rows(), f.cond_spec.width(), |r, j| {
             f.cond_spec
                 .vector_from_row(table, r)
@@ -274,7 +276,7 @@ impl TabularSynthesizer for CtGan {
                 .unwrap_or(0.0)
         });
         let scores = f.nets.disc.infer(&Matrix::hstack(&[&encoded, &c]));
-        Some(scores.column(0).iter().map(|&v| v as f64).collect())
+        Ok(Some(scores.column(0).iter().map(|&v| v as f64).collect()))
     }
 }
 
@@ -337,7 +339,7 @@ mod tests {
         let t = data(200, 3);
         let mut m = CtGan::new(cfg());
         m.fit(&t).unwrap();
-        let s = m.critic_scores(&t).unwrap();
+        let s = m.critic_scores(&t).unwrap().unwrap();
         assert_eq!(s.len(), t.n_rows());
         assert!(s.iter().all(|v| v.is_finite()));
     }

@@ -187,7 +187,7 @@ impl TabularSynthesizer for OctGan {
         let mut g_opt = Adam::with_betas(g_params, cfg.lr, 0.5, 0.9);
         let mut d_opt = Adam::with_betas(d_params, cfg.lr, 0.5, 0.9);
 
-        let encoded = fitted.transformer.transform(table, &mut rng);
+        let encoded = fitted.transformer.try_transform(table, &mut rng)?;
         let steps = (table.n_rows() / cfg.batch_size).max(1);
         let mut idx: Vec<usize> = Vec::with_capacity(cfg.batch_size);
         let mut real = Matrix::default();
@@ -251,15 +251,17 @@ impl TabularSynthesizer for OctGan {
         )
     }
 
-    fn critic_scores(&self, table: &Table) -> Option<Vec<f64>> {
-        let f = self.fitted.as_ref()?;
-        let encoded = f.transformer.transform_deterministic(table);
+    fn critic_scores(&self, table: &Table) -> Result<Option<Vec<f64>>, SynthError> {
+        let Some(f) = &self.fitted else {
+            return Ok(None);
+        };
+        let encoded = f.transformer.transform_deterministic(table)?;
         let mut rng = StdRng::seed_from_u64(0);
         let tape = Tape::no_grad();
         let s = self
             .disc_forward(f, &tape, tape.constant(encoded), false, &mut rng)
             .value();
-        Some(s.column(0).iter().map(|&v| v as f64).collect())
+        Ok(Some(s.column(0).iter().map(|&v| v as f64).collect()))
     }
 }
 

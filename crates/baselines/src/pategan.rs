@@ -134,7 +134,7 @@ impl TabularSynthesizer for PateGan {
             .collect();
 
         // disjoint partitions, one per teacher
-        let encoded = transformer.transform(table, &mut rng);
+        let encoded = transformer.try_transform(table, &mut rng)?;
         let mut order: Vec<usize> = (0..table.n_rows()).collect();
         // deterministic shuffle
         for i in (1..order.len()).rev() {
@@ -244,13 +244,15 @@ impl TabularSynthesizer for PateGan {
         )
     }
 
-    fn critic_scores(&self, table: &Table) -> Option<Vec<f64>> {
+    fn critic_scores(&self, table: &Table) -> Result<Option<Vec<f64>>, SynthError> {
         // The student never saw real data — by construction its scores leak
         // little membership signal. This is the property Figure 7 rewards.
-        let f = self.fitted.as_ref()?;
-        let encoded = f.transformer.transform_deterministic(table);
+        let Some(f) = &self.fitted else {
+            return Ok(None);
+        };
+        let encoded = f.transformer.transform_deterministic(table)?;
         let s = f.student.infer(&encoded);
-        Some(s.column(0).iter().map(|&v| v as f64).collect())
+        Ok(Some(s.column(0).iter().map(|&v| v as f64).collect()))
     }
 }
 

@@ -285,11 +285,13 @@ impl TabularSynthesizer for TableGan {
         f.codec.decode(&raw, f.table.schema())
     }
 
-    fn critic_scores(&self, table: &Table) -> Option<Vec<f64>> {
-        let f = self.fitted.as_ref()?;
+    fn critic_scores(&self, table: &Table) -> Result<Option<Vec<f64>>, SynthError> {
+        let Some(f) = &self.fitted else {
+            return Ok(None);
+        };
         let encoded = f.codec.encode(table);
         let s = f.disc.infer(&encoded);
-        Some(s.column(0).iter().map(|&v| v as f64).collect())
+        Ok(Some(s.column(0).iter().map(|&v| v as f64).collect()))
     }
 }
 
@@ -366,6 +368,11 @@ mod tests {
         let t = data(150, 5);
         let mut m = TableGan::new(cfg());
         m.fit(&t).unwrap();
-        assert!(m.critic_scores(&t).unwrap().iter().all(|v| v.is_finite()));
+        assert!(m
+            .critic_scores(&t)
+            .unwrap()
+            .unwrap()
+            .iter()
+            .all(|v| v.is_finite()));
     }
 }

@@ -86,7 +86,7 @@ impl TabularSynthesizer for Tvae {
         params.extend(&decoder.params());
         let mut opt = Adam::new(params, cfg.lr);
 
-        let encoded = transformer.transform(table, &mut rng);
+        let encoded = transformer.try_transform(table, &mut rng)?;
         let heads = transformer.head_layout();
         let steps = (table.n_rows() / cfg.batch_size).max(1);
         let mut idx: Vec<usize> = Vec::with_capacity(cfg.batch_size);
@@ -174,11 +174,13 @@ impl TabularSynthesizer for Tvae {
         )
     }
 
-    fn critic_scores(&self, table: &Table) -> Option<Vec<f64>> {
+    fn critic_scores(&self, table: &Table) -> Result<Option<Vec<f64>>, SynthError> {
         // White-box signal for a VAE: negative reconstruction error (higher
         // = more "real" to the model), the standard MI surrogate.
-        let f = self.fitted.as_ref()?;
-        let encoded = f.transformer.transform_deterministic(table);
+        let Some(f) = &self.fitted else {
+            return Ok(None);
+        };
+        let encoded = f.transformer.transform_deterministic(table)?;
         let h = f.encoder.infer(&encoded).map(|v| v.max(0.0));
         let mu = h
             .matmul(&f.mu_head.weight().value())
@@ -194,7 +196,7 @@ impl TabularSynthesizer for Tvae {
                 -err
             })
             .collect();
-        Some(scores)
+        Ok(Some(scores))
     }
 }
 
@@ -273,7 +275,7 @@ mod tests {
             ..cfg()
         });
         m.fit(&t).unwrap();
-        let scores = m.critic_scores(&t).unwrap();
+        let scores = m.critic_scores(&t).unwrap().unwrap();
         assert!(scores.iter().all(|v| v.is_finite()));
     }
 

@@ -12,7 +12,7 @@
 
 use kinet_bench::{fit_roster, kinetgan_config, write_json, Dataset, ExpConfig, RosterFits};
 use kinet_data::sampler::BalanceMode;
-use kinet_data::synth::TabularSynthesizer;
+use kinet_data::synth::{SynthError, TabularSynthesizer};
 use kinet_data::DataError;
 use kinet_eval::metrics;
 use kinet_eval::privacy::{
@@ -74,7 +74,7 @@ fn main() {
             ),
             "figure5" => write_json(target, &figure5(&lab, &cfg)),
             "figure6" => write_json(target, &figure6(&lab, &cfg)),
-            "figure7" => write_json(target, &figure7(&lab, &cfg)),
+            "figure7" => write_json(target, &figure7(&lab, &cfg).unwrap_or_else(fail)),
             "ablation" => write_json(target, &ablation(&cfg)),
             _ => write_json(target, &distributed(&cfg)),
         };
@@ -86,7 +86,7 @@ fn main() {
 }
 
 /// Reports an evaluation that cannot run at this scale and exits 1.
-fn fail<T>(e: DataError) -> T {
+fn fail<T>(e: impl std::fmt::Display) -> T {
     eprintln!("paper: {e}");
     std::process::exit(1);
 }
@@ -223,7 +223,12 @@ fn figure6(lab: &RosterFits, cfg: &ExpConfig) -> Vec<PrivacyRow> {
 
 /// Figure 7: membership-inference attack accuracy, white-box (the
 /// model's critic scores) and full black-box (release only).
-fn figure7(lab: &RosterFits, cfg: &ExpConfig) -> Vec<PrivacyRow> {
+///
+/// # Errors
+///
+/// Fails when a model cannot score the probe rows, such as a category
+/// its fitted encoder never saw.
+fn figure7(lab: &RosterFits, cfg: &ExpConfig) -> Result<Vec<PrivacyRow>, SynthError> {
     let n_probe = cfg.probes.min(lab.train.n_rows()).min(lab.test.n_rows());
     let probe_idx: Vec<usize> = (0..n_probe).collect();
     let members = lab.train.select_rows(&probe_idx);
@@ -238,7 +243,7 @@ fn figure7(lab: &RosterFits, cfg: &ExpConfig) -> Vec<PrivacyRow> {
     println!("{:<10} | {:>7} {:>7}", "Model", "WB", "FBB");
     let mut rows = Vec::new();
     for (named, release) in lab.releases(cfg.seed ^ 0x77) {
-        let critic = named.model.critic_scores(&probe);
+        let critic = named.model.critic_scores(&probe)?;
         let report =
             membership_inference_attack(&members, &non_members, &release, critic.as_deref());
         let (wb, fbb) = (report.white_box, report.full_black_box);
@@ -246,7 +251,7 @@ fn figure7(lab: &RosterFits, cfg: &ExpConfig) -> Vec<PrivacyRow> {
         rows.push(PrivacyRow::new(named.name, "mi-wb", wb));
         rows.push(PrivacyRow::new(named.name, "mi-fbb", fbb));
     }
-    rows
+    Ok(rows)
 }
 
 #[derive(Serialize)]

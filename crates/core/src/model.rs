@@ -191,7 +191,7 @@ impl KinetGan {
         }
         let mut d_opt = Adam::with_betas(d_params, cfg.lr, 0.5, 0.9);
 
-        let encoded = transformer.transform(table, &mut rng);
+        let encoded = transformer.try_transform(table, &mut rng)?;
 
         let steps = (table.n_rows() / cfg.batch_size).max(1);
         let mut report = TrainingReport::default();
@@ -506,9 +506,11 @@ impl TabularSynthesizer for KinetGan {
         )
     }
 
-    fn critic_scores(&self, table: &Table) -> Option<Vec<f64>> {
-        let f = self.fitted.as_ref()?;
-        let encoded = f.transformer.transform_deterministic(table);
+    fn critic_scores(&self, table: &Table) -> Result<Option<Vec<f64>>, SynthError> {
+        let Some(f) = &self.fitted else {
+            return Ok(None);
+        };
+        let encoded = f.transformer.transform_deterministic(table)?;
         let c = Matrix::from_fn(table.n_rows(), f.cond_spec.width(), |r, j| {
             f.cond_spec
                 .vector_from_row(table, r)
@@ -519,7 +521,7 @@ impl TabularSynthesizer for KinetGan {
         if let Some(dkg) = &f.d_kg {
             scores = scores.add(&dkg.score(&encoded));
         }
-        Some(scores.column(0).iter().map(|&v| v as f64).collect())
+        Ok(Some(scores.column(0).iter().map(|&v| v as f64).collect()))
     }
 }
 
@@ -613,9 +615,9 @@ mod tests {
     fn critic_scores_available_after_fit() {
         let data = tiny_data(200, 5);
         let mut model = KinetGan::new(tiny_config(), NetworkKg::lab_default());
-        assert!(model.critic_scores(&data).is_none());
+        assert!(model.critic_scores(&data).unwrap().is_none());
         model.fit(&data).unwrap();
-        let scores = model.critic_scores(&data).unwrap();
+        let scores = model.critic_scores(&data).unwrap().unwrap();
         assert_eq!(scores.len(), data.n_rows());
         assert!(scores.iter().all(|s| s.is_finite()));
     }

@@ -98,10 +98,17 @@ pub struct KgTrainPipeline {
 
 impl KgTrainPipeline {
     /// Pre-encodes `table` and compiles the per-event sampling plans.
+    ///
+    /// # Panics
+    ///
+    /// When `transformer` cannot encode `table`; callers pass the table it
+    /// was fitted on.
     pub fn new(kg: &NetworkKg, table: &Table, transformer: &DataTransformer) -> Self {
         let compiled = kg.compiled().clone();
         let enc = EncodedTable::encode(table, kg.base_interner().clone());
-        let det_encoded = transformer.transform_deterministic(table);
+        let det_encoded = transformer
+            .transform_deterministic(table)
+            .expect("the transformer was fitted on this table");
         let rules = compiled.rules();
         let schema = table.schema();
 

@@ -95,7 +95,7 @@ fn string_positives_batch(
         })
         .collect();
     let pos_table = Table::from_rows(table.schema().clone(), rows)?;
-    Ok(transformer.transform_deterministic(&pos_table))
+    transformer.transform_deterministic(&pos_table)
 }
 
 fn bits(m: &Matrix) -> Vec<u32> {
@@ -125,7 +125,7 @@ fn batches(n: usize, seed: u64) -> Vec<Vec<usize>> {
 fn assert_pipeline_matches_reference(kg: &NetworkKg, table: &Table) -> usize {
     let transformer = DataTransformer::fit(table, 4, 7).expect("non-empty table");
     let domains = domains(table, &transformer);
-    let base = transformer.transform_deterministic(table);
+    let base = transformer.transform_deterministic(table).unwrap();
     let mut changed_rows = 0;
     for seed in [1u64, 7, 42, 1009] {
         let mut pipe = KgTrainPipeline::new(kg, table, &transformer);

@@ -307,8 +307,6 @@ impl<S: ChunkSource> StreamingShard<S> {
 /// row counts from the start of the stream; `None` disables that fault.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChunkFaultSpec {
-    /// Stream ends (cleanly) after this many rows: a truncated shard.
-    pub truncate_after: Option<usize>,
     /// Numeric cells of rows at stream offset ≥ this arrive as NaN: a
     /// corrupt wire.
     pub poison_from: Option<usize>,
@@ -317,15 +315,8 @@ pub struct ChunkFaultSpec {
     pub fail_after: Option<usize>,
 }
 
-impl ChunkFaultSpec {
-    /// `true` when no fault is configured.
-    pub fn is_clean(&self) -> bool {
-        self.truncate_after.is_none() && self.poison_from.is_none() && self.fail_after.is_none()
-    }
-}
-
-/// A [`ChunkSource`] wrapper that injects stream-level faults —
-/// truncation, NaN corruption, or a mid-stream failure — at deterministic
+/// A [`ChunkSource`] wrapper that injects stream-level faults — NaN
+/// corruption or a mid-stream failure — at deterministic
 /// row offsets. With a clean spec it is a transparent pass-through, so
 /// fault-aware callers can wrap unconditionally.
 #[derive(Debug)]
@@ -344,11 +335,6 @@ impl<S: ChunkSource> FaultedSource<S> {
             yielded: 0,
         }
     }
-
-    /// Rows yielded so far (post-fault view).
-    pub fn yielded(&self) -> usize {
-        self.yielded
-    }
 }
 
 impl<S: ChunkSource> ChunkSource for FaultedSource<S> {
@@ -365,19 +351,11 @@ impl<S: ChunkSource> ChunkSource for FaultedSource<S> {
                 )));
             }
         }
-        if let Some(cut) = self.spec.truncate_after {
-            if self.yielded >= cut {
-                return Ok(None);
-            }
-        }
-        // Clamp the request so fault offsets land on chunk boundaries:
-        // the wrapper never yields a row past a configured horizon.
+        // Clamp the request so the failure lands on a chunk boundary: the
+        // wrapper never yields a row past the failure offset.
         let mut want = max_rows.max(1);
-        for horizon in [self.spec.fail_after, self.spec.truncate_after]
-            .into_iter()
-            .flatten()
-        {
-            want = want.min(horizon.saturating_sub(self.yielded).max(1));
+        if let Some(fail_at) = self.spec.fail_after {
+            want = want.min(fail_at.saturating_sub(self.yielded).max(1));
         }
         let Some(mut chunk) = self.inner.next_chunk(want)? else {
             return Ok(None);
@@ -546,24 +524,6 @@ mod tests {
             .collect(5)
             .unwrap();
         assert_eq!(collected, t);
-        assert!(ChunkFaultSpec::default().is_clean());
-    }
-
-    #[test]
-    fn truncation_ends_the_stream_early() {
-        let t = numbered(20);
-        let spec = ChunkFaultSpec {
-            truncate_after: Some(7),
-            ..ChunkFaultSpec::default()
-        };
-        let mut src = FaultedSource::new(TableChunks::new(&t), spec);
-        let collected = src.collect(4).unwrap();
-        assert_eq!(
-            collected.n_rows(),
-            7,
-            "cut mid-chunk, exactly at the horizon"
-        );
-        assert_eq!(src.yielded(), 7);
     }
 
     #[test]

@@ -70,8 +70,13 @@ pub trait TabularSynthesizer {
     /// Optional white-box critic scores (higher = "more real" according to
     /// the model's own discriminator). Used by the white-box membership
     /// inference attack; models without an accessible critic return `None`.
-    fn critic_scores(&self, _table: &Table) -> Option<Vec<f64>> {
-        None
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SynthError::Data`] when `table` cannot be encoded the way
+    /// the model was fitted, such as a category it never saw.
+    fn critic_scores(&self, _table: &Table) -> Result<Option<Vec<f64>>, SynthError> {
+        Ok(None)
     }
 }
 
@@ -218,7 +223,7 @@ mod tests {
     fn default_critic_is_none() {
         let mut r = Resampler { data: None };
         r.fit(&table()).unwrap();
-        assert!(r.critic_scores(&table()).is_none());
+        assert!(r.critic_scores(&table()).unwrap().is_none());
     }
 
     /// 90% "common" / 10% "rare" rows, for marginal checks.

@@ -319,29 +319,45 @@ impl DataTransformer {
 
     /// Encodes a table (stochastic mode assignment, as in CTGAN training).
     ///
+    /// # Errors
+    ///
+    /// [`DataError::SchemaMismatch`] when `table`'s schema differs from the
+    /// fitted schema or a categorical value was never seen during
+    /// [`DataTransformer::fit`]; the message names the column and value.
+    pub fn try_transform(&self, table: &Table, rng: &mut impl Rng) -> Result<Matrix, DataError> {
+        self.transform_impl(table, Some(rng))
+    }
+
+    /// [`DataTransformer::try_transform`] for a table the transformer is
+    /// known to cover, such as the one it was fitted on.
+    ///
     /// # Panics
     ///
-    /// Panics if `table`'s schema differs from the fitted schema or if a
-    /// categorical value was never seen during [`DataTransformer::fit`].
+    /// On any error [`DataTransformer::try_transform`] returns.
     pub fn transform(&self, table: &Table, rng: &mut impl Rng) -> Matrix {
-        self.transform_impl(table, Some(rng))
+        self.try_transform(table, rng)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Encodes a table deterministically (most-likely mode assignment).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Same conditions as [`DataTransformer::transform`].
-    pub fn transform_deterministic(&self, table: &Table) -> Matrix {
+    /// Same conditions as [`DataTransformer::try_transform`].
+    pub fn transform_deterministic(&self, table: &Table) -> Result<Matrix, DataError> {
         self.transform_impl::<rand::rngs::StdRng>(table, None)
     }
 
-    fn transform_impl<R: Rng>(&self, table: &Table, mut rng: Option<&mut R>) -> Matrix {
-        assert_eq!(
-            table.schema(),
-            &self.schema,
-            "table schema differs from fitted schema"
-        );
+    fn transform_impl<R: Rng>(
+        &self,
+        table: &Table,
+        mut rng: Option<&mut R>,
+    ) -> Result<Matrix, DataError> {
+        if table.schema() != &self.schema {
+            return Err(DataError::SchemaMismatch(
+                "table schema differs from fitted schema".to_string(),
+            ));
+        }
         let n = table.n_rows();
         let mut out = Matrix::zeros(n, self.width);
         for (ci, enc) in self.encodings.iter().enumerate() {
@@ -349,17 +365,17 @@ impl DataTransformer {
             let name = self.schema.column(ci).name();
             match enc {
                 ColumnEncoding::Categorical(e) => {
-                    let col = table.cat_column(name).expect("schema checked");
-                    for (r, v) in col.iter().enumerate() {
-                        let code = e
-                            .encode(v)
-                            .unwrap_or_else(|| panic!("unseen category {v:?} in column {name:?}"));
+                    for (r, v) in table.cat_column(name)?.iter().enumerate() {
+                        let code = e.encode(v).ok_or_else(|| {
+                            DataError::SchemaMismatch(format!(
+                                "unseen category {v:?} in column {name:?}"
+                            ))
+                        })?;
                         out[(r, span.start + code)] = 1.0;
                     }
                 }
                 ColumnEncoding::Continuous(norm) => {
-                    let col = table.num_column(name).expect("schema checked");
-                    for (r, &x) in col.iter().enumerate() {
+                    for (r, &x) in table.num_column(name)?.iter().enumerate() {
                         let (alpha, mode) = match rng.as_deref_mut() {
                             Some(rng) => norm.encode(x, rng),
                             None => norm.encode_deterministic(x),
@@ -370,7 +386,7 @@ impl DataTransformer {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// Decodes an encoded (or generated) matrix back into a table, taking
@@ -528,8 +544,8 @@ mod tests {
         let t = table();
         let tx = DataTransformer::fit(&t, 4, 3).unwrap();
         assert_eq!(
-            tx.transform_deterministic(&t),
-            tx.transform_deterministic(&t)
+            tx.transform_deterministic(&t).unwrap(),
+            tx.transform_deterministic(&t).unwrap()
         );
     }
 
@@ -572,5 +588,25 @@ mod tests {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let _ = tx.transform(&other, &mut rng);
+    }
+
+    #[test]
+    fn unseen_category_is_an_error_naming_column_and_value() {
+        let t = table();
+        let tx = DataTransformer::fit(&t, 4, 0).unwrap();
+        let mut other = Table::empty(t.schema().clone());
+        other
+            .push_row(vec![Value::cat("tcp"), Value::num(1.0), Value::cat("ntp")])
+            .unwrap();
+        let err = tx.transform_deterministic(&other).unwrap_err().to_string();
+        assert!(
+            err.contains("\"ntp\"") && err.contains("\"event\""),
+            "{err}"
+        );
+        let mut rng = StdRng::seed_from_u64(0);
+        assert!(tx.try_transform(&other, &mut rng).is_err());
+        // A table of another schema is an error too, not a panic.
+        let narrow = Table::empty(Schema::new(vec![ColumnMeta::continuous("port")]));
+        assert!(tx.transform_deterministic(&narrow).is_err());
     }
 }

@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn encoded_one_hot_blocks_are_simplex(table in arb_table()) {
         let tx = DataTransformer::fit(&table, 4, 0).unwrap();
-        let encoded = tx.transform_deterministic(&table);
+        let encoded = tx.transform_deterministic(&table).unwrap();
         for (span, col) in tx.spans().iter().zip(table.schema().iter()) {
             if col.kind() == kinet_data::ColumnKind::Categorical {
                 for r in 0..encoded.rows() {

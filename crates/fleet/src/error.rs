@@ -5,8 +5,8 @@
 //! config is invalid" from "device 7 diverged" from "the round lost
 //! quorum", so the only safe reaction was to abort the whole round. The
 //! recovery layer ([`crate::resilience`]) needs those distinctions — a
-//! device fault is retryable, a quorum loss is a loud round failure, a
-//! config error is a caller bug — and the process gates need them as
+//! device fault degrades one device, a quorum loss is a loud round
+//! failure, a config error is a caller bug — and the process gates need them as
 //! distinct exit codes.
 
 use kinet_data::DataError;
@@ -18,11 +18,9 @@ use std::fmt;
 pub enum DeviceFaultKind {
     /// The device died while streaming its shard.
     CrashAcquire,
-    /// The device died while fitting its generator.
-    CrashMidFit,
     /// The device exceeded the straggler tick budget.
     Straggler,
-    /// The device's chunk stream failed (truncated/corrupt source error).
+    /// The device's chunk stream failed (corrupt source error).
     Stream,
     /// Generator training or sampling failed.
     Training,
@@ -35,7 +33,6 @@ impl DeviceFaultKind {
     pub fn label(&self) -> &'static str {
         match self {
             DeviceFaultKind::CrashAcquire => "crash-acquire",
-            DeviceFaultKind::CrashMidFit => "crash-mid-fit",
             DeviceFaultKind::Straggler => "straggler",
             DeviceFaultKind::Stream => "stream",
             DeviceFaultKind::Training => "training",
@@ -68,7 +65,7 @@ pub enum FleetError {
         device_index: usize,
         /// Device identity.
         device: String,
-        /// Failure class (drives retry policy and fault accounting).
+        /// Failure class (fault accounting).
         kind: DeviceFaultKind,
         /// Human-readable detail.
         message: String,
@@ -102,7 +99,8 @@ pub enum FleetError {
     /// A round phase overran its watchdog deadline (virtual ticks); the
     /// round is aborted so the service can move on.
     Watchdog {
-        /// Which phase hung (`"acquire"`, `"union"`, `"prepare"`).
+        /// Which phase hung: always `"acquire"`, the one phase that spends
+        /// ticks.
         phase: String,
         /// Virtual ticks the phase actually spent.
         spent_ticks: u64,
@@ -150,13 +148,6 @@ impl FleetError {
             FleetError::MembershipCollapse { .. } => EXIT_MEMBERSHIP_COLLAPSE,
             _ => EXIT_INTERNAL,
         }
-    }
-
-    /// `true` when the recovery layer may retry the failed attempt
-    /// (device-local faults are retryable; config/quorum failures are
-    /// not).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, FleetError::Device { .. } | FleetError::Data { .. })
     }
 }
 
@@ -238,10 +229,10 @@ mod tests {
 
     #[test]
     fn display_names_the_failure() {
-        let e = FleetError::device(3, "smart_plug", DeviceFaultKind::CrashMidFit, "injected");
+        let e = FleetError::device(3, "smart_plug", DeviceFaultKind::CrashAcquire, "injected");
         assert_eq!(
             e.to_string(),
-            "device 3 (smart_plug) crash-mid-fit: injected"
+            "device 3 (smart_plug) crash-acquire: injected"
         );
         let q = FleetError::QuorumLost {
             reported: 2,
@@ -316,14 +307,6 @@ mod tests {
         };
         let s = wd.to_string();
         assert!(s.contains("acquire") && s.contains("5000") && s.contains("1000"));
-        assert!(!wd.is_retryable(), "a hung round is aborted, not retried");
         assert_eq!(wd.exit_code(), EXIT_INTERNAL);
-    }
-
-    #[test]
-    fn retryability_follows_the_variant() {
-        assert!(FleetError::device(0, "d", DeviceFaultKind::Straggler, "slow").is_retryable());
-        assert!(!FleetError::Config("bad".into()).is_retryable());
-        assert!(!FleetError::Internal("bug".into()).is_retryable());
     }
 }

@@ -15,14 +15,13 @@
 //! | kind | phase | effect |
 //! |---|---|---|
 //! | `CrashAcquire` | acquire | shard stream dies mid-chunk |
-//! | `CrashMidFit` | prepare | generator fit aborts |
-//! | `TruncateChunks` | acquire | stream ends early (short shard) |
 //! | `CorruptChunks` | acquire | NaN-poisoned numeric cells mid-stream |
 //! | `PoisonShareNan` | share | non-finite cells in the released table |
-//! | `PoisonShareKg` | share | KG-invalid values in the released table |
 //! | `DropVocab` | union | vocab message never arrives |
-//! | `DelayVocab` | union | vocab message late by `magnitude` ticks |
 //! | `Straggle` | acquire | device stalls `magnitude` virtual ticks |
+//!
+//! Only acquisition faults fire per attempt: acquisition is the one phase
+//! the orchestrator retries.
 
 use kinet_data::stream::ChunkFaultSpec;
 use kinet_data::Table;
@@ -38,20 +37,12 @@ pub const PERMANENT: usize = usize::MAX;
 pub enum FaultKind {
     /// Shard stream dies partway through acquisition.
     CrashAcquire,
-    /// Generator fit aborts partway through training.
-    CrashMidFit,
-    /// Chunk stream ends early: the device observes a short shard.
-    TruncateChunks,
     /// Numeric cells streamed after a cut-off point arrive as NaN.
     CorruptChunks,
     /// The released share carries non-finite numeric cells.
     PoisonShareNan,
-    /// The released share carries KG-invalid field values.
-    PoisonShareKg,
     /// The condition-union vocabulary message is lost.
     DropVocab,
-    /// The vocabulary message arrives `magnitude` virtual ticks late.
-    DelayVocab,
     /// The device stalls for `magnitude` virtual ticks per attempt.
     Straggle,
 }
@@ -61,13 +52,9 @@ impl FaultKind {
     pub fn label(&self) -> &'static str {
         match self {
             FaultKind::CrashAcquire => "crash-acquire",
-            FaultKind::CrashMidFit => "crash-mid-fit",
-            FaultKind::TruncateChunks => "truncate-chunks",
             FaultKind::CorruptChunks => "corrupt-chunks",
             FaultKind::PoisonShareNan => "poison-share-nan",
-            FaultKind::PoisonShareKg => "poison-share-kg",
             FaultKind::DropVocab => "drop-vocab",
-            FaultKind::DelayVocab => "delay-vocab",
             FaultKind::Straggle => "straggle",
         }
     }
@@ -80,15 +67,14 @@ pub struct DeviceFaultSpec {
     pub device_index: usize,
     /// What breaks.
     pub kind: FaultKind,
-    /// How many consecutive attempts the fault fires on before healing
-    /// ([`PERMANENT`] never heals). Ignored by phase-free faults
-    /// (`PoisonShare*`, `DropVocab`, `DelayVocab`), which fire on the
-    /// attempt that succeeds.
+    /// How many consecutive acquisition attempts the fault fires on
+    /// before healing ([`PERMANENT`] never heals). Ignored by
+    /// `PoisonShareNan` and `DropVocab`: they strike phases that run once
+    /// per device, so any fault of those kinds fires.
     pub attempts: usize,
-    /// Kind-specific intensity: ticks for `Straggle`/`DelayVocab`, percent
-    /// of the shard surviving for `TruncateChunks`, percent streamed clean
-    /// before corruption for `CorruptChunks`/`CrashAcquire`. `None` lets
-    /// the plan draw one from the seeded RNG.
+    /// Kind-specific intensity: ticks for `Straggle`, percent streamed
+    /// clean before corruption for `CorruptChunks`/`CrashAcquire`. `None`
+    /// lets the plan draw one from the seeded RNG.
     pub magnitude: Option<u64>,
 }
 
@@ -184,10 +170,8 @@ impl DevicePlan {
 
     /// The chunk-stream fault wrapper spec for one acquisition `attempt`
     /// over a shard of `rows` rows. Magnitudes are percentages of the
-    /// shard: `CrashAcquire`/`CorruptChunks` magnitude is the share
-    /// streamed clean before the fault strikes, `TruncateChunks` magnitude
-    /// is the share that survives. A healthy attempt yields a clean
-    /// (pass-through) spec.
+    /// shard: the share streamed clean before the fault strikes. A healthy
+    /// attempt yields a clean (pass-through) spec.
     pub fn fault_spec_for(&self, attempt: usize, rows: usize) -> ChunkFaultSpec {
         let offset = |magnitude: Option<u64>| {
             // At least one clean row so the failure is observably
@@ -197,9 +181,6 @@ impl DevicePlan {
         let mut spec = ChunkFaultSpec::default();
         if self.fires(FaultKind::CrashAcquire, attempt) {
             spec.fail_after = Some(offset(self.magnitude(FaultKind::CrashAcquire)));
-        }
-        if self.fires(FaultKind::TruncateChunks, attempt) {
-            spec.truncate_after = Some(offset(self.magnitude(FaultKind::TruncateChunks)));
         }
         if self.fires(FaultKind::CorruptChunks, attempt) {
             spec.poison_from = Some(offset(self.magnitude(FaultKind::CorruptChunks)));
@@ -273,12 +254,11 @@ impl FaultPlan {
 }
 
 /// Seeded default magnitudes: straggles draw around the default straggler
-/// budget (some absorb, some trip), truncation keeps 30–80% of the shard,
-/// corruption/crash strike after 20–70% streamed clean.
+/// budget (some absorb, some trip), corruption/crash strike after 20–70%
+/// streamed clean.
 fn default_magnitude(kind: FaultKind, rng: &mut StdRng) -> u64 {
     match kind {
-        FaultKind::Straggle | FaultKind::DelayVocab => rng.random_range(500..4000u64),
-        FaultKind::TruncateChunks => rng.random_range(30..80u64),
+        FaultKind::Straggle => rng.random_range(500..4000u64),
         FaultKind::CorruptChunks | FaultKind::CrashAcquire => rng.random_range(20..70u64),
         _ => 0,
     }
@@ -359,22 +339,10 @@ impl StorageFaultSpec {
     }
 }
 
-/// How a share gets poisoned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PoisonKind {
-    /// Non-finite numeric cells (NaN), the classic diverged-generator
-    /// signature.
-    NonFinite,
-    /// Finite but wildly out-of-range numeric values that violate the
-    /// knowledge graph's field constraints.
-    KgInvalid,
-}
-
 /// Poisons roughly half of `share`'s rows in place, deterministically from
-/// `seed`: every numeric cell of an afflicted row becomes NaN
-/// ([`PoisonKind::NonFinite`]) or an absurd out-of-range constant
-/// ([`PoisonKind::KgInvalid`]). No-op on tables without numeric columns.
-pub fn poison_share(share: &mut Table, kind: PoisonKind, seed: u64) {
+/// `seed`: every numeric cell of an afflicted row becomes NaN, the
+/// diverged-generator signature. No-op on tables without numeric columns.
+pub fn poison_share(share: &mut Table, seed: u64) {
     let numeric: Vec<usize> = share
         .schema()
         .iter()
@@ -385,16 +353,12 @@ pub fn poison_share(share: &mut Table, kind: PoisonKind, seed: u64) {
     if numeric.is_empty() || share.is_empty() {
         return;
     }
-    let poison = match kind {
-        PoisonKind::NonFinite => f64::NAN,
-        PoisonKind::KgInvalid => -31337.0,
-    };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0bad_cafe);
     for r in 0..share.n_rows() {
         if rng.random_range(0.0..1.0f64) < 0.5 {
             let mut row = share.row(r);
             for &c in &numeric {
-                row[c] = kinet_data::Value::num(poison);
+                row[c] = kinet_data::Value::num(f64::NAN);
             }
             share
                 .set_row(r, row)
@@ -444,9 +408,9 @@ mod tests {
         let specs: Vec<DeviceFaultSpec> = [
             FaultKind::CrashAcquire,
             FaultKind::CorruptChunks,
-            FaultKind::TruncateChunks,
+            FaultKind::PoisonShareNan,
             FaultKind::Straggle,
-            FaultKind::DelayVocab,
+            FaultKind::DropVocab,
         ]
         .into_iter()
         .enumerate()
@@ -480,13 +444,13 @@ mod tests {
         assert!(dp.fires(FaultKind::Straggle, 0));
         assert!(dp.fires(FaultKind::Straggle, 1));
         assert!(!dp.fires(FaultKind::Straggle, 2), "healed on attempt 2");
-        assert!(!dp.fires(FaultKind::CrashMidFit, 0), "unplanned kind");
+        assert!(!dp.fires(FaultKind::CrashAcquire, 0), "unplanned kind");
         let permanent = FaultPlan::derive(
             3,
             1,
-            &[DeviceFaultSpec::permanent(0, FaultKind::CrashMidFit)],
+            &[DeviceFaultSpec::permanent(0, FaultKind::CorruptChunks)],
         );
-        assert!(permanent.device(0).fires(FaultKind::CrashMidFit, 999));
+        assert!(permanent.device(0).fires(FaultKind::CorruptChunks, 999));
     }
 
     fn share() -> Table {
@@ -514,17 +478,21 @@ mod tests {
     fn poison_nan_hits_numeric_cells_deterministically() {
         let mut a = share();
         let mut b = share();
-        poison_share(&mut a, PoisonKind::NonFinite, 5);
-        poison_share(&mut b, PoisonKind::NonFinite, 5);
-        let nan_rows = |t: &Table| {
-            t.num_column("dst_port")
+        poison_share(&mut a, 5);
+        poison_share(&mut b, 5);
+        let nan_rows = |t: &Table, col: &str| -> Vec<bool> {
+            t.num_column(col)
                 .unwrap()
                 .iter()
-                .filter(|v| v.is_nan())
-                .count()
+                .map(|v| v.is_nan())
+                .collect()
         };
-        assert_eq!(nan_rows(&a), nan_rows(&b), "deterministic poisoning");
-        let hit = nan_rows(&a);
+        assert_eq!(
+            nan_rows(&a, "dst_port"),
+            nan_rows(&b, "dst_port"),
+            "deterministic poisoning"
+        );
+        let hit = nan_rows(&a, "dst_port").iter().filter(|&&n| n).count();
         assert!(hit > 5 && hit < 40, "roughly half the rows: {hit}");
         // The categorical column is untouched.
         assert!(a
@@ -532,18 +500,12 @@ mod tests {
             .unwrap()
             .iter()
             .all(|e| e == "heartbeat"));
+        // Every numeric cell of an afflicted row is hit, and the seed
+        // picks the rows.
+        assert_eq!(nan_rows(&a, "dst_port"), nan_rows(&a, "bytes"));
         let mut c = share();
-        poison_share(&mut c, PoisonKind::KgInvalid, 5);
-        assert!(c
-            .num_column("dst_port")
-            .unwrap()
-            .iter()
-            .all(|v| v.is_finite()));
-        assert!(c
-            .num_column("dst_port")
-            .unwrap()
-            .iter()
-            .any(|&v| v == -31337.0));
+        poison_share(&mut c, 6);
+        assert_ne!(nan_rows(&a, "dst_port"), nan_rows(&c, "dst_port"));
     }
 
     #[test]

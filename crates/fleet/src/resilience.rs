@@ -5,8 +5,8 @@
 //! the orchestrator *does about it*. The two policy knobs live in
 //! [`ResilienceConfig`]; its defaults make a fault-free fleet behave
 //! bit-identically to the pre-recovery code path (full quorum required,
-//! no validity floor). Retry limit, backoff and wait budgets are fixed
-//! constants; on a fault-free round they never trigger.
+//! no validity floor). Retry limit, backoff and the straggler budget are
+//! fixed constants; on a fault-free round they never trigger.
 //!
 //! All waiting is simulated: backoff and straggler budgets are virtual
 //! ticks on the [`crate::fault::VirtualClock`], never wall-clock sleeps,
@@ -18,8 +18,8 @@ use kinet_data::stream::{ChunkSource, StreamValidity, TableChunks};
 use kinet_data::Table;
 use kinet_kg::NetworkKg;
 
-/// Retries after the first failed attempt of a device task (so a device
-/// gets `MAX_RETRIES + 1` attempts in total).
+/// Retries after the first failed acquisition attempt (so a device gets
+/// `MAX_RETRIES + 1` attempts at its shard in total).
 pub const MAX_RETRIES: usize = 2;
 /// Backoff after the first failed attempt, in virtual ticks.
 pub const BACKOFF_BASE_TICKS: u64 = 100;
@@ -28,9 +28,6 @@ pub const BACKOFF_CAP_TICKS: u64 = 1600;
 /// Virtual ticks a device may spend straggling per attempt before the
 /// orchestrator declares it timed out.
 pub const STRAGGLER_BUDGET_TICKS: u64 = 1000;
-/// Virtual ticks the union phase waits for late vocabulary messages;
-/// vocabs delayed beyond this are treated as dropped.
-pub const VOCAB_WAIT_BUDGET_TICKS: u64 = 1000;
 
 /// Recovery policy for one fleet run.
 #[derive(Clone, Debug, PartialEq)]

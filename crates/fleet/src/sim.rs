@@ -17,23 +17,25 @@
 //!    against a held-out global stream once quorum is met.
 //!
 //! Faults are injected from the seeded [`FaultPlan`] and recovered through
-//! the [`crate::resilience`] policy: failed device attempts retry with
+//! the [`crate::resilience`] policy: failed acquisition attempts retry with
 //! capped backoff on the virtual clock, bad shares are quarantined before
 //! pooling, and the round commits when ≥ `quorum_frac` devices report —
-//! degraded devices are recorded, not fatal. Every random draw derives
-//! from `seed` and the device index, and all waiting is virtual ticks, so
-//! the full [`FleetReport`] fingerprint is bit-identical for every
-//! `KINET_THREADS` value even under a non-trivial fault plan.
+//! degraded devices are recorded, not fatal. Only acquisition retries: a
+//! fault there (a crashed or corrupt stream, a straggler) can heal on the
+//! next attempt, while preparation is a pure function of the config and
+//! the acquired shard, so a second try would replay its failure exactly.
+//! Every random draw derives from `seed` and the device index, and all
+//! waiting is virtual ticks, so the full [`FleetReport`] fingerprint is
+//! bit-identical for every `KINET_THREADS` value even under a non-trivial
+//! fault plan.
 
 use crate::config::{FleetConfig, ModelKind, SharingPolicy};
 use crate::error::{DeviceFaultKind, FleetError};
-use crate::fault::{poison_share, FaultKind, FaultPlan, PoisonKind, VirtualClock};
+use crate::fault::{poison_share, FaultKind, FaultPlan, VirtualClock};
 use crate::report::{
     DeviceReport, DeviceTrainingDiag, FaultReport, FleetReport, UnionReport, DEVICE_OK,
 };
-use crate::resilience::{
-    self, backoff_ticks, MAX_RETRIES, STRAGGLER_BUDGET_TICKS, VOCAB_WAIT_BUDGET_TICKS,
-};
+use crate::resilience::{self, backoff_ticks, MAX_RETRIES, STRAGGLER_BUDGET_TICKS};
 use crate::{schedule, union};
 use kinet_baselines::{common::BaselineConfig, CtGan};
 use kinet_data::stream::{
@@ -67,12 +69,16 @@ struct DeviceOutcome {
     diag: Option<DeviceTrainingDiag>,
 }
 
-/// One device task's settled result plus its recovery accounting.
-struct Attempted<T> {
-    result: Result<T, FleetError>,
+/// One device's settled acquisition plus its recovery accounting.
+struct Acquired {
+    result: Result<DeviceStage, FleetError>,
     retries: usize,
     observed: Vec<String>,
 }
+
+/// One device's settled preparation plus what it observed: its failure,
+/// or the share poisoning the plan scripted.
+type Prepared = (Result<DeviceOutcome, FleetError>, Option<String>);
 
 /// The fleet simulator over the lab IoT deployment.
 #[derive(Clone, Debug)]
@@ -159,10 +165,9 @@ impl FleetSim {
         // and the clock value are settled for every thread count.
         journal.span_open("fleet.round", 0, &[kv("devices", cfg.n_devices as u64)]);
         journal.span_open("fleet.acquire", 0, &[]);
-        let acquired: Vec<Attempted<DeviceStage>> =
-            schedule::run_indexed_settled(cfg.n_devices, |d| {
-                self.acquire_with_recovery(d, &peak, &plan, &clock)
-            });
+        let acquired: Vec<Acquired> = schedule::run_indexed_settled(cfg.n_devices, |d| {
+            self.acquire_with_recovery(d, &peak, &plan, &clock)
+        });
         record_retries(journal, acquired.iter().map(|a| a.retries));
         let acquire_ticks = clock.total();
         let acquired_rows: u64 = acquired
@@ -175,40 +180,30 @@ impl FleetSim {
             acquire_ticks,
             &[kv("ticks", acquire_ticks), kv("rows", acquired_rows)],
         );
-        Self::check_watchdog(cfg, "acquire", acquire_ticks)?;
+        // Acquisition is the only phase that spends ticks, so it is the
+        // only one the watchdog can catch overrunning.
+        if let Some(deadline_ticks) = cfg.watchdog_ticks.filter(|&t| acquire_ticks > t) {
+            return Err(FleetError::Watchdog {
+                phase: "acquire".to_string(),
+                spent_ticks: acquire_ticks,
+                deadline_ticks,
+            });
+        }
 
         // ---- phase 2: condition-union exchange over surviving vocabs ----
         journal.span_open("fleet.union", acquire_ticks, &[]);
-        let mut union_events: Vec<Vec<String>> = vec![Vec::new(); cfg.n_devices];
+        let mut union_events: Vec<Option<String>> = vec![None; cfg.n_devices];
         let union_classes = if cfg.union {
             let mut vocabs = Vec::new();
             for (d, a) in acquired.iter().enumerate() {
                 let Ok(stage) = &a.result else { continue };
-                let dp = plan.device(d);
-                if dp.fires(FaultKind::DropVocab, 0) {
-                    union_events[d].push(format!(
+                if plan.device(d).fires(FaultKind::DropVocab, 0) {
+                    union_events[d] = Some(format!(
                         "device {d} ({}) drop-vocab: vocabulary message lost; union falls back \
                          to surviving vocabs",
                         stage.device
                     ));
                     continue;
-                }
-                if dp.fires(FaultKind::DelayVocab, 0) {
-                    let delay = dp.magnitude(FaultKind::DelayVocab).unwrap_or(0);
-                    let budget = VOCAB_WAIT_BUDGET_TICKS;
-                    clock.advance(delay.min(budget));
-                    if delay > budget {
-                        union_events[d].push(format!(
-                            "device {d} ({}) delay-vocab: {delay} ticks exceeds wait budget \
-                             {budget}; treated as dropped",
-                            stage.device
-                        ));
-                        continue;
-                    }
-                    union_events[d].push(format!(
-                        "device {d} ({}) delay-vocab: arrived after {delay} ticks",
-                        stage.device
-                    ));
                 }
                 vocabs.push(&stage.vocab);
             }
@@ -224,39 +219,27 @@ impl FleetSim {
                 Err(_) => Vec::new(),
             })
             .collect();
-        let union_end_ticks = clock.total();
+        // Union and preparation spend no ticks: their spans close at the
+        // acquire phase's clock with `ticks` 0.
         let union_seeded: u64 = missing.iter().map(|m| m.len() as u64).sum();
         journal.span_close(
             "fleet.union",
-            union_end_ticks,
+            acquire_ticks,
             &[
-                kv("ticks", union_end_ticks - acquire_ticks),
+                kv("ticks", 0),
                 kv("classes", union_classes.len() as u64),
                 kv("seeded", union_seeded),
             ],
         );
-        Self::check_watchdog(cfg, "union", union_end_ticks - acquire_ticks)?;
 
-        // ---- phase 3: prepare shares (parallel, retried) ----
-        journal.span_open("fleet.prepare", union_end_ticks, &[]);
-        let prepared: Vec<Option<Attempted<DeviceOutcome>>> =
+        // ---- phase 3: prepare shares (parallel, once per device) ----
+        journal.span_open("fleet.prepare", acquire_ticks, &[]);
+        let prepared: Vec<Option<Prepared>> =
             schedule::run_indexed_settled(cfg.n_devices, |d| match &acquired[d].result {
-                Ok(stage) => {
-                    Some(self.prepare_with_recovery(d, stage, &missing[d], &test, &plan, &clock))
-                }
+                Ok(stage) => Some(self.prepare_with_faults(d, stage, &missing[d], &test, &plan)),
                 Err(_) => None,
             });
-        record_retries(
-            journal,
-            prepared.iter().map(|p| p.as_ref().map_or(0, |a| a.retries)),
-        );
-        let prepare_end_ticks = clock.total();
-        journal.span_close(
-            "fleet.prepare",
-            prepare_end_ticks,
-            &[kv("ticks", prepare_end_ticks - union_end_ticks)],
-        );
-        Self::check_watchdog(cfg, "prepare", prepare_end_ticks - union_end_ticks)?;
+        journal.span_close("fleet.prepare", acquire_ticks, &[kv("ticks", 0)]);
 
         // ---- aggregation, in device-index order ----
         let out = self.aggregate(
@@ -281,18 +264,6 @@ impl FleetSim {
         out
     }
 
-    /// Errors out of the round when a phase overran the watchdog deadline.
-    fn check_watchdog(cfg: &FleetConfig, phase: &str, spent_ticks: u64) -> Result<(), FleetError> {
-        match cfg.watchdog_ticks {
-            Some(deadline_ticks) if spent_ticks > deadline_ticks => Err(FleetError::Watchdog {
-                phase: phase.to_string(),
-                spent_ticks,
-                deadline_ticks,
-            }),
-            _ => Ok(()),
-        }
-    }
-
     /// Phase 1 for one device, driven through the retry policy. Straggler
     /// stalls and retry backoff spend virtual ticks; every attempt rebuilds
     /// the stream from the same seed, so a healed fault yields exactly the
@@ -303,66 +274,41 @@ impl FleetSim {
         peak: &PeakRows,
         plan: &FaultPlan,
         clock: &VirtualClock,
-    ) -> Attempted<DeviceStage> {
+    ) -> Acquired {
         let cfg = &self.config;
         let device = DEVICE_CYCLE[cfg.member_id(d) as usize % DEVICE_CYCLE.len()];
         let dp = plan.device(d);
         let mut observed = Vec::new();
-        let mut retries = 0;
         let mut attempt = 0;
         loop {
-            if dp.fires(FaultKind::Straggle, attempt) {
-                let stall = dp.magnitude(FaultKind::Straggle).unwrap_or(0);
-                let budget = STRAGGLER_BUDGET_TICKS;
-                if stall > budget {
-                    // The orchestrator waits out the budget, then gives up
-                    // on the attempt.
-                    clock.advance(budget);
-                    observed.push(format!(
-                        "device {d} ({device}) straggler: stalled {stall} ticks, budget {budget} \
-                         [attempt {attempt}]"
-                    ));
-                    let err = FleetError::device(
-                        d,
-                        device,
-                        DeviceFaultKind::Straggler,
-                        format!("stalled {stall} virtual ticks (budget {budget})"),
-                    );
-                    if attempt < MAX_RETRIES {
-                        clock.advance(backoff_ticks(attempt));
-                        retries += 1;
-                        attempt += 1;
-                        continue;
-                    }
-                    return Attempted {
-                        result: Err(err),
-                        retries,
-                        observed,
-                    };
-                }
-                // Slow but within budget: absorbed, not a failure.
-                clock.advance(stall);
-                observed.push(format!(
-                    "device {d} ({device}) straggler: stalled {stall} ticks, absorbed within \
-                     budget {budget} [attempt {attempt}]"
-                ));
-            }
-            match self.acquire_device(d, peak, dp.fault_spec_for(attempt, cfg.rows_per_device)) {
-                Ok(stage) => {
-                    if dp.fires(FaultKind::TruncateChunks, attempt) {
+            let result = 'attempt: {
+                if dp.fires(FaultKind::Straggle, attempt) {
+                    let stall = dp.magnitude(FaultKind::Straggle).unwrap_or(0);
+                    let budget = STRAGGLER_BUDGET_TICKS;
+                    if stall > budget {
+                        // The orchestrator waits out the budget, then gives
+                        // up on the attempt.
+                        clock.advance(budget);
                         observed.push(format!(
-                            "device {d} ({device}) truncate-chunks: shard ended at {} of {} rows \
-                             [attempt {attempt}]",
-                            stage.shard_rows, cfg.rows_per_device
+                            "device {d} ({device}) straggler: stalled {stall} ticks, budget \
+                             {budget} [attempt {attempt}]"
+                        ));
+                        break 'attempt Err(FleetError::device(
+                            d,
+                            device,
+                            DeviceFaultKind::Straggler,
+                            format!("stalled {stall} virtual ticks (budget {budget})"),
                         ));
                     }
-                    return Attempted {
-                        result: Ok(stage),
-                        retries,
-                        observed,
-                    };
+                    // Slow but within budget: absorbed, not a failure.
+                    clock.advance(stall);
+                    observed.push(format!(
+                        "device {d} ({device}) straggler: stalled {stall} ticks, absorbed \
+                         within budget {budget} [attempt {attempt}]"
+                    ));
                 }
-                Err(e) => {
+                let spec = dp.fault_spec_for(attempt, cfg.rows_per_device);
+                self.acquire_device(d, peak, spec).map_err(|e| {
                     let kind = if dp.fires(FaultKind::CrashAcquire, attempt) {
                         DeviceFaultKind::CrashAcquire
                     } else {
@@ -370,19 +316,20 @@ impl FleetSim {
                     };
                     let err = FleetError::device(d, device, kind, e.to_string());
                     observed.push(format!("{err} [attempt {attempt}]"));
-                    if attempt < MAX_RETRIES {
-                        clock.advance(backoff_ticks(attempt));
-                        retries += 1;
-                        attempt += 1;
-                        continue;
-                    }
-                    return Attempted {
-                        result: Err(err),
-                        retries,
-                        observed,
-                    };
-                }
+                    err
+                })
+            };
+            // The one retry step: back off and try again until the attempt
+            // succeeds or the retries run out.
+            if result.is_ok() || attempt == MAX_RETRIES {
+                return Acquired {
+                    result,
+                    retries: attempt,
+                    observed,
+                };
             }
+            clock.advance(backoff_ticks(attempt));
+            attempt += 1;
         }
     }
 
@@ -477,80 +424,41 @@ impl FleetSim {
         })
     }
 
-    /// Phase 3 for one device, driven through the retry policy. Mid-fit
-    /// crashes abort before the (expensive) fit; share poisoning applies
-    /// to the successful attempt's product and is left for the
-    /// aggregator's quarantine to catch.
-    fn prepare_with_recovery(
+    /// Phase 3 for one device: one preparation, then the share poisoning
+    /// the plan scripts, left for the aggregator's quarantine to catch.
+    /// A failure is not retried: [`FleetSim::prepare_device`] draws from
+    /// the same seed every time, so a retry would replay it bit for bit.
+    fn prepare_with_faults(
         &self,
         d: usize,
         stage: &DeviceStage,
         missing: &[String],
         test: &Table,
         plan: &FaultPlan,
-        clock: &VirtualClock,
-    ) -> Attempted<DeviceOutcome> {
+    ) -> Prepared {
         let cfg = &self.config;
-        let dp = plan.device(d);
-        let seed = cfg.seed.wrapping_add(cfg.member_id(d).wrapping_mul(101));
-        let mut observed = Vec::new();
-        let mut retries = 0;
-        let mut attempt = 0;
-        loop {
-            let result = if dp.fires(FaultKind::CrashMidFit, attempt) {
-                Err(FleetError::device(
-                    d,
-                    &stage.device,
-                    DeviceFaultKind::CrashMidFit,
-                    "injected crash during generator fit",
-                ))
-            } else {
-                self.prepare_device(d, stage, missing, test)
-            };
-            match result {
-                Ok(mut outcome) => {
-                    if let Some(share) = outcome.share.as_mut() {
-                        if dp.fires(FaultKind::PoisonShareNan, attempt) {
-                            poison_share(share, PoisonKind::NonFinite, seed);
-                            observed.push(format!(
-                                "device {d} ({}) poison-share-nan: release carries non-finite \
-                                 cells [attempt {attempt}]",
-                                stage.device
-                            ));
-                        } else if dp.fires(FaultKind::PoisonShareKg, attempt) {
-                            poison_share(share, PoisonKind::KgInvalid, seed);
-                            observed.push(format!(
-                                "device {d} ({}) poison-share-kg: release carries KG-invalid \
-                                 values [attempt {attempt}]",
-                                stage.device
-                            ));
-                        }
-                    }
-                    return Attempted {
-                        result: Ok(outcome),
-                        retries,
-                        observed,
-                    };
+        let mut result = self.prepare_device(d, stage, missing, test);
+        let note = match &mut result {
+            Err(e) => Some(format!("{e} [attempt 0]")),
+            Ok(outcome) => match outcome.share.as_mut() {
+                Some(share) if plan.device(d).fires(FaultKind::PoisonShareNan, 0) => {
+                    poison_share(
+                        share,
+                        cfg.seed.wrapping_add(cfg.member_id(d).wrapping_mul(101)),
+                    );
+                    Some(format!(
+                        "device {d} ({}) poison-share-nan: release carries non-finite cells \
+                         [attempt 0]",
+                        stage.device
+                    ))
                 }
-                Err(e) => {
-                    observed.push(format!("{e} [attempt {attempt}]"));
-                    if attempt < MAX_RETRIES && e.is_retryable() {
-                        clock.advance(backoff_ticks(attempt));
-                        retries += 1;
-                        attempt += 1;
-                        continue;
-                    }
-                    return Attempted {
-                        result: Err(e),
-                        retries,
-                        observed,
-                    };
-                }
-            }
-        }
+                _ => None,
+            },
+        };
+        (result, note)
     }
 
-    /// One preparation attempt: union seeding, training (for synthetic
+    /// One preparation: union seeding, training (for synthetic
     /// sharing), and share production.
     fn prepare_device(
         &self,
@@ -747,11 +655,9 @@ impl FleetSim {
                     report.status = format!("degraded: {e}");
                     degraded.push((d, e.to_string()));
                 }
-                (Ok(stage), Some(att)) => {
+                (Ok(stage), Some((result, note))) => {
                     live_devices += 1;
-                    report.retries += att.retries;
-                    total_retries += att.retries;
-                    observed.extend(att.observed.iter().cloned());
+                    observed.extend(note.iter().cloned());
                     report.shard_rows = stage.shard_rows;
                     report.shard_classes = stage.vocab.iter().cloned().collect();
                     if !union_classes.is_empty() {
@@ -763,7 +669,7 @@ impl FleetSim {
                             .count() as f64
                             / denom;
                     }
-                    match &mut att.result {
+                    match result {
                         Ok(outcome) => {
                             report.seeded_classes = outcome.seeded_classes.clone();
                             report.prep_ms = outcome.prep_ms;
@@ -987,9 +893,9 @@ impl FleetSim {
 
 /// Bundled aggregation inputs (one fleet round's settled phases).
 struct AggregateInput<'a> {
-    acquired: Vec<Attempted<DeviceStage>>,
-    union_events: Vec<Vec<String>>,
-    prepared: Vec<Option<Attempted<DeviceOutcome>>>,
+    acquired: Vec<Acquired>,
+    union_events: Vec<Option<String>>,
+    prepared: Vec<Option<Prepared>>,
     union_classes: BTreeSet<String>,
     plan: &'a FaultPlan,
     clock: &'a VirtualClock,
@@ -998,7 +904,7 @@ struct AggregateInput<'a> {
     start: Instant,
 }
 
-/// Journals one settled phase's retries in device order: device `d`
+/// Journals the acquire phase's retries in device order: device `d`
 /// retried attempts `0..retries[d]`, each one a `fleet.retry` event.
 fn record_retries(journal: &mut Recorder, retries: impl Iterator<Item = usize>) {
     for (d, n) in retries.enumerate() {

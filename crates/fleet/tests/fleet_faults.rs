@@ -2,11 +2,12 @@
 //! contract: a chaotic round is exactly as bit-reproducible as a healthy
 //! one, and quorum verdicts never depend on completion order.
 
-use kinet_fleet::resilience::check_quorum;
+use kinet_fleet::report::DEVICE_OK;
+use kinet_fleet::resilience::{check_quorum, MAX_RETRIES};
 use kinet_fleet::storage::fnv1a64;
 use kinet_fleet::{
-    ChurnConfig, ChurnPlan, DeviceFaultSpec, FaultKind, FleetConfig, FleetError, FleetSim,
-    ModelKind, ResilienceConfig, SharingPolicy,
+    ChurnConfig, ChurnPlan, DeviceFaultSpec, FaultKind, FleetConfig, FleetError, FleetReport,
+    FleetSim, ModelKind, ResilienceConfig, SharingPolicy,
 };
 use kinet_tensor::pool::with_threads;
 use proptest::prelude::*;
@@ -178,6 +179,62 @@ fn recovered_raw_round_fingerprint_is_pinned() {
         0xe334_d7ca_a79e_ea63,
         "{fingerprint}"
     );
+}
+
+/// A raw four-device round with one scripted fault on device 2 and half
+/// quorum, beside the same round without it.
+fn corrupt_round(spec: DeviceFaultSpec) -> (FleetReport, FleetReport) {
+    let mut cfg = FleetConfig::fast(SharingPolicy::Raw);
+    cfg.n_devices = 4;
+    cfg.resilience.quorum_frac = 0.5;
+    let clean = FleetSim::new(cfg.clone()).run().unwrap();
+    cfg.fault = vec![spec];
+    (FleetSim::new(cfg).run().unwrap(), clean)
+}
+
+/// A chunk of NaN cells is caught by the device-side integrity scan as a
+/// stream fault; the retry streams the shard clean, so the healed device
+/// contributes exactly what a fault-free device would.
+#[test]
+fn transient_corrupt_chunks_are_caught_and_retried_clean() {
+    let (report, clean) = corrupt_round(DeviceFaultSpec::transient(2, FaultKind::CorruptChunks, 1));
+    assert_eq!(report.fault.retries, 1, "{:?}", report.fault);
+    assert_eq!(report.devices[2].retries, 1);
+    assert_eq!(report.devices[2].status, DEVICE_OK);
+    assert!(
+        report
+            .fault
+            .observed
+            .iter()
+            .any(|o| o.starts_with("device 2 ")
+                && o.contains(" stream: ")
+                && o.contains("corrupt chunk")),
+        "{:?}",
+        report.fault.observed
+    );
+    assert_eq!(report.devices[2].shard_rows, clean.devices[2].shard_rows);
+    assert_eq!(
+        report.devices[2].shard_classes,
+        clean.devices[2].shard_classes
+    );
+    assert_eq!(report.global_accuracy, clean.global_accuracy);
+}
+
+/// A stream that is corrupt on every attempt degrades its device once the
+/// retries run out; the rest of the fleet still commits.
+#[test]
+fn permanent_corrupt_chunks_degrade_the_device() {
+    let (report, _) = corrupt_round(DeviceFaultSpec::permanent(2, FaultKind::CorruptChunks));
+    assert_eq!(report.devices[2].retries, MAX_RETRIES);
+    assert!(
+        report.devices[2].status.starts_with("degraded:"),
+        "{}",
+        report.devices[2].status
+    );
+    assert_eq!(report.fault.degraded.len(), 1);
+    assert_eq!(report.fault.degraded[0].0, 2);
+    assert_eq!(report.fault.devices_reported, 3);
+    assert_eq!(report.devices[2].share_rows, 0);
 }
 
 /// Pins the membership schedules of the service gate's two scripted

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut probe = Table::empty(members.schema().clone());
     probe.append(&members)?;
     probe.append(&non_members)?;
-    let critic = model.critic_scores(&probe);
+    let critic = model.critic_scores(&probe)?;
     let mi = membership_inference_attack(&members, &non_members, &release, critic.as_deref());
     println!("  white-box  (WB)  accuracy {:.3}", mi.white_box);
     println!("  black-box  (FBB) accuracy {:.3}", mi.full_black_box);
