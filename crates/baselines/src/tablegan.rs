@@ -12,7 +12,7 @@
 
 use crate::common::{diverged, BaselineConfig};
 use kinet_data::synth::{SynthError, TabularSynthesizer};
-use kinet_data::{ColumnKind, Table, Value};
+use kinet_data::{ColumnKind, DataError, Schema, Table, Value};
 use kinet_nn::layers::{Activation, Mlp, MlpConfig};
 use kinet_nn::optim::{Adam, Optimizer};
 use kinet_nn::{Tape, Var};
@@ -23,6 +23,8 @@ use rand::{rngs::StdRng, RngExt, SeedableRng};
 /// `[-1, 1]` — TableGAN's representation.
 #[derive(Clone, Debug)]
 struct MinMaxCodec {
+    /// The fitted schema; [`MinMaxCodec::encode`] accepts only tables of it.
+    schema: Schema,
     /// Per column: categorical dictionary (empty for continuous).
     cats: Vec<Vec<String>>,
     mins: Vec<f64>,
@@ -54,34 +56,64 @@ impl MinMaxCodec {
                 }
             }
         }
-        Ok(Self { cats, mins, maxs })
+        Ok(Self {
+            schema: table.schema().clone(),
+            cats,
+            mins,
+            maxs,
+        })
     }
 
     fn width(&self) -> usize {
         self.mins.len()
     }
 
-    fn encode(&self, table: &Table) -> Matrix {
-        let mut out = Matrix::zeros(table.n_rows(), self.width());
-        for (ci, col) in table.schema().iter().enumerate() {
-            for r in 0..table.n_rows() {
-                let raw = match table.value(r, ci) {
-                    Value::Cat(s) => self.cats[ci].iter().position(|c| c == &s).unwrap_or(0) as f64,
-                    Value::Num(v) => v,
-                };
-                let scaled = 2.0 * (raw - self.mins[ci]) / (self.maxs[ci] - self.mins[ci]) - 1.0;
-                out[(r, ci)] = scaled.clamp(-1.0, 1.0) as f32;
-            }
-            let _ = col;
+    /// Scales `table` into `[-1, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// [`DataError::SchemaMismatch`] when `table`'s schema differs from the
+    /// fitted one or a categorical value was never seen by
+    /// [`MinMaxCodec::fit`]; the message names the column and value.
+    fn encode(&self, table: &Table) -> Result<Matrix, DataError> {
+        if table.schema() != &self.schema {
+            return Err(DataError::SchemaMismatch(
+                "table schema differs from fitted schema".to_string(),
+            ));
         }
-        out
+        let mut out = Matrix::zeros(table.n_rows(), self.width());
+        let bounds = self.mins.iter().zip(&self.maxs);
+        for (ci, ((col, dict), (&lo, &hi))) in
+            self.schema.iter().zip(&self.cats).zip(bounds).enumerate()
+        {
+            let name = col.name();
+            let scale = |raw: f64| (2.0 * (raw - lo) / (hi - lo) - 1.0).clamp(-1.0, 1.0) as f32;
+            match col.kind() {
+                ColumnKind::Categorical => {
+                    for (r, v) in table.cat_column(name)?.iter().enumerate() {
+                        let code = dict.iter().position(|c| c == v).ok_or_else(|| {
+                            DataError::SchemaMismatch(format!(
+                                "unseen category {v:?} in column {name:?}"
+                            ))
+                        })?;
+                        out[(r, ci)] = scale(code as f64);
+                    }
+                }
+                ColumnKind::Continuous => {
+                    for (r, &x) in table.num_column(name)?.iter().enumerate() {
+                        out[(r, ci)] = scale(x);
+                    }
+                }
+            }
+        }
+        Ok(out)
     }
 
-    fn decode(&self, m: &Matrix, schema: &kinet_data::Schema) -> Result<Table, SynthError> {
+    fn decode(&self, m: &Matrix) -> Result<Table, SynthError> {
         let mut rows = Vec::with_capacity(m.rows());
         for r in 0..m.rows() {
             let mut row = Vec::with_capacity(self.width());
-            for (ci, col) in schema.iter().enumerate() {
+            for (ci, col) in self.schema.iter().enumerate() {
                 let raw = (m[(r, ci)].clamp(-1.0, 1.0) as f64 + 1.0) / 2.0
                     * (self.maxs[ci] - self.mins[ci])
                     + self.mins[ci];
@@ -96,7 +128,7 @@ impl MinMaxCodec {
             }
             rows.push(row);
         }
-        Ok(Table::from_rows(schema.clone(), rows)?)
+        Ok(Table::from_rows(self.schema.clone(), rows)?)
     }
 }
 
@@ -104,7 +136,6 @@ struct Fitted {
     codec: MinMaxCodec,
     gen: Mlp,
     disc: Mlp,
-    table: Table,
 }
 
 /// The TableGAN baseline synthesizer.
@@ -183,7 +214,7 @@ impl TabularSynthesizer for TableGan {
         let mut d_opt = Adam::with_betas(disc.params(), cfg.lr, 0.5, 0.9);
         let mut c_opt = Adam::new(clf.params(), cfg.lr);
 
-        let encoded = codec.encode(table);
+        let encoded = codec.encode(table)?;
         let steps = (table.n_rows() / cfg.batch_size).max(1);
         fn drop_label<'t>(v: Var<'t>, label_idx: usize) -> Var<'t> {
             // remove the label column for the classifier input
@@ -268,12 +299,7 @@ impl TabularSynthesizer for TableGan {
                     .map_err(|v| diverged("TableGAN", "generator", epoch, step, v))?;
             }
         }
-        self.fitted = Some(Fitted {
-            codec,
-            gen,
-            disc,
-            table: table.clone(),
-        });
+        self.fitted = Some(Fitted { codec, gen, disc });
         Ok(())
     }
 
@@ -282,14 +308,14 @@ impl TabularSynthesizer for TableGan {
         let mut rng = StdRng::seed_from_u64(seed);
         let z = Matrix::randn(n, self.config.z_dim, 0.0, 1.0, &mut rng);
         let raw = f.gen.infer(&z).map(f32::tanh);
-        f.codec.decode(&raw, f.table.schema())
+        f.codec.decode(&raw)
     }
 
     fn critic_scores(&self, table: &Table) -> Result<Option<Vec<f64>>, SynthError> {
         let Some(f) = &self.fitted else {
             return Ok(None);
         };
-        let encoded = f.codec.encode(table);
+        let encoded = f.codec.encode(table)?;
         let s = f.disc.infer(&encoded);
         Ok(Some(s.column(0).iter().map(|&v| v as f64).collect()))
     }
@@ -336,8 +362,8 @@ mod tests {
     fn codec_roundtrip_is_lossless_for_categories() {
         let t = data(100, 2);
         let codec = MinMaxCodec::fit(&t).unwrap();
-        let enc = codec.encode(&t);
-        let dec = codec.decode(&enc, t.schema()).unwrap();
+        let enc = codec.encode(&t).unwrap();
+        let dec = codec.decode(&enc).unwrap();
         assert_eq!(
             dec.cat_column("event").unwrap(),
             t.cat_column("event").unwrap()
@@ -361,6 +387,27 @@ mod tests {
         let mut m = TableGan::new(cfg());
         m.fit(&t).unwrap();
         assert_eq!(m.sample(30, 5).unwrap(), m.sample(30, 5).unwrap());
+    }
+
+    #[test]
+    fn critic_rejects_rows_the_codec_was_not_fitted_on() {
+        let t = data(150, 5);
+        let mut m = TableGan::new(cfg());
+        m.fit(&t).unwrap();
+        let mut unseen = t.select_rows(&[0]);
+        let mut row = unseen.row(0);
+        let protocol = t.schema().index_of("protocol").unwrap();
+        row[protocol] = Value::cat("gopher");
+        unseen.set_row(0, row).unwrap();
+        let err = m.critic_scores(&unseen).unwrap_err().to_string();
+        assert!(
+            err.contains("\"gopher\"") && err.contains("\"protocol\""),
+            "{err}"
+        );
+        // Same columns in another order: an error, not a misbinding.
+        let mut names: Vec<&str> = t.schema().iter().map(|c| c.name()).collect();
+        names.reverse();
+        assert!(m.critic_scores(&t.project(&names).unwrap()).is_err());
     }
 
     #[test]

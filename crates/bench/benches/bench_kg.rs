@@ -3,7 +3,7 @@
 //! interned-compiled comparison on a 20k-row batch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kinet_data::encoded::{row_to_assignment, EncodedTable, KgColumnBinding, KgTableChecker};
+use kinet_data::encoded::{row_to_assignment, KgTableChecker};
 use kinet_datasets::lab::{LabSimConfig, LabSimulator};
 use kinet_kg::{Assignment, AttrValue, NetworkKg};
 
@@ -61,12 +61,6 @@ fn bench_validity_rate_20k(c: &mut Criterion) {
             let checker = KgTableChecker::new(kg.compiled(), kg.base_interner(), table.schema());
             criterion::black_box(checker.validity_rate(&table).expect("schema matches"))
         });
-    });
-    // Pre-encoded variant: the cost once a pipeline holds an EncodedTable.
-    let enc = EncodedTable::encode(&table, kg.base_interner().clone());
-    let binding = KgColumnBinding::bind(kg.compiled(), table.schema());
-    group.bench_function("20k_pre_encoded", |b| {
-        b.iter(|| criterion::black_box(enc.validity_rate(kg.compiled(), &binding)));
     });
     group.finish();
 }

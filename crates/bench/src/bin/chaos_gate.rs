@@ -120,7 +120,8 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 /// The skewed-split fleet the whole matrix runs on: only device 0 observes
-/// attacks (the condition-union recovery scenario from `fleet_demo`).
+/// attacks (the condition-union recovery scenario of
+/// `crates/fleet/tests/fleet_union.rs`).
 fn base_config(args: &Args) -> FleetConfig {
     let (rows, epochs) = if args.quick { (220, 2) } else { (400, 60) };
     FleetConfig {

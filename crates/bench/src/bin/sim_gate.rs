@@ -1,23 +1,23 @@
 //! Distributed-sim quality gate: runs the Table-1 deployment scenario
-//! (by default 4 devices × 500 records, the small-shard training schedule)
+//! (4 devices × 500 records, seed 42, the small-shard training schedule)
 //! for all three sharing policies, asserts the utility floors, and
 //! persists the full [`FleetReport`]s as
-//! `target/experiments/<out>.json` so per-PR CI artifacts make utility
-//! regressions as visible as the perf ones `bench_gate` guards.
+//! `target/experiments/distributed_report.json` so per-PR CI artifacts
+//! make utility regressions as visible as the perf ones `bench_gate`
+//! guards.
 //!
 //! When a previous snapshot exists at the output path it is reloaded
 //! through the vendored JSON deserializer and a per-policy delta is
 //! printed — quality drift is visible at a glance, not just floor breaks.
 //!
 //! ```text
-//! sim_gate [--devices N] [--rows-per-device N] [--seed N] [--out NAME]
+//! sim_gate
 //! ```
 //!
-//! Defaults reproduce the CI floor configuration exactly. Exit code 1
-//! when any floor is violated or an argument is malformed; a failed
-//! simulation run instead exits with the typed
-//! [`kinet_fleet::FleetError`] code (2 config-invalid, 3 quorum-lost,
-//! 4 internal).
+//! Takes no arguments. Exit code 1 when any floor is violated or an
+//! argument is given; a failed simulation run instead exits with the
+//! typed [`kinet_fleet::FleetError`] code (2 config-invalid,
+//! 3 quorum-lost, 4 internal).
 
 use kinet_bench::write_json;
 use kinet_datasets::lab::LabSimulator;
@@ -29,57 +29,16 @@ const RAW_ACC_FLOOR: f64 = 0.9;
 const SYNTH_ACC_FLOOR: f64 = 0.5;
 const SYNTH_KG_VALIDITY_FLOOR: f64 = 0.5;
 
-struct Args {
-    devices: usize,
-    rows_per_device: usize,
-    seed: u64,
-    out: String,
-}
+/// The Table-1 deployment.
+const DEVICES: usize = 4;
+const ROWS_PER_DEVICE: usize = 500;
+const SEED: u64 = 42;
+const OUT: &str = "distributed_report";
 
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut args = Args {
-            devices: 4,
-            rows_per_device: 500,
-            seed: FleetConfig::default().seed,
-            out: "distributed_report".to_string(),
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-            match flag.as_str() {
-                "--devices" => args.devices = parse_num(&value("--devices")?)?,
-                "--rows-per-device" => {
-                    args.rows_per_device = parse_num(&value("--rows-per-device")?)?;
-                }
-                "--seed" => args.seed = parse_num(&value("--seed")?)?,
-                "--out" => args.out = value("--out")?,
-                "--help" | "-h" => {
-                    println!(
-                        "usage: sim_gate [--devices N] [--rows-per-device N] [--seed N] \
-                         [--out NAME]"
-                    );
-                    std::process::exit(0);
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        if args.devices == 0 || args.rows_per_device == 0 {
-            return Err("--devices and --rows-per-device must be positive".into());
-        }
-        Ok(args)
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid number {s:?}"))
-}
-
-/// Reloads the previous snapshot at `target/experiments/<out>.json`, if
+/// Reloads the previous snapshot at `target/experiments/<OUT>.json`, if
 /// any, through the shim deserializer.
-fn previous_reports(out: &str) -> Option<Vec<FleetReport>> {
-    let path = kinet_bench::gate::fresh_dir().join(format!("{out}.json"));
+fn previous_reports() -> Option<Vec<FleetReport>> {
+    let path = kinet_bench::gate::fresh_dir().join(format!("{OUT}.json"));
     let text = std::fs::read_to_string(path).ok()?;
     match serde_json::from_str(&text) {
         Ok(reports) => Some(reports),
@@ -91,15 +50,7 @@ fn previous_reports(out: &str) -> Option<Vec<FleetReport>> {
 }
 
 fn print_delta(previous: &[FleetReport], fresh: &FleetReport) {
-    // Match the previous run on policy, device count and rows per device
-    // so e.g. a `--devices 8` exploration against a default 4-device
-    // snapshot is not misread as quality drift (the report does not
-    // record the seed, so runs varying it should pick a distinct `--out`).
-    let Some(prev) = previous.iter().find(|p| {
-        p.policy == fresh.policy
-            && p.n_devices == fresh.n_devices
-            && p.rows_per_device == fresh.rows_per_device
-    }) else {
+    let Some(prev) = previous.iter().find(|p| p.policy == fresh.policy) else {
         return;
     };
     println!(
@@ -112,18 +63,15 @@ fn print_delta(previous: &[FleetReport], fresh: &FleetReport) {
 }
 
 fn main() {
-    let args = match Args::parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sim_gate: {e}");
-            std::process::exit(1);
-        }
-    };
+    if std::env::args().len() > 1 {
+        eprintln!("usage: sim_gate");
+        std::process::exit(1);
+    }
     println!(
-        "sim_gate — distributed NIDS quality floors ({} devices x {} records, seed {})\n",
-        args.devices, args.rows_per_device, args.seed
+        "sim_gate — distributed NIDS quality floors ({DEVICES} devices x {ROWS_PER_DEVICE} \
+         records, seed {SEED})\n"
     );
-    let previous = previous_reports(&args.out).unwrap_or_default();
+    let previous = previous_reports().unwrap_or_default();
     let mut reports = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     let mut run_error_code: Option<i32> = None;
@@ -133,10 +81,10 @@ fn main() {
         SharingPolicy::LocalOnly,
     ] {
         let sim = FleetSim::new(FleetConfig {
-            n_devices: args.devices,
-            rows_per_device: args.rows_per_device,
+            n_devices: DEVICES,
+            rows_per_device: ROWS_PER_DEVICE,
             test_records: 800,
-            seed: args.seed,
+            seed: SEED,
             policy: policy.clone(),
             ..FleetConfig::default()
         });
@@ -198,9 +146,9 @@ fn main() {
     }
 
     let json_reports: Vec<_> = reports.iter().map(|(_, r)| r).collect();
-    match write_json(&args.out, &json_reports) {
+    match write_json(OUT, &json_reports) {
         Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => failures.push(format!("could not write {}.json: {e}", args.out)),
+        Err(e) => failures.push(format!("could not write {OUT}.json: {e}")),
     }
 
     if failures.is_empty() {

@@ -149,8 +149,9 @@ impl ProbeRecord {
     }
 }
 
-/// The evidence-before-verdict finish: prints the journal summary and
-/// dumps its tail ([`crate::obs_wrapup`]), writes `report` to
+/// The evidence-before-verdict finish: prints the journal's one-line
+/// per-phase tick/row summary, writes its last [`kinet_obs::DUMP_TAIL`]
+/// records to `target/experiments/<gate>_obs_dump.json` and `report` to
 /// `target/experiments/<id>.json`, and only then gives the verdict on
 /// `contracts`: exit 1 if `failed`, so a red gate still uploads its
 /// evidence.
@@ -162,7 +163,12 @@ pub fn finish<T: Serialize>(
     failed: bool,
     contracts: &str,
 ) {
-    crate::obs_wrapup(gate, journal);
+    println!("{}", journal.phase_summary());
+    let dump = format!("{gate}_obs_dump");
+    match crate::write_json(&dump, &journal.tail_snapshot(kinet_obs::DUMP_TAIL)) {
+        Ok(path) => println!("journal tail dumped to {}", path.display()),
+        Err(e) => eprintln!("could not write {dump}.json: {e}"),
+    }
     match crate::write_json(id, report) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {

@@ -9,9 +9,8 @@
 //! [`crate::transform::CategoricalEncoder`]'s lexicographic dictionary so
 //! one-hot offsets and interned symbols translate in O(1).
 //!
-//! [`KgColumnBinding`] maps schema columns onto a
-//! [`CompiledReasoner`]'s field ids once; after that, validity scoring is
-//! an integer loop per row.
+//! [`KgTableChecker`] scores string tables against a [`CompiledReasoner`]
+//! with one integer loop per row.
 
 use crate::schema::{ColumnKind, Schema};
 use crate::table::{DataError, Table};
@@ -49,7 +48,7 @@ enum EncodedColumn {
 }
 
 /// A table pre-encoded onto an [`Interner`]: the zero-allocation substrate
-/// for compiled validity scoring and the training batch pipeline.
+/// of the training batch pipeline.
 #[derive(Clone, Debug)]
 pub struct EncodedTable {
     schema: Schema,
@@ -155,83 +154,6 @@ impl EncodedTable {
             Some(&code) if code != NO_CODE => Some(code as usize),
             _ => None,
         }
-    }
-
-    /// Counts KG-valid rows with the compiled reasoner.
-    pub fn count_valid(&self, compiled: &CompiledReasoner, binding: &KgColumnBinding) -> usize {
-        let scope = binding
-            .scope_col
-            .and_then(|c| self.cat_syms(c))
-            .unwrap_or(&[]);
-        let rules = compiled.rules();
-        (0..self.n_rows)
-            .filter(|&row| {
-                let event_row = if scope.is_empty() {
-                    rules.wildcard_row()
-                } else {
-                    rules.event_row(Cell::Cat(scope[row]))
-                };
-                binding
-                    .checked
-                    .iter()
-                    .all(|&(col, fid)| match &self.columns[col] {
-                        EncodedColumn::Cat { syms, .. } => {
-                            compiled.cat_ok(event_row, fid, syms[row], &self.interner)
-                        }
-                        EncodedColumn::Num(vals) => compiled.num_ok(event_row, fid, vals[row]),
-                    })
-            })
-            .count()
-    }
-
-    /// Fraction of KG-valid rows (1.0 for an empty table, like the string
-    /// reasoner's `validity_rate`).
-    pub fn validity_rate(&self, compiled: &CompiledReasoner, binding: &KgColumnBinding) -> f64 {
-        if self.n_rows == 0 {
-            return 1.0;
-        }
-        self.count_valid(compiled, binding) as f64 / self.n_rows as f64
-    }
-}
-
-/// The one-time mapping from a schema's columns onto a compiled rule
-/// grid's field ids. Columns no rule mentions are skipped entirely.
-///
-/// Bindings are **positional**: they must be built from the same schema
-/// as the [`EncodedTable`] they are used with (the table's own
-/// `schema()`). For scoring arbitrary string tables, use
-/// [`KgTableChecker`], which resolves columns by name.
-#[derive(Clone, Debug)]
-pub struct KgColumnBinding {
-    /// The categorical scope (event-class) column, if present.
-    scope_col: Option<usize>,
-    /// `(schema column, compiled field id)` for every constrained column.
-    checked: Vec<(usize, usize)>,
-}
-
-impl KgColumnBinding {
-    /// Binds `schema` onto `compiled`'s field table.
-    pub fn bind(compiled: &CompiledReasoner, schema: &Schema) -> Self {
-        let rules = compiled.rules();
-        let scope_col = schema
-            .index_of(rules.scope_field())
-            .filter(|&c| schema.column(c).kind() == ColumnKind::Categorical);
-        let checked = schema
-            .iter()
-            .enumerate()
-            .filter_map(|(c, col)| rules.field_id(col.name()).map(|fid| (c, fid)))
-            .collect();
-        Self { scope_col, checked }
-    }
-
-    /// The categorical scope column, if the schema has one.
-    pub fn scope_col(&self) -> Option<usize> {
-        self.scope_col
-    }
-
-    /// The `(schema column, field id)` pairs under rule constraints.
-    pub fn checked(&self) -> &[(usize, usize)] {
-        &self.checked
     }
 }
 
@@ -479,10 +401,6 @@ mod tests {
         let checker = KgTableChecker::new(kg.compiled(), kg.base_interner(), t.schema());
         let rate = checker.validity_rate(&t).unwrap();
         assert!((rate - 0.25).abs() < 1e-9, "1 of 4 rows valid: {rate}");
-
-        let enc = EncodedTable::encode(&t, kg.base_interner().clone());
-        let binding = KgColumnBinding::bind(kg.compiled(), t.schema());
-        assert_eq!(enc.validity_rate(kg.compiled(), &binding), rate);
         let mut invalid = Vec::new();
         checker.invalid_rows(&t, &mut invalid).unwrap();
         assert_eq!(invalid, vec![1, 2, 3]);

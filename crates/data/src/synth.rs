@@ -133,21 +133,6 @@ pub fn sample_in_batches<R: rand::Rng>(
     Ok(out)
 }
 
-/// Blanket helper: fit then sample in one call.
-///
-/// # Errors
-///
-/// Propagates errors from either phase.
-pub fn fit_and_sample<S: TabularSynthesizer>(
-    model: &mut S,
-    table: &Table,
-    n: usize,
-    seed: u64,
-) -> Result<Table, SynthError> {
-    model.fit(table)?;
-    model.sample(n, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,15 +186,6 @@ mod tests {
     fn contract_not_fitted() {
         let r = Resampler { data: None };
         assert!(matches!(r.sample(3, 0), Err(SynthError::NotFitted)));
-    }
-
-    #[test]
-    fn fit_then_sample_shapes() {
-        let mut r = Resampler { data: None };
-        let t = table();
-        let s = fit_and_sample(&mut r, &t, 10, 42).unwrap();
-        assert_eq!(s.n_rows(), 10);
-        assert_eq!(s.schema(), t.schema());
     }
 
     #[test]

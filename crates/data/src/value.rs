@@ -46,11 +46,6 @@ impl Value {
         }
     }
 
-    /// `true` for [`Value::Cat`].
-    pub fn is_cat(&self) -> bool {
-        matches!(self, Value::Cat(_))
-    }
-
     /// `true` for [`Value::Num`].
     pub fn is_num(&self) -> bool {
         matches!(self, Value::Num(_))
@@ -106,7 +101,6 @@ mod tests {
         assert_eq!(Value::cat("x").as_num(), None);
         assert_eq!(Value::num(1.5).as_num(), Some(1.5));
         assert!(Value::num(0.0).is_num());
-        assert!(Value::cat("c").is_cat());
     }
 
     #[test]
@@ -119,7 +113,7 @@ mod tests {
     #[test]
     fn conversions() {
         let v: Value = "udp".into();
-        assert!(v.is_cat());
+        assert_eq!(v.as_cat(), Some("udp"));
         let v: Value = 5i64.into();
         assert_eq!(v.as_num(), Some(5.0));
     }

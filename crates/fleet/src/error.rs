@@ -44,7 +44,8 @@ impl DeviceFaultKind {
 /// Any failure a fleet run can surface. `Display` renders a one-line
 /// human message; [`Error::source`] exposes the underlying cause where one
 /// exists; [`FleetError::exit_code`] maps the variant onto the process
-/// exit-code contract shared by `fleet_demo`/`sim_gate`/`chaos_gate`.
+/// exit-code contract shared by `sim_gate`, `chaos_gate` and
+/// `service_gate`.
 #[derive(Debug)]
 pub enum FleetError {
     /// The configuration is internally inconsistent (caller bug; never
@@ -111,8 +112,8 @@ pub enum FleetError {
     Internal(String),
 }
 
-/// Process exit codes shared by the fleet gates (`fleet_demo`, `sim_gate`,
-/// `chaos_gate`): `1` stays reserved for violated gate assertions/floors.
+/// Process exit codes shared by the fleet gates (`sim_gate`, `chaos_gate`,
+/// `service_gate`): `1` stays reserved for violated gate assertions/floors.
 pub const EXIT_CONFIG_INVALID: i32 = 2;
 /// Exit code for a round that lost quorum.
 pub const EXIT_QUORUM_LOST: i32 = 3;

@@ -1105,6 +1105,35 @@ mod tests {
     }
 
     #[test]
+    fn windowed_raw_round_keeps_pooled_accuracy() {
+        // Eight devices each keep a 256-row reservoir sample of a 1,000-row
+        // shard: residency stays at chunk + window, and the pool of those
+        // samples still trains a detector above the raw-sharing floor.
+        let report = FleetSim::new(FleetConfig {
+            n_devices: 8,
+            rows_per_device: 1_000,
+            test_records: 1_200,
+            policy: SharingPolicy::Raw,
+            seed: 42,
+            chunk_rows: 1_024,
+            device_window: Some(256),
+            ..FleetConfig::default()
+        })
+        .run()
+        .unwrap();
+        assert!(
+            report.peak_decoded_rows <= 1_024 + 256,
+            "peak {} exceeds chunk + window",
+            report.peak_decoded_rows
+        );
+        for d in &report.devices {
+            assert_eq!(d.share_rows, 256);
+            assert_eq!(d.shard_rows, 1_000);
+        }
+        assert!(report.global_accuracy >= 0.9, "{report}");
+    }
+
+    #[test]
     fn eager_window_matches_shard() {
         let report = FleetSim::new(FleetConfig::fast(SharingPolicy::Raw))
             .run()

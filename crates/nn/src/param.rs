@@ -102,14 +102,6 @@ impl Param {
         self.inner.borrow_mut().grad.as_mut_slice().fill(0.0);
     }
 
-    /// In-place SGD-style update `value -= lr * grad` (used by simple
-    /// optimizers and tests).
-    pub fn apply_gradient_step(&self, lr: f32) {
-        let mut inner = self.inner.borrow_mut();
-        let grad = inner.grad.clone();
-        inner.value.add_assign_scaled(&grad, -lr);
-    }
-
     /// `true` when two handles refer to the same underlying parameter.
     pub fn same_as(&self, other: &Param) -> bool {
         Rc::ptr_eq(&self.inner, &other.inner)
@@ -174,11 +166,6 @@ impl ParamSet {
         self.params.iter()
     }
 
-    /// Total scalar count across all parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.shape().0 * p.shape().1).sum()
-    }
-
     /// Zeroes every gradient in the set.
     pub fn zero_grad(&self) {
         for p in &self.params {
@@ -232,24 +219,6 @@ impl ParamSet {
         }
         norm
     }
-
-    /// Snapshots all parameter values (for checkpointing / tests).
-    pub fn state(&self) -> Vec<Matrix> {
-        self.params.iter().map(|p| p.value()).collect()
-    }
-
-    /// Restores parameter values from [`ParamSet::state`] output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number or shapes of matrices differ.
-    pub fn load_state(&self, state: &[Matrix]) {
-        assert_eq!(state.len(), self.params.len(), "state length mismatch");
-        for (p, s) in self.params.iter().zip(state) {
-            assert_eq!(p.shape(), s.shape(), "state shape mismatch");
-            p.update(|m| *m = s.clone());
-        }
-    }
 }
 
 impl FromIterator<Param> for ParamSet {
@@ -284,14 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn gradient_step_descends() {
-        let p = Param::new(Matrix::full(1, 1, 3.0));
-        p.accumulate_grad(&Matrix::full(1, 1, 1.0));
-        p.apply_gradient_step(0.5);
-        assert_eq!(p.value()[(0, 0)], 2.5);
-    }
-
-    #[test]
     fn same_as_identity() {
         let p = Param::new(Matrix::zeros(1, 1));
         let q = p.clone();
@@ -313,28 +274,5 @@ mod tests {
         // clipping below the threshold is a no-op
         set.clip_grad_norm(10.0);
         assert!((set.grad_norm() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn state_save_restore() {
-        let mut set = ParamSet::new();
-        set.push(Param::new(Matrix::full(1, 1, 1.0)));
-        set.push(Param::new(Matrix::full(2, 2, 2.0)));
-        let snapshot = set.state();
-        set.iter().for_each(|p| p.update(|m| *m = m.scale(0.0)));
-        assert_eq!(set.state()[1].sum(), 0.0);
-        set.load_state(&snapshot);
-        assert_eq!(set.state()[1].sum(), 8.0);
-    }
-
-    #[test]
-    fn num_scalars_counts() {
-        let set: ParamSet = [
-            Param::new(Matrix::zeros(2, 3)),
-            Param::new(Matrix::zeros(1, 4)),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(set.num_scalars(), 10);
     }
 }

@@ -26,8 +26,6 @@ pub(crate) enum Op {
     Add(usize, usize),
     Sub(usize, usize),
     Mul(usize, usize),
-    Div(usize, usize),
-    Neg(usize),
     Matmul(usize, usize),
     Scale(usize, f32),
     AddScalar(usize),
@@ -51,7 +49,6 @@ pub(crate) enum Op {
     /// The operands are `Tape::operands[start..end]`.
     ConcatCols(usize, usize),
     SliceCols(usize, usize, usize),
-    Reshape(usize),
     BceWithLogits(usize, Matrix),
     SoftmaxCrossEntropy(usize, Matrix),
     Mse(usize, Matrix),
@@ -71,14 +68,12 @@ impl Op {
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
-            | Op::Div(a, b)
             | Op::Matmul(a, b)
             | Op::AddRow(a, b)
             | Op::SubRow(a, b)
             | Op::MulRow(a, b)
             | Op::DivRow(a, b) => rg(a) || rg(b),
-            Op::Neg(a)
-            | Op::Scale(a, _)
+            Op::Scale(a, _)
             | Op::AddScalar(a)
             | Op::AddConst(a)
             | Op::MulConst(a, _)
@@ -94,7 +89,6 @@ impl Op {
             | Op::Sqrt(a)
             | Op::Softmax(a)
             | Op::SliceCols(a, _, _)
-            | Op::Reshape(a)
             | Op::BceWithLogits(a, _)
             | Op::SoftmaxCrossEntropy(a, _)
             | Op::Mse(a, _) => rg(a),
@@ -422,15 +416,6 @@ impl Tape {
                         gb.add_assign_zip_map(g, va, |gi, vi| gi * vi)
                     });
                 }
-                Op::Div(a, b) => {
-                    acc_with(head, *a, *b, |ga, vb| {
-                        ga.add_assign_zip_map(g, vb, |gi, vi| gi / vi)
-                    });
-                    acc_with(head, *b, *b, |gb, vb| {
-                        gb.add_assign_zip3_map(g, out, vb, |gi, oi, vi| -((gi * oi) / vi))
-                    });
-                }
-                Op::Neg(a) => acc(head, *a, |ga| ga.add_assign_scaled(g, -1.0)),
                 Op::Matmul(a, b) => {
                     acc_with(head, *a, *b, |ga, vb| ga.matmul_nt_acc(g, vb));
                     acc_with(head, *b, *a, |gb, va| gb.matmul_tn_acc(va, g));
@@ -554,13 +539,6 @@ impl Tape {
                         for (o, &gv) in dst.iter_mut().zip(g.row(r)) {
                             *o += gv;
                         }
-                    }
-                }),
-                Op::Reshape(a) => acc(head, *a, |ga| {
-                    // Same element order, different shape: accumulate
-                    // buffer-to-buffer.
-                    for (o, &gv) in ga.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                        *o += gv;
                     }
                 }),
                 Op::BceWithLogits(a, target) => {
@@ -743,7 +721,7 @@ fn row_shape(m: &Matrix, row: &Matrix) {
 }
 
 // The arithmetic methods intentionally mirror `Matrix`'s inherent
-// `add`/`sub`/`mul`/`div`/`neg` names rather than the operator traits:
+// `add`/`sub`/`mul` names rather than the operator traits:
 // tape nodes are `Copy` handles and the graph DSL reads as method chains.
 // Every node value is written into a tape buffer with the same per-element
 // arithmetic as the `Matrix` method of the same name.
@@ -849,20 +827,6 @@ impl<'t> Var<'t> {
     /// Element-wise product.
     pub fn mul(self, other: Var<'t>) -> Var<'t> {
         self.zip_var(other, Op::Mul(self.idx, other.idx), |a, b| a * b)
-    }
-
-    /// Element-wise quotient.
-    pub fn div(self, other: Var<'t>) -> Var<'t> {
-        self.zip_var(other, Op::Div(self.idx, other.idx), |a, b| a / b)
-    }
-
-    /// Negation.
-    // `v * -1.0` rather than `-v`: the two differ on a NaN's sign bit, and
-    // this is the arithmetic of `Matrix::scale(-1.0)` that negation has
-    // always recorded.
-    #[allow(clippy::neg_multiply)]
-    pub fn neg(self) -> Var<'t> {
-        self.map(Op::Neg(self.idx), |v| v * -1.0)
     }
 
     /// Matrix product `self · other`.
@@ -1038,23 +1002,6 @@ impl<'t> Var<'t> {
         self.unary(out, Op::SliceCols(self.idx, start, end))
     }
 
-    /// Reshapes to `rows × cols` (same element count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element count differs.
-    pub fn reshape(self, rows: usize, cols: usize) -> Var<'t> {
-        let (r, c) = self.shape();
-        assert_eq!(
-            r * c,
-            rows * cols,
-            "cannot reshape {r}x{c} into {rows}x{cols}"
-        );
-        let mut out = self.tape.buffer(rows, cols);
-        self.with_value(|a| out.as_mut_slice().copy_from_slice(a.as_slice()));
-        self.unary(out, Op::Reshape(self.idx))
-    }
-
     /// Mean binary-cross-entropy between these logits and constant targets,
     /// as a `1 × 1` node (numerically stable log-sum-exp form).
     pub fn bce_with_logits(self, target: &Matrix) -> Var<'t> {
@@ -1161,18 +1108,6 @@ mod tests {
         tape.backward(f);
         assert_eq!(pa.grad()[(0, 0)], 5.0);
         assert_eq!(pb.grad()[(0, 0)], 3.0);
-    }
-
-    #[test]
-    fn div_gradients() {
-        // f = a / b at a=6, b=3: df/da = 1/3, df/db = -6/9
-        let tape = Tape::new();
-        let pa = Param::new(Matrix::full(1, 1, 6.0));
-        let pb = Param::new(Matrix::full(1, 1, 3.0));
-        let f = tape.param(&pa).div(tape.param(&pb)).sum();
-        tape.backward(f);
-        assert!((pa.grad()[(0, 0)] - 1.0 / 3.0).abs() < 1e-6);
-        assert!((pb.grad()[(0, 0)] + 6.0 / 9.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1464,15 +1399,5 @@ mod tests {
             tape.reset();
             assert!(tape.spare.borrow().len() <= 1);
         }
-    }
-
-    #[test]
-    fn reshape_gradient_roundtrip() {
-        let tape = Tape::new();
-        let p = Param::new(Matrix::ones(2, 3));
-        let loss = tape.param(&p).reshape(3, 2).mse(&Matrix::zeros(3, 2));
-        tape.backward(loss);
-        assert_eq!(p.grad().shape(), (2, 3));
-        assert!((p.grad()[(0, 0)] - 2.0 / 6.0).abs() < 1e-6);
     }
 }

@@ -169,39 +169,6 @@ impl Matrix {
         }
     }
 
-    /// Accumulates `f(x, y, z)` element-wise into `self` (three-operand
-    /// variant of [`Matrix::add_assign_zip_map`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_assign_zip3_map(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        z: &Matrix,
-        f: impl Fn(f32, f32, f32) -> f32,
-    ) {
-        assert_eq!(
-            self.shape(),
-            x.shape(),
-            "add_assign_zip3_map shape mismatch: {:?} vs {:?}",
-            self.shape(),
-            x.shape()
-        );
-        assert_eq!(x.shape(), y.shape(), "add_assign_zip3_map operand mismatch");
-        assert_eq!(x.shape(), z.shape(), "add_assign_zip3_map operand mismatch");
-        for (((a, &xv), &yv), &zv) in self
-            .as_mut_slice()
-            .iter_mut()
-            .zip(x.as_slice())
-            .zip(y.as_slice())
-            .zip(z.as_slice())
-        {
-            *a += f(xv, yv, zv);
-        }
-    }
-
     /// Adds the `1 × cols` row vector to every row.
     ///
     /// # Panics
@@ -469,16 +436,6 @@ impl Matrix {
             true,
         );
     }
-
-    /// Clamps every element into `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn clamp_values(&self, lo: f32, hi: f32) -> Matrix {
-        assert!(lo <= hi, "clamp bounds inverted: {lo} > {hi}");
-        self.map(|v| v.clamp(lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -616,19 +573,6 @@ mod tests {
             |a, b| a * b,
         );
         assert_eq!(m.as_slice(), &[5.0, 6.0]);
-        m.add_assign_zip3_map(
-            &Matrix::row_vector(&[1.0, 1.0]),
-            &Matrix::row_vector(&[2.0, 2.0]),
-            &Matrix::row_vector(&[4.0, 2.0]),
-            |a, b, c| -((a * b) / c),
-        );
-        assert_eq!(m.as_slice(), &[4.5, 5.0]);
-    }
-
-    #[test]
-    fn clamp_limits() {
-        let a = Matrix::row_vector(&[-2.0, 0.5, 9.0]);
-        assert_eq!(a.clamp_values(-1.0, 1.0).as_slice(), &[-1.0, 0.5, 1.0]);
     }
 
     #[test]

@@ -80,15 +80,6 @@ impl Matrix {
         centered.mul(&centered).mean_rows()
     }
 
-    /// Row-wise sums as an `rows × 1` column vector.
-    pub fn sum_cols(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), 1);
-        for r in 0..self.rows() {
-            out[(r, 0)] = self.row(r).iter().sum();
-        }
-        out
-    }
-
     /// Index of the largest element in each row.
     ///
     /// Ties resolve to the first maximum, matching `Iterator::max_by` on
@@ -153,7 +144,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m.sum_rows().as_slice(), &[4.0, 6.0]);
         assert_eq!(m.mean_rows().as_slice(), &[2.0, 3.0]);
-        assert_eq!(m.sum_cols().column(0), vec![3.0, 7.0]);
         assert_eq!(m.var_rows().as_slice(), &[1.0, 1.0]);
     }
 
