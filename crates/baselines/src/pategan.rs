@@ -5,7 +5,7 @@
 //! real data; a student discriminator never sees real data — it is trained
 //! on generated samples labeled by the Laplace-noised majority vote of the
 //! teachers (the PATE mechanism); the generator trains against the
-//! student. The noise scale is `1/lambda` per query, giving the
+//! student. The noise scale is `1/LAMBDA` per query, giving the
 //! data-dependent (ε, δ) guarantees of the original paper.
 
 use crate::common::{apply_heads, diverged, fit_transformer, BaselineConfig};
@@ -18,6 +18,10 @@ use kinet_nn::{Tape, Var};
 use kinet_tensor::{Matrix, MatrixRandomExt};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
+/// Laplace noise inverse-scale for the PATE vote (larger = less noise,
+/// weaker privacy).
+const LAMBDA: f64 = 1.0;
+
 struct Fitted {
     transformer: DataTransformer,
     gen: Mlp,
@@ -29,19 +33,15 @@ struct Fitted {
 pub struct PateGan {
     config: BaselineConfig,
     n_teachers: usize,
-    /// Laplace noise inverse-scale for the PATE vote (larger = less noise,
-    /// weaker privacy).
-    lambda: f64,
     fitted: Option<Fitted>,
 }
 
 impl PateGan {
-    /// Creates an unfitted PATE-GAN with 5 teachers and `lambda = 1`.
+    /// Creates an unfitted PATE-GAN with 5 teachers.
     pub fn new(config: BaselineConfig) -> Self {
         Self {
             config,
             n_teachers: 5,
-            lambda: 1.0,
             fitted: None,
         }
     }
@@ -54,17 +54,6 @@ impl PateGan {
     pub fn with_teachers(mut self, n: usize) -> Self {
         assert!(n > 0, "need at least one teacher");
         self.n_teachers = n;
-        self
-    }
-
-    /// Sets the Laplace inverse-scale of the vote noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lambda > 0`.
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        assert!(lambda > 0.0, "lambda must be positive");
-        self.lambda = lambda;
         self
     }
 
@@ -187,7 +176,7 @@ impl TabularSynthesizer for PateGan {
                     }
                 }
                 let target = Matrix::from_fn(cfg.batch_size, 1, |r, _| {
-                    let noisy = votes[r] + laplace(1.0 / self.lambda, &mut rng);
+                    let noisy = votes[r] + laplace(1.0 / LAMBDA, &mut rng);
                     if noisy > self.n_teachers as f64 / 2.0 {
                         1.0
                     } else {
@@ -262,7 +251,7 @@ impl std::fmt::Debug for PateGan {
             f,
             "PateGan(teachers={}, lambda={}, fitted={})",
             self.n_teachers,
-            self.lambda,
+            LAMBDA,
             self.fitted.is_some()
         )
     }

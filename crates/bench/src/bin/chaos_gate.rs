@@ -4,7 +4,7 @@
 //!
 //! The matrix (one committed round per scenario, each executed at
 //! `KINET_THREADS` ∈ {1, 2, 4} to prove the fingerprint is bit-identical
-//! under faults):
+//! under faults, and the kinet_obs journal contracts of DESIGN.md §2.10):
 //!
 //! | scenario | injection | must hold |
 //! |---|---|---|
@@ -14,14 +14,21 @@
 //! | `straggler-retry` | transient straggle past the budget | retry heals it, zero degraded, recall floor |
 //! | `vocab-drop` | attack observer's vocab message lost | round commits on the surviving union |
 //!
+//! The 1- and 2-thread runs of every scenario are each recorded into their
+//! own journal; the 4-thread run is not. So every scenario also checks
+//! that the two journals render byte-identically and non-empty, that each
+//! journal's `fleet.retry` and `fleet.quarantine` counts equal the report's
+//! `retries` and `quarantined.len()`, and, through the fingerprint
+//! comparison, that recording never perturbs the round it watches.
+//!
 //! A final probe crashes a device under a full-quorum policy and asserts
 //! the run fails with the dedicated quorum-lost exit code.
 //!
 //! The full per-scenario reports are persisted as
 //! `target/experiments/chaos_report.json` **before** the pass/fail
-//! verdict, so a red gate still uploads evidence; the journal of every
-//! scenario's 1-thread run is recorded and its tail written to
-//! `target/experiments/chaos_gate_obs_dump.json`.
+//! verdict, so a red gate still uploads evidence; every scenario's
+//! 1-thread journal is appended to one gate journal, whose tail is written
+//! to `target/experiments/chaos_gate_obs_dump.json`.
 //!
 //! ```text
 //! chaos_gate [--quick] [--seed N]
@@ -37,7 +44,7 @@ use kinet_fleet::{
     DeviceFaultSpec, FaultKind, FleetConfig, FleetReport, FleetSim, ModelKind, ResilienceConfig,
     SharingPolicy, EXIT_QUORUM_LOST,
 };
-use kinet_obs::Recorder;
+use kinet_obs::{RecordKind, Recorder};
 use serde::Serialize;
 
 /// Pooled attack recall the committed scenarios must clear (the fault-free
@@ -143,6 +150,7 @@ struct ScenarioRecord {
     description: String,
     thread_counts: Vec<usize>,
     fingerprints_identical: bool,
+    journals_identical: bool,
     failures: Vec<String>,
     report: Option<FleetReport>,
 }
@@ -156,8 +164,9 @@ struct ChaosReport {
     quorum_probe: ProbeRecord,
 }
 
-/// Runs one scenario at every thread count; the 1-thread run is the one
-/// recorded into `journal`.
+/// Runs one scenario at every thread count, recording the 1- and 2-thread
+/// runs each into its own journal; the 1-thread journal is appended to
+/// `journal`.
 fn run_scenario(args: &Args, sc: &Scenario, journal: &mut Recorder) -> ScenarioRecord {
     let mut cfg = base_config(args);
     cfg.fault = sc.fault.clone();
@@ -169,22 +178,59 @@ fn run_scenario(args: &Args, sc: &Scenario, journal: &mut Recorder) -> ScenarioR
         cfg.resilience.min_share_validity = 0.0;
     }
     let mut failures = Vec::new();
+    let mut journal_failures = Vec::new();
+    let mut journals = Vec::new();
 
     // The determinism-under-faults contract: the same round at 1, 2, and 4
-    // workers must fingerprint bit-identically, fault plan and all.
+    // workers must fingerprint bit-identically, fault plan and all. The
+    // 4-thread run is unrecorded, so a recorded round must fingerprint
+    // like an unrecorded one.
     let (report, fingerprints_identical) = gate::across_threads(
         "fingerprint",
         &mut failures,
         |threads| {
             let sim = FleetSim::new(cfg.clone());
-            if threads == 1 {
-                sim.run_recorded(journal).map(|(report, _)| report)
-            } else {
-                sim.run()
+            if threads == 4 {
+                return sim.run();
             }
+            let mut journal = Recorder::new();
+            let (report, _) = sim.run_recorded(&mut journal)?;
+            // The journal must agree with the report it narrates.
+            for (target, reported) in [
+                ("fleet.retry", report.fault.retries),
+                ("fleet.quarantine", report.fault.quarantined.len()),
+            ] {
+                let journaled = journal.events_for(target).count();
+                if journaled != reported {
+                    journal_failures.push(format!(
+                        "journal at {threads} thread(s) has {journaled} {target} events, \
+                         the report {reported}"
+                    ));
+                }
+            }
+            journals.push(journal);
+            Ok(report)
         },
         FleetReport::deterministic_fingerprint,
     );
+    failures.extend(journal_failures);
+    // The journal-determinism contract: virtual ticks only, appended on the
+    // orchestrator thread, so the rendering is thread-count-invariant.
+    let renders: Vec<String> = journals.iter().map(Recorder::render).collect();
+    let journals_identical = match renders.as_slice() {
+        [one, two] => !one.is_empty() && one == two,
+        _ => false,
+    };
+    if renders.len() == 2 && !journals_identical {
+        failures.push(if renders[0].is_empty() {
+            "recorded journal is empty".to_string()
+        } else {
+            "journal diverges between 1 and 2 thread(s)".to_string()
+        });
+    }
+    if let Some(first) = journals.first() {
+        append_journal(journal, first);
+    }
     if let Some(report) = &report {
         let f = &report.fault;
         if !f.quorum_met {
@@ -260,8 +306,21 @@ fn run_scenario(args: &Args, sc: &Scenario, journal: &mut Recorder) -> ScenarioR
         description: sc.description.to_string(),
         thread_counts: THREAD_COUNTS.to_vec(),
         fingerprints_identical,
+        journals_identical,
         failures,
         report,
+    }
+}
+
+/// Appends `from`'s records to `into` in emission order.
+fn append_journal(into: &mut Recorder, from: &Recorder) {
+    for rec in from.records() {
+        let fields = rec.active_fields();
+        match rec.kind {
+            RecordKind::SpanOpen => into.span_open(rec.target, rec.ticks, fields),
+            RecordKind::SpanClose => into.span_close(rec.target, rec.ticks, fields),
+            RecordKind::Event => into.event(rec.target, rec.ticks, fields),
+        }
     }
 }
 
@@ -297,7 +356,7 @@ fn main() {
         if let Some(report) = &record.report {
             println!(
                 "      recall {:.3}, {}/{} reported, {} retries, {} quarantined, {} degraded, \
-                 {} ticks, fingerprints identical across {:?}: {}",
+                 {} ticks, fingerprints identical across {:?}: {}, journals identical: {}",
                 report.attack_recall,
                 report.fault.devices_reported,
                 report.n_devices,
@@ -307,6 +366,7 @@ fn main() {
                 report.fault.virtual_ticks,
                 THREAD_COUNTS,
                 record.fingerprints_identical,
+                record.journals_identical,
             );
         }
         for f in &record.failures {

@@ -1,6 +1,6 @@
 //! Shared plumbing for the gate binaries: the run harness of
-//! `chaos_gate`, `service_gate` and `obs_gate` (scenario tables, checks
-//! and report structs stay in each gate), and `bench_gate`'s diff of
+//! `chaos_gate` and `service_gate` (scenario tables, checks and report
+//! structs stay in each gate), and `bench_gate`'s diff of
 //! fresh `target/experiments/BENCH_*.json` medians against the committed
 //! `benches/baseline/` summaries.
 

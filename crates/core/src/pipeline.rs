@@ -195,11 +195,6 @@ impl KgTrainPipeline {
         }
     }
 
-    /// The pre-encoded training table.
-    pub fn encoded(&self) -> &EncodedTable {
-        &self.enc
-    }
-
     /// Fills `out` with one KG-valid positive per index of `real_idx`:
     /// the real row's deterministic encoding with its constrained fields
     /// re-drawn from the compiled valid sets (up to `max_tries` rejection

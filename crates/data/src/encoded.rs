@@ -5,7 +5,7 @@
 //! used to re-clone rows into string-keyed assignments. [`EncodedTable`]
 //! is the pre-encoded counterpart: every categorical column becomes a
 //! `Vec<Sym>` of interned codes (interned once, at encode time), numeric
-//! columns stay `f64`, and the per-column code tables line up with
+//! columns are not copied, and the per-column code tables line up with
 //! [`crate::transform::CategoricalEncoder`]'s lexicographic dictionary so
 //! one-hot offsets and interned symbols translate in O(1).
 //!
@@ -44,7 +44,8 @@ enum EncodedColumn {
         /// fitted on the same column.
         code_syms: Vec<Sym>,
     },
-    Num(Vec<f64>),
+    /// A continuous column: its values stay in the source [`Table`].
+    Num,
 }
 
 /// A table pre-encoded onto an [`Interner`]: the zero-allocation substrate
@@ -78,10 +79,7 @@ impl EncodedTable {
                     let syms: Vec<Sym> = raw.iter().map(|v| interner.intern(v)).collect();
                     columns.push(EncodedColumn::Cat { syms, code_syms });
                 }
-                ColumnKind::Continuous => {
-                    let raw = table.num_column(col.name()).expect("schema-checked");
-                    columns.push(EncodedColumn::Num(raw.to_vec()));
-                }
+                ColumnKind::Continuous => columns.push(EncodedColumn::Num),
             }
         }
         let sym_codes = columns
@@ -94,7 +92,7 @@ impl EncodedTable {
                     }
                     map
                 }
-                EncodedColumn::Num(_) => Vec::new(),
+                EncodedColumn::Num => Vec::new(),
             })
             .collect();
         Self {
@@ -125,15 +123,7 @@ impl EncodedTable {
     pub fn cat_syms(&self, col: usize) -> Option<&[Sym]> {
         match &self.columns[col] {
             EncodedColumn::Cat { syms, .. } => Some(syms),
-            EncodedColumn::Num(_) => None,
-        }
-    }
-
-    /// A continuous column's values.
-    pub fn num_values(&self, col: usize) -> Option<&[f64]> {
-        match &self.columns[col] {
-            EncodedColumn::Num(v) => Some(v),
-            EncodedColumn::Cat { .. } => None,
+            EncodedColumn::Num => None,
         }
     }
 
@@ -142,7 +132,7 @@ impl EncodedTable {
     pub fn code_syms(&self, col: usize) -> Option<&[Sym]> {
         match &self.columns[col] {
             EncodedColumn::Cat { code_syms, .. } => Some(code_syms),
-            EncodedColumn::Num(_) => None,
+            EncodedColumn::Num => None,
         }
     }
 
@@ -375,7 +365,6 @@ mod tests {
         assert_eq!(names, ["tcp", "udp"], "dictionary in lexicographic order");
         assert_eq!(enc.code_of_sym(1, dict[1]), Some(1));
         assert_eq!(enc.code_of_sym(1, ev[0]), None, "event sym not in protocol");
-        assert_eq!(enc.num_values(2).unwrap()[3], 123.0);
         assert!(enc.cat_syms(2).is_none());
     }
 

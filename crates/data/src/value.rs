@@ -9,7 +9,6 @@ use std::fmt;
 /// use kinet_data::Value;
 /// let v = Value::cat("udp");
 /// assert_eq!(v.as_cat(), Some("udp"));
-/// assert!(Value::num(443.0).is_num());
 /// ```
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub enum Value {
@@ -44,11 +43,6 @@ impl Value {
             Value::Num(v) => Some(*v),
             Value::Cat(_) => None,
         }
-    }
-
-    /// `true` for [`Value::Num`].
-    pub fn is_num(&self) -> bool {
-        matches!(self, Value::Num(_))
     }
 }
 
@@ -100,7 +94,6 @@ mod tests {
         assert_eq!(Value::cat("x").as_cat(), Some("x"));
         assert_eq!(Value::cat("x").as_num(), None);
         assert_eq!(Value::num(1.5).as_num(), Some(1.5));
-        assert!(Value::num(0.0).is_num());
     }
 
     #[test]

@@ -13,9 +13,9 @@ use kinet_tensor::pool::with_threads;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-/// The faulted-round configuration from the chaos suite: retries,
-/// quarantine, and union fallback all fire, so every journal event the
-/// fleet emits is exercised.
+/// The faulted-round configuration from the chaos suite: retries (a crash
+/// and a straggler that moves the virtual clock), quarantine, and union
+/// fallback all fire, so every journal event the fleet emits is exercised.
 fn faulted_config() -> FleetConfig {
     let mut cfg = FleetConfig::fast(SharingPolicy::Synthetic(ModelKind::KinetGan));
     cfg.n_devices = 4;
@@ -26,6 +26,7 @@ fn faulted_config() -> FleetConfig {
     cfg.union = true;
     cfg.fault = vec![
         DeviceFaultSpec::transient(1, FaultKind::CrashAcquire, 1).with_magnitude(50),
+        DeviceFaultSpec::transient(2, FaultKind::Straggle, 1).with_magnitude(2500),
         DeviceFaultSpec::permanent(3, FaultKind::PoisonShareNan),
     ];
     cfg.resilience = ResilienceConfig {
@@ -62,8 +63,8 @@ fn faulted_round_fingerprint_identical_obs_on_vs_off() {
     let retries = journal.events_for("fleet.retry").count();
     let quarantines = journal.events_for("fleet.quarantine").count();
     assert!(
-        retries > 0,
-        "scripted transient crash should surface as a retry"
+        retries >= 2,
+        "the scripted transient crash and straggler should each surface as a retry"
     );
     assert!(
         quarantines > 0,

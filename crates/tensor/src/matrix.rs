@@ -235,24 +235,6 @@ impl Matrix {
         out
     }
 
-    /// Reshapes into `rows × cols` without copying element order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element count differs.
-    pub fn reshape(mut self, rows: usize, cols: usize) -> Matrix {
-        assert_eq!(
-            self.data.len(),
-            rows * cols,
-            "cannot reshape {}x{} into {rows}x{cols}",
-            self.rows,
-            self.cols
-        );
-        self.rows = rows;
-        self.cols = cols;
-        self
-    }
-
     /// Stacks `mats` vertically (all must share the column count).
     ///
     /// # Panics
@@ -535,13 +517,6 @@ mod tests {
         assert_eq!(buf, m.select_rows(&[3, 3, 0]));
         m.gather_rows_into(&[], &mut buf);
         assert_eq!(buf.rows(), 0);
-    }
-
-    #[test]
-    fn reshape_preserves_order() {
-        let m = Matrix::from_vec(2, 3, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        let r = m.reshape(3, 2);
-        assert_eq!(r[(2, 1)], 5.0);
     }
 
     #[test]

@@ -36,15 +36,6 @@ impl Matrix {
         self.zip_map(other, |a, b| a * b)
     }
 
-    /// Element-wise quotient.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn div(&self, other: &Matrix) -> Matrix {
-        self.zip_map(other, |a, b| a / b)
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Matrix {
         self.map(|v| v * s)
@@ -454,7 +445,6 @@ mod tests {
         assert_eq!(a.add(&b), Matrix::full(2, 2, 5.0));
         assert_eq!(a.sub(&a), Matrix::zeros(2, 2));
         assert_eq!(a.mul(&b)[(0, 0)], 4.0);
-        assert_eq!(a.div(&a), Matrix::ones(2, 2));
         assert_eq!(a.scale(2.0)[(1, 1)], 8.0);
         assert_eq!(a.add_scalar(1.0)[(0, 0)], 2.0);
     }
